@@ -75,16 +75,12 @@ def _load_mdp(path):
 
 
 def _metric_from_args(args) -> MetricConfig:
-    return MetricConfig(norm=args.metric, diameter_mode=args.diameter_mode,
-                        probes=args.probes, seed=args.seed)
+    return MetricConfig(norm=args.metric)
 
 
 def _add_metric_args(p):
     p.add_argument("--metric", choices=("euclidean", "manhattan"),
                    default="euclidean")
-    p.add_argument("--diameter-mode", choices=("exact", "sampled"),
-                   default="exact")
-    p.add_argument("--probes", type=int, default=32)
 
 
 def _build_policy(args, config, seed):

@@ -149,12 +149,6 @@ def load_batch(path) -> Batch:
             if not isinstance(traj, int) or not isinstance(t, int):
                 raise BatchError(f"{where}: traj/t must be integers")
             transitions.append(Transition(s, a, float(r), sp, traj, t))
-    if not transitions:
-        raise BatchError("empty batch")
-    dim = len(transitions[0].s)
-    for i, tr in enumerate(transitions):
-        if len(tr.s) != dim or len(tr.s_next) != dim:
-            raise BatchError(f"transition {i}: dimension mismatch (expected {dim})")
     action_count = reward_bound = None
     if meta is not None:
         action_count = meta.get("action_count")

@@ -14,16 +14,23 @@ divisor is the realized neighbor count, which may be below k when the
 distance threshold truncates the set. Pairs with no neighbors at all get
 the pessimistic fallback: reward 0 (the lower reward bound) and an
 absorbing self-loop.
+
+`build_mdp` takes the neighbor sets of all core states from one batched
+kernel call per action (`NeighborIndex.neighbor_sets`); `neighbor_estimate`
+turns one set into its shaped reward and landing row, for the derivation
+and for the planner's lookup of states outside the core alike.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import Batch, State, core_states
-from .neighbors import MetricConfig, NeighborIndex, NeighborSet, build_index
+from .neighbors import (NORMS, MetricConfig, NeighborIndex, NeighborSet,
+                        build_index)
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,14 @@ class PenaltyMode:
             return PenaltyMode.fixed(float(text.split(":", 1)[1]))
         raise ValueError(f"cannot parse penalty mode {text!r}")
 
+    def coefficient(self, rewards) -> float:
+        """Penalty per unit of normalized distance, given the rewards."""
+        if self.kind == "averagers":
+            return 0.0
+        if self.kind == "fixed":
+            return self.c
+        return max(rewards)
+
     def label(self) -> str:
         if self.kind == "fixed":
             return f"fixed:{self.c:g}"
@@ -80,7 +95,9 @@ class DerivedMdp:
     norm: str
     empty_pairs: list[tuple[int, int]]
 
-    def core_index(self) -> dict[State, int]:
+    @cached_property
+    def core_lookup(self) -> dict[State, int]:
+        """Row index of each core state."""
         return {s: i for i, s in enumerate(self.core)}
 
     def num_states(self) -> int:
@@ -93,12 +110,7 @@ def shaped_reward(neighbors: NeighborSet, rewards, mode: PenaltyMode) -> float:
         raise ValueError("empty neighbor set")
     if len(rewards) != len(neighbors):
         raise ValueError("rewards not aligned with neighbors")
-    if mode.kind == "averagers":
-        coef = 0.0
-    elif mode.kind == "fixed":
-        coef = mode.c
-    else:
-        coef = max(rewards)
+    coef = mode.coefficient(rewards)
     total = 0.0
     for entry, r in zip(neighbors, rewards):
         total += r - coef * entry.norm_distance
@@ -116,6 +128,15 @@ def empirical_transition(neighbors: NeighborSet, next_states,
         counts[idx] = counts.get(idx, 0) + 1
     n = len(neighbors)
     return {idx: cnt / n for idx, cnt in counts.items()}
+
+
+def neighbor_estimate(batch: Batch, neighbors: NeighborSet, mode: PenaltyMode,
+                      core_lookup: dict[State, int]) -> tuple[float, dict[int, float]]:
+    """Shaped reward and landing row of a non-empty neighbor set."""
+    sources = [batch.transitions[e.index] for e in neighbors]
+    return (shaped_reward(neighbors, [tr.r for tr in sources], mode),
+            empirical_transition(neighbors, [tr.s_next for tr in sources],
+                                 core_lookup))
 
 
 def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
@@ -138,18 +159,16 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
         [{} for _ in range(batch.action_count)] for _ in range(n)
     ]
     empty_pairs: list[tuple[int, int]] = []
-    for si, s in enumerate(core):
-        for a in range(batch.action_count):
-            nn = index.query(s, a, k, alpha)
+    for a in range(batch.action_count):
+        for si, nn in enumerate(index.neighbor_sets(core, a, k, alpha)):
             if not nn:
                 empty_pairs.append((si, a))
                 reward[si, a] = 0.0
                 transition[si][a] = {si: 1.0}
                 continue
-            rewards = [batch.transitions[e.index].r for e in nn]
-            nexts = [batch.transitions[e.index].s_next for e in nn]
-            reward[si, a] = shaped_reward(nn, rewards, mode)
-            transition[si][a] = empirical_transition(nn, nexts, lookup)
+            reward[si, a], transition[si][a] = neighbor_estimate(
+                batch, nn, mode, lookup)
+    empty_pairs.sort()
     return DerivedMdp(core, batch.action_count, reward, transition, gamma,
                       mode, k, alpha, index.diameter, index.norm, empty_pairs)
 
@@ -175,21 +194,52 @@ def mdp_to_json(mdp: DerivedMdp) -> str:
 
 
 def mdp_from_json(text: str) -> DerivedMdp:
+    """Parse an MDP written by mdp_to_json; ValueError unless it is one."""
     doc = json.loads(text)
-    alpha = doc["alpha"]
-    return DerivedMdp(
-        core=tuple(tuple(float(c) for c in s) for s in doc["core"]),
-        action_count=doc["action_count"],
-        reward=np.asarray(doc["reward"], dtype=float),
-        transition=[
-            [{int(i): float(p) for i, p in row} for row in per_state]
-            for per_state in doc["transition"]
-        ],
-        gamma=doc["gamma"],
-        mode=PenaltyMode(doc["penalty"]["kind"], doc["penalty"]["c"]),
-        k=doc["k"],
-        alpha=math.inf if alpha == "inf" else float(alpha),
-        diameter=doc["diameter"],
-        norm=doc["norm"],
-        empty_pairs=[(int(i), int(a)) for i, a in doc["empty_pairs"]],
-    )
+    try:
+        alpha = doc["alpha"]
+        mdp = DerivedMdp(
+            core=tuple(tuple(float(c) for c in s) for s in doc["core"]),
+            action_count=doc["action_count"],
+            reward=np.asarray(doc["reward"], dtype=float),
+            transition=[
+                [{int(i): float(p) for i, p in row} for row in per_state]
+                for per_state in doc["transition"]
+            ],
+            gamma=doc["gamma"],
+            mode=PenaltyMode(doc["penalty"]["kind"], doc["penalty"]["c"]),
+            k=doc["k"],
+            alpha=math.inf if alpha == "inf" else float(alpha),
+            diameter=doc["diameter"],
+            norm=doc["norm"],
+            empty_pairs=[(int(i), int(a)) for i, a in doc["empty_pairs"]],
+        )
+        _check_mdp(mdp)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed MDP JSON ({type(exc).__name__}: {exc})") from exc
+    return mdp
+
+
+def _check_mdp(mdp: DerivedMdp) -> None:
+    """Reject anything value iteration cannot treat as a discounted MDP."""
+    n, actions = mdp.num_states(), mdp.action_count
+    if not 0 <= mdp.gamma < 1:
+        raise ValueError(f"MDP gamma {mdp.gamma} outside [0, 1)")
+    if mdp.k < 1:
+        raise ValueError(f"MDP k {mdp.k} below 1")
+    if mdp.norm not in NORMS:
+        raise ValueError(f"MDP norm {mdp.norm!r} unknown")
+    if mdp.reward.shape != (n, actions) or not np.all(np.isfinite(mdp.reward)):
+        raise ValueError(f"MDP reward must be finite with shape {(n, actions)}, "
+                         f"got shape {mdp.reward.shape}")
+    if len(mdp.transition) != n or any(len(per_state) != actions
+                                       for per_state in mdp.transition):
+        raise ValueError(f"MDP transition must have {n} x {actions} rows")
+    for si, per_state in enumerate(mdp.transition):
+        for a, row in enumerate(per_state):
+            if (not row or not all(0 <= j < n for j in row)
+                    or not all(p >= 0 for p in row.values())
+                    or abs(math.fsum(row.values()) - 1.0) > 1e-12):
+                raise ValueError(
+                    f"MDP transition row ({si}, {a}) is not a distribution "
+                    f"over the {n} core states: {sorted(row.items())[:8]}")

@@ -1,10 +1,14 @@
-"""Per-action nearest-neighbor search over batch source pairs.
+"""Per-action exact nearest-neighbor search over batch source pairs.
 
 Pairs with different actions are treated as infinitely distant, so the
 index keeps one sub-index per action over the source states of that
-action's transitions. Queries are exact brute force and deterministic:
-ties are broken by lower transition index. Distances are normalized by
-the diameter of the core-state point cloud.
+action's transitions. One batched kernel, `NeighborIndex.neighbor_sets`,
+answers every search: it computes distances in row blocks of at most
+BLOCK elements, keeps each row's sources at or below its k-th smallest
+distance, orders them by distance with ties broken by lower transition
+index, and cuts them at the normalized threshold alpha. `query` is the
+kernel on one state. Distances are normalized by the exact diameter of
+the core-state point cloud, computed from the same blocked distances.
 """
 
 import math
@@ -18,20 +22,19 @@ from .dataset import Batch, State, core_states
 
 NORMS = ("euclidean", "manhattan")
 
+# elements of one block of the distance matrix (256 KB): bounds the kernel's
+# memory, and blocks that stay in cache measured faster than larger ones
+BLOCK = 1 << 15
+
 
 @dataclass
 class MetricConfig:
     norm: str = "euclidean"
     diameter: float | None = None
-    diameter_mode: str = "exact"
-    probes: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.diameter_mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown diameter mode {self.diameter_mode!r}")
         if self.diameter is not None and self.diameter <= 0:
             raise ValueError("diameter must be positive")
 
@@ -45,37 +48,30 @@ class NeighborEntry(NamedTuple):
 NeighborSet = list[NeighborEntry]
 
 
-def _pairwise_dist(points: np.ndarray, q: np.ndarray, norm: str) -> np.ndarray:
-    diff = points - q
-    if norm == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=1))
-    return np.sum(np.abs(diff), axis=1)
+def distances(queries: np.ndarray, points: np.ndarray, norm: str) -> np.ndarray:
+    """(len(queries), len(points)) matrix of distances.
 
-
-def diameter(batch: Batch, mode: str = "exact", probes: int = 32,
-             norm: str = "euclidean", seed: int = 0) -> float:
-    """Diameter of the core-state cloud.
-
-    Exact mode scans all pairs. Sampled mode takes the max distance from
-    `probes` uniformly drawn core states to all core states, a lower bound
-    on the true diameter. Degenerate clouds (fewer than two distinct
-    points) get the sentinel 1.0 so normalized distances equal raw ones.
+    Coordinates are accumulated one at a time, in order, so every entry
+    equals the sequential sum over coordinates bit for bit.
     """
-    pts = np.asarray(core_states(batch), dtype=float)
-    if len(pts) < 2:
-        warnings.warn("degenerate core-state cloud; diameter set to 1.0",
-                      RuntimeWarning, stacklevel=2)
-        return 1.0
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, len(pts), size=min(probes, len(pts)))
-        best = 0.0
-        for i in idx:
-            best = max(best, float(_pairwise_dist(pts, pts[i], norm).max()))
-    else:
-        best = 0.0
-        for i in range(len(pts) - 1):
-            best = max(best, float(_pairwise_dist(pts[i + 1:], pts[i], norm).max()))
+    acc = np.zeros((len(queries), len(points)))
+    for c in range(points.shape[1]):
+        diff = points[:, c] - queries[:, c, None]
+        acc += diff * diff if norm == "euclidean" else np.abs(diff)
+    return np.sqrt(acc, out=acc) if norm == "euclidean" else acc
+
+
+def diameter(batch: Batch, norm: str = "euclidean") -> float:
+    """Exact diameter of the core-state cloud.
+
+    Degenerate clouds (fewer than two distinct points) get the sentinel
+    1.0 so normalized distances equal raw ones.
+    """
+    pts = np.asfortranarray(core_states(batch), dtype=float)
+    step = max(1, BLOCK // len(pts))
+    # each block of rows against itself and every later point
+    best = max((float(distances(pts[i:i + step], pts[i:], norm).max())
+                for i in range(0, len(pts) - 1, step)), default=0.0)
     if best == 0.0:
         warnings.warn("degenerate core-state cloud; diameter set to 1.0",
                       RuntimeWarning, stacklevel=2)
@@ -90,35 +86,55 @@ class NeighborIndex:
     diameter: float
     action_count: int
     batch: Batch = field(repr=False)
-    # per action: (n_a, dim) source coordinates and (n_a,) transition indices,
-    # both in file order so stable sorts break ties by transition index
+    # per action: (n_a, dim) source coordinates, column-major so that each
+    # coordinate is contiguous, and (n_a,) transition indices, both in file
+    # order so column order breaks ties by transition index
     _points: list[np.ndarray] = field(repr=False)
     _indices: list[np.ndarray] = field(repr=False)
 
     def size(self, action: int) -> int:
         return len(self._indices[action])
 
-    def query(self, s: State, a: int, k: int,
-              alpha: float = math.inf) -> NeighborSet:
-        """At most k same-action sources with normalized distance <= alpha."""
+    def neighbor_sets(self, states, a: int, k: int,
+                      alpha: float = math.inf) -> list[NeighborSet]:
+        """Per state, at most k same-action sources with normalized distance
+        <= alpha, nearest first, ties to the lower transition index."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if not 0 <= a < self.action_count:
             raise ValueError(f"action {a} out of range")
         pts = self._points[a]
+        queries = np.asarray(states, dtype=float).reshape(len(states),
+                                                          pts.shape[1])
         if len(pts) == 0:
-            return []
-        d = _pairwise_dist(pts, np.asarray(s, dtype=float), self.norm)
-        order = np.argsort(d, kind="stable")
-        out: NeighborSet = []
-        for j in order[:k] if alpha == math.inf else order:
-            nd = d[j] / self.diameter
-            if nd > alpha:
-                break
-            out.append(NeighborEntry(int(self._indices[a][j]), float(d[j]), float(nd)))
-            if len(out) == k:
-                break
+            return [[] for _ in range(len(queries))]
+        kth, step = min(k, len(pts)) - 1, max(1, BLOCK // len(pts))
+        out: list[NeighborSet] = []
+        for start in range(0, len(queries), step):
+            d = distances(queries[start:start + step], pts, self.norm)
+            # every source at or below its row's k-th smallest distance, in
+            # row-major order; the stable sort keeps ties in column order
+            rows, cols = np.nonzero(
+                d <= np.partition(d, kth, axis=1)[:, kth, None])
+            order = np.lexsort((d[rows, cols], rows))
+            rows, cols = rows[order], cols[order]
+            dist = d[rows, cols]
+            norm_dist = dist / self.diameter
+            # rank within the row: the k nearest and the alpha cut are prefixes
+            keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
+            if alpha != math.inf:
+                keep &= norm_dist <= alpha
+            ends = np.cumsum(np.bincount(rows[keep], minlength=len(d))).tolist()
+            entries = list(map(NeighborEntry,
+                               self._indices[a][cols[keep]].tolist(),
+                               dist[keep].tolist(), norm_dist[keep].tolist()))
+            out += [entries[lo:hi] for lo, hi in zip([0] + ends, ends)]
         return out
+
+    def query(self, s: State, a: int, k: int,
+              alpha: float = math.inf) -> NeighborSet:
+        """At most k same-action sources with normalized distance <= alpha."""
+        return self.neighbor_sets([s], a, k, alpha)[0]
 
 
 def build_index(batch: Batch, metric: MetricConfig | None = None) -> NeighborIndex:
@@ -131,17 +147,14 @@ def build_index(batch: Batch, metric: MetricConfig | None = None) -> NeighborInd
     if metric.diameter is not None:
         diam = metric.diameter
     else:
-        diam = diameter(batch, mode=metric.diameter_mode, probes=metric.probes,
-                        norm=metric.norm, seed=metric.seed)
+        diam = diameter(batch, norm=metric.norm)
     points: list[np.ndarray] = []
     indices: list[np.ndarray] = []
     for a in range(batch.action_count):
-        rows = [(i, tr.s) for i, tr in enumerate(batch.transitions) if tr.a == a]
-        if rows:
-            points.append(np.asarray([s for _, s in rows], dtype=float))
-            indices.append(np.asarray([i for i, _ in rows], dtype=int))
-        else:
-            points.append(np.empty((0, batch.dim)))
-            indices.append(np.empty((0,), dtype=int))
+        rows = [i for i, tr in enumerate(batch.transitions) if tr.a == a]
+        indices.append(np.asarray(rows, dtype=int))
+        points.append(np.asfortranarray(np.reshape(
+            [batch.transitions[i].s for i in rows], (len(rows), batch.dim)),
+            dtype=float))
     return NeighborIndex(metric.norm, diam, batch.action_count, batch,
                          points, indices)

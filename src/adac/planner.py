@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .dataset import State
-from .derivation import DerivedMdp, empirical_transition, shaped_reward
+from .derivation import DerivedMdp, neighbor_estimate
 from .neighbors import NeighborIndex
 
 
@@ -93,11 +93,7 @@ def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
     nn = index.query(s, a, k, alpha)
     if not nn:
         return 0.0
-    lookup = _core_lookup(mdp)
-    rewards = [index.batch.transitions[e.index].r for e in nn]
-    nexts = [index.batch.transitions[e.index].s_next for e in nn]
-    r = shaped_reward(nn, rewards, mdp.mode)
-    row = empirical_transition(nn, nexts, lookup)
+    r, row = neighbor_estimate(index.batch, nn, mdp.mode, mdp.core_lookup)
     cont = sum(p * solution.values[i] for i, p in row.items())
     return r + mdp.gamma * cont
 
@@ -111,14 +107,6 @@ def greedy_action(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
         if q > best_q:
             best_a, best_q = a, q
     return best_a
-
-
-def _core_lookup(mdp: DerivedMdp) -> dict[State, int]:
-    cache = getattr(mdp, "_core_lookup_cache", None)
-    if cache is None:
-        cache = mdp.core_index()
-        mdp._core_lookup_cache = cache
-    return cache
 
 
 def solution_to_json(solution: Solution) -> str:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .dataset import Batch, State
+from .dataset import Batch, State, core_states
 from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 from .planner import Solution, greedy_action
@@ -78,21 +78,28 @@ class ProportionalPolicy:
 
 
 class GreedyDerivedPolicy:
-    """Greedy one-step-lookup policy over a solved derived MDP."""
+    """Greedy one-step-lookup policy over a solved derived MDP.
+
+    The index must be built over the batch the MDP was derived from, and
+    the solution must solve that MDP; anything else raises ValueError.
+    """
 
     def __init__(self, mdp: DerivedMdp, solution: Solution,
-                 index: NeighborIndex, k: int | None = None,
-                 alpha: float | None = None):
+                 index: NeighborIndex):
+        if core_states(index.batch) != list(mdp.core):
+            raise ValueError("the source batch's core states differ from the "
+                             "MDP's: not the batch it was derived from")
+        if solution.values.shape != (mdp.num_states(),):
+            raise ValueError(f"solution has {len(solution.values)} values for "
+                             f"an MDP of {mdp.num_states()} core states")
         self.mdp = mdp
         self.solution = solution
         self.index = index
-        self.k = mdp.k if k is None else k
-        self.alpha = mdp.alpha if alpha is None else alpha
         self.name = "greedy-derived"
 
     def act(self, state: State, t: int) -> int:
         return greedy_action(self.mdp, self.solution, self.index,
-                             state, self.k, self.alpha)
+                             state, self.mdp.k, self.mdp.alpha)
 
 
 class EpsilonNoisyPolicy:

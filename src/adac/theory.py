@@ -19,9 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Batch
+from .dataset import Batch, State
 from .derivation import DerivedMdp, PenaltyMode
-from .neighbors import MetricConfig, NeighborIndex, build_index, diameter
+from .neighbors import (MetricConfig, NeighborIndex, build_index, diameter,
+                        distances)
 from .planner import Solution
 
 
@@ -60,23 +61,14 @@ def covering_number(batch: Batch, alpha: float,
     metric = metric or MetricConfig()
     diam = metric.diameter
     if diam is None:
-        diam = diameter(batch, mode=metric.diameter_mode, probes=metric.probes,
-                        norm=metric.norm, seed=metric.seed)
-    centers: dict[int, list[np.ndarray]] = {}
-    count = 0
+        diam = diameter(batch, norm=metric.norm)
+    centers: dict[int, list[State]] = {}
     for tr in batch.transitions:
-        s = np.asarray(tr.s, dtype=float)
-        covered = False
-        for c in centers.get(tr.a, ()):
-            d = (np.sqrt(np.sum((c - s) ** 2)) if metric.norm == "euclidean"
-                 else np.sum(np.abs(c - s)))
-            if d / diam <= alpha:
-                covered = True
-                break
-        if not covered:
-            centers.setdefault(tr.a, []).append(s)
-            count += 1
-    return count
+        own = centers.setdefault(tr.a, [])
+        if not own or distances(np.asarray([tr.s]), np.asarray(own),
+                                metric.norm).min() / diam > alpha:
+            own.append(tr.s)
+    return sum(len(own) for own in centers.values())
 
 
 def sampling_error(q_max: float, k: int, n_cov: int, delta: float) -> float:
@@ -109,9 +101,8 @@ def value_gap(epsilon_s: float, d_bar: float, r_max: float,
 def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
     """Worst-case mean normalized neighbor distance over derivation queries."""
     worst = 0.0
-    for s in mdp.core:
-        for a in range(mdp.action_count):
-            nn = index.query(s, a, mdp.k, mdp.alpha)
+    for a in range(mdp.action_count):
+        for nn in index.neighbor_sets(mdp.core, a, mdp.k, mdp.alpha):
             if nn:
                 worst = max(worst, sum(e.norm_distance for e in nn) / len(nn))
     return worst
@@ -164,11 +155,6 @@ def canonical_shaping(k: int, r_max: float, d_near: float, d_far: float,
         raise ValueError("k must be >= 2")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    if mode.kind == "averagers":
-        coef = 0.0
-    elif mode.kind == "fixed":
-        coef = mode.c
-    else:
-        coef = max(1.0, r_max)
+    coef = mode.coefficient((1.0, r_max))
     total = (k - 1) * (1.0 - coef * d_near) + (r_max - coef * d_far)
     return total / k

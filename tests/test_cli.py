@@ -101,6 +101,49 @@ class TestExitCodes:
         code, _, _ = run(capsys, "derive")   # missing required args
         assert code == 1
 
+    def test_removed_diameter_mode_flag_is_usage_error(self, tmp_path,
+                                                       capsys, pipeline):
+        batch, _, _ = pipeline
+        code, _, err = run(capsys, "derive", "--batch", str(batch),
+                           "--diameter-mode", "exact",
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert "--diameter-mode" in err
+
+    @pytest.mark.parametrize("edit, message", [("halve_row", "not a distribution"),
+                                               ("gamma", "gamma")])
+    def test_solve_rejects_a_malformed_mdp(self, tmp_path, capsys, pipeline,
+                                           edit, message):
+        _, mdp, _ = pipeline
+        doc = json.loads(mdp.read_text())
+        if edit == "halve_row":
+            row = doc["transition"][0][0]
+            doc["transition"][0][0] = [[j, p / 2] for j, p in row]
+        else:
+            doc["gamma"] = 1.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--mdp", str(bad),
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 1
+        assert message in err
+
+    def test_greedy_eval_rejects_another_source_batch(self, tmp_path, capsys,
+                                                      pipeline):
+        _, mdp, solution = pipeline
+        other = tmp_path / "other.jsonl"
+        code, _, _ = run(capsys, "collect", "--policy", "cyclic",
+                         "--episodes", "2", "--horizon", "20",
+                         "--start", "2,6", "--out", str(other))
+        assert code == 0
+        code, _, err = run(capsys, "eval", "--policy", "greedy",
+                           "--mdp", str(mdp), "--solution", str(solution),
+                           "--source-batch", str(other),
+                           "--episodes", "1", "--horizon", "10",
+                           "--start", "1,3")
+        assert code == 1
+        assert "derived from" in err
+
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -260,6 +261,31 @@ class TestSerialization:
         back = mdp_from_json(mdp_to_json(mdp))
         assert back.alpha == 0.5
         assert back.mode.c == 2.0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", 1.5, "gamma"),
+        ("gamma", -0.1, "gamma"),
+        ("reward", [[1.0, 2.0]], "shape"),
+        ("k", 0, "k 0"),
+        ("norm", "chebyshev", "norm"),
+        ("transition", "empty row", "not a distribution"),
+        ("transition", "index out of range", "not a distribution"),
+        ("transition", "half a row", "not a distribution"),
+        ("penalty", None, "malformed"),
+    ])
+    def test_load_rejects_a_malformed_mdp(self, table1, field, value, message):
+        doc = json.loads(mdp_to_json(derive(table1, PenaltyMode.adaptive())))
+        row = doc["transition"][0][0]
+        if value == "empty row":
+            doc["transition"][0][0] = []
+        elif value == "index out of range":
+            row[0][0] = len(doc["core"])
+        elif value == "half a row":
+            doc["transition"][0][0] = [[j, p / 2] for j, p in row]
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match=message):
+            mdp_from_json(json.dumps(doc))
 
     def test_penalty_parse(self):
         assert PenaltyMode.parse("none") == PenaltyMode.averagers()

@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adac.dataset import Transition, make_batch
-from adac.neighbors import MetricConfig, build_index, diameter
+from adac import neighbors
+from adac.dataset import Transition, core_states, make_batch
+from adac.neighbors import NORMS, MetricConfig, build_index, diameter
 
-from conftest import brute_force_knn, euclid, manhattan, random_batch, scale_batch
+from conftest import (brute_force_diameter, brute_force_knn, euclid, manhattan,
+                      random_batch, scale_batch)
 
 
 class TestBuildIndex:
@@ -66,6 +71,43 @@ class TestQuery:
             assert [d for _, d in got] == pytest.approx(
                 [d for _, d in want], rel=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
+           norm=st.sampled_from(NORMS), k=st.integers(1, 12),
+           # fractions hit Manhattan distances on integer coordinates exactly
+           alpha=st.one_of(st.just(math.inf), st.floats(0.0, 1.0),
+                           st.builds(lambda p, q: min(p, q) / q,
+                                     st.integers(0, 18), st.integers(1, 18))))
+    def test_neighbor_sets_match_brute_force(self, seed, integer_coords, norm,
+                                             k, alpha):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=int(rng.integers(2, 60)),
+                             dim=int(rng.integers(1, 4)),
+                             integer_coords=integer_coords)
+        dist = euclid if norm == "euclidean" else manhattan
+        extra = rng.integers(0, 7, size=(10, batch.dim)).astype(float)
+        if not integer_coords:
+            extra = rng.uniform(0, 6, size=(10, batch.dim))
+        states = core_states(batch) + [tuple(map(float, x)) for x in extra]
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks, so one call spans several of them
+            mp.setattr(neighbors, "BLOCK", 64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                index = build_index(batch, MetricConfig(norm=norm))
+            assert index.diameter == pytest.approx(
+                brute_force_diameter(batch, dist), rel=1e-12)
+            for a in range(batch.action_count):
+                sets = index.neighbor_sets(states, a, k, alpha)
+                assert len(sets) == len(states)
+                for s, got in zip(states, sets):
+                    want = brute_force_knn(batch, s, a, k, alpha,
+                                           diam=index.diameter, dist=dist)
+                    assert [e.index for e in got] == [i for i, _, _ in want]
+                    assert [e.distance for e in got] == pytest.approx(
+                        [d for _, d, _ in want], rel=1e-12, abs=1e-12)
+                    assert index.query(s, a, k, alpha) == got
+
     def test_determinism_on_ties(self):
         # four sources at identical distance from the query
         rows = [Transition((1.0, 0.0), 0, 1.0, (0.0, 0.0), 0, 0),
@@ -116,14 +158,6 @@ class TestDiameter:
         with pytest.warns(RuntimeWarning, match="degenerate"):
             assert diameter(make_batch(rows)) == 1.0
 
-    def test_sampled_lower_bounds_exact(self):
-        rng = np.random.default_rng(23)
-        batch = random_batch(rng, n=1000, dim=2, integer_coords=False)
-        exact = diameter(batch, mode="exact")
-        for seed in range(5):
-            sampled = diameter(batch, mode="sampled", probes=32, seed=seed)
-            assert sampled <= exact + 1e-12
-
     def test_manhattan_mode(self, table1):
         d = diameter(table1, norm="manhattan")
         best = 0.0
@@ -173,8 +207,3 @@ class TestMetricConfig:
     def test_explicit_diameter_wins(self, table1):
         index = build_index(table1, MetricConfig(diameter=10.0))
         assert index.diameter == 10.0
-
-    def test_sampled_mode_via_config(self, table1):
-        index = build_index(table1, MetricConfig(diameter_mode="sampled",
-                                                 probes=5, seed=1))
-        assert index.diameter <= math.sqrt(52) + 1e-12

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from adac.dataset import load_batch, save_batch
+from adac.dataset import load_batch, make_batch, save_batch
 from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import build_index
 from adac.planner import value_iteration
@@ -84,6 +85,20 @@ class TestGreedyDerived:
         sol = value_iteration(mdp, tol=1e-9)
         policy = GreedyDerivedPolicy(mdp, sol, index)
         assert policy.act((1.0, 4.0), 0) == 1
+
+    def test_rejects_mismatched_artifacts(self, table1):
+        index = build_index(table1)
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive(), index=index)
+        sol = value_iteration(mdp, tol=1e-9)
+        rows = list(table1.transitions[:-1])
+        other = build_index(make_batch(rows, table1.action_count,
+                                       table1.reward_bound))
+        with pytest.raises(ValueError, match="derived from"):
+            GreedyDerivedPolicy(mdp, sol, other)
+        short = dataclasses.replace(sol, values=sol.values[:-1])
+        with pytest.raises(ValueError, match="solution"):
+            GreedyDerivedPolicy(mdp, short, index)
 
     def test_pure_function_of_state(self, table1):
         index = build_index(table1)

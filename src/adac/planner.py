@@ -1,10 +1,11 @@
 """Exact tabular solution of a derived MDP and the one-step state lookup.
 
-Value iteration uses synchronous (Jacobi) sweeps over sparse per-action
-transition matrices. The stopping rule scales the requested tolerance by
-(1 - gamma) / gamma so that `tol` bounds the true sup-norm value error,
-not just the last sweep delta. Ties in action selection always resolve to
-the lowest action index.
+Value iteration uses synchronous (Jacobi) sweeps; each is one sparse
+product of the value vector with a stacked transition matrix whose row
+a * n + s is the landing distribution of pair (s, a). The stopping rule
+scales the requested tolerance by (1 - gamma) / gamma so that `tol`
+bounds the true sup-norm value error, not just the last sweep delta.
+Ties in action selection always resolve to the lowest action index.
 """
 
 import json
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dataset import State
+from .dataset import Batch, State, core_states
 from .derivation import DerivedMdp, neighbor_estimate
 from .neighbors import NeighborIndex
 
@@ -34,51 +35,45 @@ class Solution:
     deltas: tuple[float, ...] = ()   # per-sweep max-norm changes
 
 
-def _action_matrices(mdp: DerivedMdp) -> list[sparse.csr_matrix]:
-    n = mdp.num_states()
-    mats = []
-    for a in range(mdp.action_count):
-        rows, cols, vals = [], [], []
-        for si in range(n):
-            for tj, p in mdp.transition[si][a].items():
-                rows.append(si)
-                cols.append(tj)
-                vals.append(p)
-        mats.append(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)))
-    return mats
-
-
 def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
                     max_iters: int = 200_000) -> Solution:
     if tol <= 0:
         raise ValueError("tol must be positive")
     gamma = mdp.gamma
-    mats = _action_matrices(mdp)
-    n = mdp.num_states()
+    n, actions = mdp.num_states(), mdp.action_count
+    # row a * n + s holds the landing distribution of pair (s, a); sorted
+    # columns fix the order in which every row's sum accumulates
+    indptr, indices, data = [0], [], []
+    for a in range(actions):
+        for per_state in mdp.transition:
+            row = per_state[a]
+            indices.extend(row)
+            data.extend(row.values())
+            indptr.append(len(indices))
+    stacked = sparse.csr_matrix((data, indices, indptr), shape=(actions * n, n))
+    stacked.sort_indices()
+    reward = np.ascontiguousarray(mdp.reward.T)
+
+    def backup(v: np.ndarray) -> np.ndarray:
+        """Action-major Q of one Jacobi sweep from values v, shape (A, n)."""
+        return reward + gamma * (stacked @ v).reshape(actions, n)
+
     threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
     v = np.zeros(n)
     deltas = []
     for it in range(1, max_iters + 1):
-        q = np.empty((n, mdp.action_count))
-        for a, mat in enumerate(mats):
-            q[:, a] = mdp.reward[:, a] + gamma * (mat @ v)
-        v_new = q.max(axis=1)
+        q = backup(v)
+        v_new = q.max(axis=0)
         delta = float(np.max(np.abs(v_new - v))) if n else 0.0
         deltas.append(delta)
         v = v_new
         if delta <= threshold:
-            residual = _bellman_residual(mdp, mats, v)
-            policy = q.argmax(axis=1)
-            return Solution(v, q, policy, it, residual, tol, tuple(deltas))
+            residual = float(np.max(np.abs(backup(v).max(axis=0) - v)))
+            q = np.ascontiguousarray(q.T)
+            return Solution(v, q, q.argmax(axis=1), it, residual, tol,
+                            tuple(deltas))
     raise ConvergenceError(
         f"no convergence after {max_iters} sweeps (last delta {deltas[-1]:.3e})")
-
-
-def _bellman_residual(mdp: DerivedMdp, mats, v: np.ndarray) -> float:
-    backup = np.full_like(v, -np.inf)
-    for a, mat in enumerate(mats):
-        backup = np.maximum(backup, mdp.reward[:, a] + mdp.gamma * (mat @ v))
-    return float(np.max(np.abs(backup - v)))
 
 
 def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
@@ -121,12 +116,56 @@ def solution_to_json(solution: Solution) -> str:
 
 
 def solution_from_json(text: str) -> Solution:
+    """Parse a solution written by solution_to_json; ValueError unless it is one."""
     doc = json.loads(text)
-    return Solution(
-        values=np.asarray(doc["values"], dtype=float),
-        q=np.asarray(doc["q"], dtype=float),
-        policy=np.asarray(doc["policy"], dtype=int),
-        iterations=doc["iterations"],
-        residual=doc["residual"],
-        tol=doc["tol"],
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("malformed solution JSON: not an object")
+    values = _finite_array(doc, "values", 1).astype(float)
+    q = _finite_array(doc, "q", 2).astype(float)
+    policy = _finite_array(doc, "policy", 1, integers=True).astype(int)
+    if len(q) != len(values) or len(policy) != len(values):
+        raise ValueError(f"malformed solution JSON: {len(values)} values but "
+                         f"{len(q)} q rows and {len(policy)} policy entries")
+    if np.any((policy < 0) | (policy >= q.shape[1])):
+        raise ValueError(f"malformed solution JSON: a policy action outside "
+                         f"the {q.shape[1]} columns of q")
+    iterations, residual, tol = (doc.get(key) for key in
+                                 ("iterations", "residual", "tol"))
+    if type(iterations) is not int or iterations < 0:
+        raise ValueError(f"malformed solution JSON: iterations {iterations!r}")
+    for key, x in (("residual", residual), ("tol", tol)):
+        if type(x) not in (int, float) or not math.isfinite(x):
+            raise ValueError(f"malformed solution JSON: {key} {x!r}")
+    return Solution(values, q, policy, iterations, residual, tol)
+
+
+def _finite_array(doc: dict, key: str, ndim: int,
+                  integers: bool = False) -> np.ndarray:
+    """doc[key] as a finite ndim-dimensional array of numbers (or integers)."""
+    try:
+        arr = np.asarray(doc[key])
+    except KeyError:
+        raise ValueError(f"malformed solution JSON: no {key!r}") from None
+    except ValueError:      # ragged nesting
+        arr = np.asarray(None)
+    kinds, what = ("iu", "integers") if integers else ("iuf", "numbers")
+    if (arr.dtype.kind not in kinds or arr.ndim != ndim
+            or not np.all(np.isfinite(arr))):
+        raise ValueError(f"malformed solution JSON: {key!r} is not a finite "
+                         f"{ndim}-D array of {what}")
+    return arr
+
+
+def check_artifacts(batch: Batch, mdp: DerivedMdp, solution: Solution) -> None:
+    """ValueError unless the MDP was derived from the batch and the
+    solution has the MDP's shape."""
+    if core_states(batch) != list(mdp.core):
+        raise ValueError("the source batch's core states differ from the "
+                         "MDP's: not the batch it was derived from")
+    n, actions = mdp.num_states(), mdp.action_count
+    if (solution.values.shape != (n,) or solution.q.shape != (n, actions)
+            or solution.policy.shape != (n,)):
+        raise ValueError(
+            f"solution of values shape {solution.values.shape} and q shape "
+            f"{solution.q.shape} does not fit an MDP of {n} core states and "
+            f"{actions} actions")

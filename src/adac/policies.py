@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 
-from .dataset import Batch, State, core_states
+from .dataset import Batch, State
 from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
-from .planner import Solution, greedy_action
+from .planner import Solution, check_artifacts, greedy_action
 from .traffic import (EnvState, IntersectionEnvConfig, rollout,
                       transitions_to_batch)
 
@@ -86,12 +86,7 @@ class GreedyDerivedPolicy:
 
     def __init__(self, mdp: DerivedMdp, solution: Solution,
                  index: NeighborIndex):
-        if core_states(index.batch) != list(mdp.core):
-            raise ValueError("the source batch's core states differ from the "
-                             "MDP's: not the batch it was derived from")
-        if solution.values.shape != (mdp.num_states(),):
-            raise ValueError(f"solution has {len(solution.values)} values for "
-                             f"an MDP of {mdp.num_states()} core states")
+        check_artifacts(index.batch, mdp, solution)
         self.mdp = mdp
         self.solution = solution
         self.index = index

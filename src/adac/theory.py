@@ -23,7 +23,7 @@ from .dataset import Batch, State
 from .derivation import DerivedMdp, PenaltyMode
 from .neighbors import (MetricConfig, NeighborIndex, build_index, diameter,
                         distances)
-from .planner import Solution
+from .planner import Solution, check_artifacts
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,12 @@ def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
 def pac_bound(batch: Batch, mdp: DerivedMdp, solution: Solution,
               delta: float, alpha: float | None = None,
               index: NeighborIndex | None = None) -> PacReport:
-    """Compose the full suboptimality report for a solved derivation."""
+    """Compose the full suboptimality report for a solved derivation.
+
+    The MDP must be derived from the batch and solved by the solution;
+    anything else raises ValueError.
+    """
+    check_artifacts(batch, mdp, solution)
     if alpha is None:
         alpha = mdp.alpha
     if not math.isfinite(alpha):

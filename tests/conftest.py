@@ -50,6 +50,42 @@ def brute_force_diameter(batch, dist=euclid):
     return best if best > 0 else 1.0
 
 
+def brute_force_value_iteration(mdp, tol, max_iters=200_000):
+    """Reference Jacobi value iteration in plain Python over the dict rows.
+
+    Every row sums its terms in ascending column order, and the stopping
+    rule is the planner's. Returns (values, q, policy, iterations,
+    residual, deltas), with q as a list of per-state action lists and the
+    policy's ties going to the lowest action.
+    """
+    n, actions, gamma = mdp.num_states(), mdp.action_count, mdp.gamma
+    threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
+
+    def backup(v):
+        q = []
+        for si in range(n):
+            q.append([])
+            for a in range(actions):
+                row = mdp.transition[si][a]
+                total = 0.0
+                for j in sorted(row):
+                    total += row[j] * v[j]
+                q[si].append(float(mdp.reward[si, a]) + gamma * total)
+        return q
+
+    v, deltas = [0.0] * n, []
+    for it in range(1, max_iters + 1):
+        q = backup(v)
+        v_new = [max(qs) for qs in q]
+        deltas.append(max(abs(x - y) for x, y in zip(v_new, v)))
+        v = v_new
+        if deltas[-1] <= threshold:
+            residual = max(abs(max(qs) - x) for qs, x in zip(backup(v), v))
+            policy = [qs.index(max(qs)) for qs in q]
+            return v, q, policy, it, residual, deltas
+    raise RuntimeError(f"no convergence after {max_iters} sweeps")
+
+
 def random_batch(rng, n=30, dim=2, actions=2, coord_max=6, reward_max=5.0,
                  integer_coords=True):
     """Random single-trajectory batch; integer coords make distance ties common."""

@@ -13,15 +13,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def pipeline(tmp_path, capsys):
+def collect_derive_solve(tmp_path, capsys, start, horizon=20, name="batch"):
     """collect -> derive -> solve on the two-flow env; returns the paths."""
-    batch = tmp_path / "batch.jsonl"
-    mdp = tmp_path / "mdp.json"
-    solution = tmp_path / "solution.json"
+    batch = tmp_path / f"{name}.jsonl"
+    mdp = tmp_path / f"{name}.mdp.json"
+    solution = tmp_path / f"{name}.solution.json"
     code, _, _ = run(capsys, "collect", "--policy", "cyclic",
-                     "--episodes", "2", "--horizon", "20",
-                     "--start", "1,3", "--out", str(batch))
+                     "--episodes", "2", "--horizon", str(horizon),
+                     "--start", start, "--out", str(batch))
     assert code == 0
     code, _, _ = run(capsys, "derive", "--batch", str(batch), "--k", "3",
                      "--alpha", "inf", "--gamma", "0.99",
@@ -31,6 +30,30 @@ def pipeline(tmp_path, capsys):
                      "--out", str(solution))
     assert code == 0
     return batch, mdp, solution
+
+
+@pytest.fixture
+def pipeline(tmp_path, capsys):
+    return collect_derive_solve(tmp_path, capsys, "1,3")
+
+
+@pytest.fixture
+def other_pipeline(tmp_path, capsys):
+    """The same from start 2,6 over 25 steps: another batch, and an MDP and
+    solution with another number of core states."""
+    return collect_derive_solve(tmp_path, capsys, "2,6", horizon=25,
+                                name="other")
+
+
+def greedy_eval(capsys, mdp, solution, batch):
+    return run(capsys, "eval", "--policy", "greedy", "--mdp", str(mdp),
+               "--solution", str(solution), "--source-batch", str(batch),
+               "--episodes", "1", "--horizon", "10", "--start", "1,3")
+
+
+def bounds(capsys, mdp, solution, batch):
+    return run(capsys, "bounds", "--batch", str(batch), "--mdp", str(mdp),
+               "--solution", str(solution), "--delta", "0.1")
 
 
 class TestPipeline:
@@ -143,6 +166,45 @@ class TestExitCodes:
                            "--start", "1,3")
         assert code == 1
         assert "derived from" in err
+
+    @pytest.mark.parametrize("command", [greedy_eval, bounds])
+    def test_solution_without_q_is_rejected(self, tmp_path, capsys, pipeline,
+                                            command):
+        batch, mdp, solution = pipeline
+        doc = json.loads(solution.read_text())
+        del doc["q"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = command(capsys, mdp, bad, batch)
+        assert code == 1
+        assert "no 'q'" in err and "Traceback" not in err
+
+    def test_greedy_eval_rejects_a_cut_q(self, tmp_path, capsys, pipeline):
+        batch, mdp, solution = pipeline
+        doc = json.loads(solution.read_text())
+        doc["q"] = doc["q"][:3]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = greedy_eval(capsys, mdp, bad, batch)
+        assert code == 1
+        assert "q rows" in err and "Traceback" not in err
+
+    def test_bounds_rejects_another_mdps_solution(self, capsys, pipeline,
+                                                  other_pipeline):
+        batch, mdp, solution = pipeline
+        other_solution = other_pipeline[2]
+        n = len(json.loads(solution.read_text())["values"])
+        assert len(json.loads(other_solution.read_text())["values"]) != n
+        code, _, err = bounds(capsys, mdp, other_solution, batch)
+        assert code == 1
+        assert f"MDP of {n} core states" in err and "Traceback" not in err
+
+    def test_bounds_rejects_another_source_batch(self, capsys, pipeline,
+                                                 other_pipeline):
+        _, mdp, solution = pipeline
+        code, _, err = bounds(capsys, mdp, solution, other_pipeline[0])
+        assert code == 1
+        assert "derived from" in err and "Traceback" not in err
 
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")

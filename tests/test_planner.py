@@ -1,8 +1,12 @@
 import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adac.dataset import Transition, make_batch
 from adac.derivation import PenaltyMode, build_mdp
@@ -11,7 +15,7 @@ from adac.planner import (ConvergenceError, greedy_action, lookup_q,
                           solution_from_json, solution_to_json,
                           value_iteration)
 
-from conftest import random_batch
+from conftest import brute_force_value_iteration, random_batch
 
 
 def tiny_mdp(gamma=0.5):
@@ -108,6 +112,33 @@ class TestValueIteration:
             mine = policy_value_by_linear_solve(mdp, sol.policy)
             assert np.max(np.abs(mine - best)) < 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
+           mode=st.sampled_from([PenaltyMode.averagers(), PenaltyMode.fixed(2.5),
+                                 PenaltyMode.adaptive()]),
+           k=st.integers(1, 8), alpha=st.sampled_from([math.inf, 0.3, 0.1]),
+           gamma=st.sampled_from([0.0, 0.5, 0.9]))
+    def test_matches_brute_force_bit_for_bit(self, seed, integer_coords, mode,
+                                             k, alpha, gamma):
+        # integer coordinates give distance ties; a finite alpha gives empty
+        # pairs, whose self-loops the stacked matrix must carry too
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=int(rng.integers(4, 40)),
+                             actions=int(rng.integers(1, 4)),
+                             integer_coords=integer_coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mdp = build_mdp(batch, k=k, alpha=alpha, gamma=gamma, mode=mode)
+        sol = value_iteration(mdp, tol=1e-9)
+        values, q, policy, iterations, residual, deltas = \
+            brute_force_value_iteration(mdp, tol=1e-9)
+        assert sol.values.tolist() == values
+        assert sol.q.tolist() == q
+        assert sol.policy.tolist() == policy
+        assert sol.iterations == iterations
+        assert list(sol.deltas) == deltas
+        assert sol.residual == residual
+
     def test_non_convergence_raises(self, table1):
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
                         mode=PenaltyMode.adaptive())
@@ -188,3 +219,23 @@ class TestSolutionSerialization:
         assert np.array_equal(back.policy, sol.policy)
         assert back.iterations == sol.iterations
         assert back.residual == sol.residual
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("q"), "no 'q'"),
+        (lambda d: d.update(values="1.0"), "'values'"),
+        (lambda d: d["values"].__setitem__(0, math.nan), "'values'"),
+        (lambda d: d["q"][1].__setitem__(0, math.inf), "'q'"),
+        (lambda d: d.update(q=d["q"][:3]), "q rows"),
+        (lambda d: d.update(policy=d["policy"][1:]), "policy entries"),
+        (lambda d: d.update(policy=[0.0] * len(d["policy"])), "'policy'"),
+        (lambda d: d.update(policy=[2] * len(d["policy"])), "policy action"),
+        (lambda d: d.update(iterations="12"), "iterations"),
+        (lambda d: d.update(residual=None), "residual"),
+    ])
+    def test_load_rejects_a_malformed_solution(self, table1, edit, message):
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        doc = json.loads(solution_to_json(value_iteration(mdp, tol=1e-9)))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            solution_from_json(json.dumps(doc))

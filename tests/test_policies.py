@@ -99,6 +99,9 @@ class TestGreedyDerived:
         short = dataclasses.replace(sol, values=sol.values[:-1])
         with pytest.raises(ValueError, match="solution"):
             GreedyDerivedPolicy(mdp, short, index)
+        narrow = dataclasses.replace(sol, q=sol.q[:, :1])
+        with pytest.raises(ValueError, match="solution"):
+            GreedyDerivedPolicy(mdp, narrow, index)
 
     def test_pure_function_of_state(self, table1):
         index = build_index(table1)

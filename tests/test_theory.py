@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from adac.dataset import make_batch
 from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import build_index
 from adac.planner import value_iteration
@@ -193,6 +195,18 @@ class TestPacBound:
             assert report.k_min <= report.k_max
         assert report.q_max <= report.q_max_ceiling + 1e-9
 
+
+    def test_rejects_mismatched_artifacts(self, table1):
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        sol = value_iteration(mdp, tol=1e-9)
+        other = make_batch(list(table1.transitions[:-1]),
+                           table1.action_count, table1.reward_bound)
+        with pytest.raises(ValueError, match="derived from"):
+            pac_bound(other, mdp, sol, 0.1)
+        short = dataclasses.replace(sol, values=sol.values[:-1])
+        with pytest.raises(ValueError, match="solution"):
+            pac_bound(table1, mdp, short, 0.1)
 
 class TestCanonicalShaping:
     def test_averagers_homogeneous(self):

@@ -16,8 +16,8 @@ from .derivation import (DerivedMdp, PenaltyMode, build_mdp,
 from .evaluation import (EvalReport, evaluate, reconstruction_batch,
                          reproduce_table2, sweep_c, sweep_k, two_flow_demo,
                          worked_example_batch, worked_example_mdp)
-from .neighbors import (MetricConfig, NeighborEntry, NeighborIndex,
-                        NeighborSet, build_index, diameter)
+from .neighbors import (NeighborEntry, NeighborIndex, NeighborSet,
+                        build_index, diameter)
 from .planner import (ConvergenceError, Solution, greedy_action, lookup_q,
                       solution_from_json, solution_to_json, value_iteration)
 from .policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,

@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluation, theory
 from .dataset import (BatchError, batch_stats, load_batch, save_batch)
 from .derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
-from .neighbors import MetricConfig, build_index
+from .neighbors import NORMS, build_index
 from .planner import (ConvergenceError, solution_from_json, solution_to_json,
                       value_iteration)
 from .policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,
@@ -74,13 +74,8 @@ def _load_mdp(path):
         return mdp_from_json(fh.read())
 
 
-def _metric_from_args(args) -> MetricConfig:
-    return MetricConfig(norm=args.metric)
-
-
 def _add_metric_args(p):
-    p.add_argument("--metric", choices=("euclidean", "manhattan"),
-                   default="euclidean")
+    p.add_argument("--metric", dest="norm", choices=NORMS, default="euclidean")
 
 
 def _build_policy(args, config, seed):
@@ -100,8 +95,7 @@ def _build_policy(args, config, seed):
         with open(args.solution, encoding="utf-8") as fh:
             solution = solution_from_json(fh.read())
         source = load_batch(args.source_batch)
-        index = build_index(source, MetricConfig(norm=mdp.norm,
-                                                 diameter=mdp.diameter))
+        index = build_index(source, mdp.norm)
         policy = GreedyDerivedPolicy(mdp, solution, index)
     else:
         raise BatchError(f"unknown policy {args.policy!r}")
@@ -183,7 +177,7 @@ def cmd_derive(args):
     batch = load_batch(args.batch)
     mdp = build_mdp(batch, k=args.k, alpha=_parse_alpha(args.alpha),
                     gamma=args.gamma, mode=PenaltyMode.parse(args.penalty),
-                    metric=_metric_from_args(args))
+                    index=build_index(batch, args.norm))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(mdp_to_json(mdp))
     print(f"derived MDP: {mdp.num_states()} core states, "
@@ -227,7 +221,7 @@ def cmd_sweep_c(args):
         batch, _parse_floats(args.c_values), args.k,
         _parse_alpha(args.alpha), args.gamma, config, args.episodes,
         args.horizon, seeds=seeds, start=_start_state(args, config),
-        metric=_metric_from_args(args), snapshot_dir=args.snapshot_dir)
+        norm=args.norm, snapshot_dir=args.snapshot_dir)
     _write_csv(args.out, ["c", "mean_return"], rows)
 
 
@@ -239,7 +233,7 @@ def cmd_sweep_k(args):
     rows = evaluation.sweep_k(
         batch, _parse_ints(args.k_values), _parse_alpha(args.alpha),
         args.gamma, config, args.episodes, args.horizon, seeds=seeds,
-        start=_start_state(args, config), metric=_metric_from_args(args))
+        start=_start_state(args, config), norm=args.norm)
     _write_csv(args.out, ["k", "mean_return"], rows)
 
 
@@ -265,9 +259,8 @@ def cmd_bounds(args):
 
 def cmd_cover(args):
     batch = load_batch(args.batch)
-    n = theory.covering_number(batch, _parse_alpha(args.alpha),
-                               _metric_from_args(args))
-    print(n)
+    index = build_index(batch, args.norm)
+    print(theory.covering_number(index, _parse_alpha(args.alpha)))
 
 
 def cmd_shaping_sweep(args):

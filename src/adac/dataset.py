@@ -146,13 +146,24 @@ def load_batch(path) -> Batch:
             if isinstance(r, bool) or not isinstance(r, (int, float)):
                 raise BatchError(f"{where}: non-numeric reward {r!r}")
             traj, t = rec["traj"], rec["t"]
-            if not isinstance(traj, int) or not isinstance(t, int):
+            if type(traj) is not int or type(t) is not int:
                 raise BatchError(f"{where}: traj/t must be integers")
             transitions.append(Transition(s, a, float(r), sp, traj, t))
     action_count = reward_bound = None
     if meta is not None:
+        if not isinstance(meta, dict):
+            raise BatchError("line 1: meta record is not an object")
         action_count = meta.get("action_count")
         reward_bound = meta.get("reward_bound")
+        if action_count is not None and (type(action_count) is not int
+                                         or action_count < 0):
+            raise BatchError(f"line 1: meta action_count {action_count!r} "
+                             "is not a non-negative integer")
+        if reward_bound is not None and (
+                type(reward_bound) not in (int, float)
+                or not math.isfinite(reward_bound)):
+            raise BatchError(f"line 1: meta reward_bound {reward_bound!r} "
+                             "is not a finite number")
     return make_batch(transitions, action_count, reward_bound)
 
 

@@ -29,8 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Batch, State, core_states
-from .neighbors import (NORMS, MetricConfig, NeighborIndex, NeighborSet,
-                        build_index)
+from .neighbors import NORMS, NeighborIndex, NeighborSet, build_index
 
 
 @dataclass(frozen=True)
@@ -141,16 +140,18 @@ def neighbor_estimate(batch: Batch, neighbors: NeighborSet, mode: PenaltyMode,
 
 def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
               gamma: float = 0.99, mode: PenaltyMode | None = None,
-              metric: MetricConfig | None = None,
               index: NeighborIndex | None = None) -> DerivedMdp:
-    """Derive the finite MDP over the batch's core states."""
+    """Derive the finite MDP over the batch's core states, in the norm and
+    diameter of the index (by default Euclidean) built over the batch."""
     if not 0 <= gamma < 1:
         raise ValueError("gamma must lie in [0, 1)")
     if k < 1:
         raise ValueError("k must be >= 1")
     mode = mode or PenaltyMode.adaptive()
     if index is None:
-        index = build_index(batch, metric)
+        index = build_index(batch)
+    elif index.batch != batch:
+        raise ValueError("the index was built over another batch")
     core = tuple(core_states(batch))
     lookup = {s: i for i, s in enumerate(core)}
     n = len(core)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Batch, Transition, make_batch
 from .derivation import DerivedMdp, PenaltyMode, build_mdp, mdp_to_json
-from .neighbors import MetricConfig, build_index
+from .neighbors import build_index
 from .planner import value_iteration
 from .policies import (CyclicPolicy, FixedCyclePolicy, GreedyDerivedPolicy,
                        collect)
@@ -47,6 +47,8 @@ def evaluate(config: IntersectionEnvConfig, policy, episodes: int,
     ignore seeds. With a rate schedule, episode i starts its environment
     clock at i * horizon so consecutive episodes sweep the schedule.
     """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     stochastic = config.arrivals == "poisson"
     if stochastic:
         if seeds is None or len(seeds) != episodes:
@@ -70,9 +72,9 @@ def evaluate(config: IntersectionEnvConfig, policy, episodes: int,
     )
 
 
-def _derive_solve_policy(batch: Batch, k, alpha, gamma, mode, metric=None,
-                         index=None, tol: float = 1e-8):
-    index = index or build_index(batch, metric)
+def _derive_solve_policy(batch: Batch, k, alpha, gamma, mode, index=None,
+                         tol: float = 1e-8):
+    index = index or build_index(batch)
     mdp = build_mdp(batch, k, alpha, gamma, mode, index=index)
     solution = value_iteration(mdp, tol=tol)
     return mdp, solution, GreedyDerivedPolicy(mdp, solution, index)
@@ -81,8 +83,7 @@ def _derive_solve_policy(batch: Batch, k, alpha, gamma, mode, metric=None,
 def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
             config: IntersectionEnvConfig, episodes: int, horizon: int,
             seeds=None, start: EnvState | None = None,
-            metric: MetricConfig | None = None,
-            snapshot_dir=None) -> list[dict]:
+            norm: str = "euclidean", snapshot_dir=None) -> list[dict]:
     """Evaluate a fixed-cost grid plus the adaptive derivation.
 
     Returns one row per C value and a final row labeled "A-DAC"; when
@@ -91,7 +92,7 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
     """
     if not c_values:
         raise ValueError("empty C grid")
-    index = build_index(batch, metric)
+    index = build_index(batch, norm)
     rows = []
     modes = [(f"{c:g}", PenaltyMode.fixed(c)) for c in c_values]
     modes.append(("A-DAC", PenaltyMode.adaptive()))
@@ -111,11 +112,11 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
 def sweep_k(batch: Batch, k_values, alpha: float, gamma: float,
             config: IntersectionEnvConfig, episodes: int, horizon: int,
             seeds=None, start: EnvState | None = None,
-            metric: MetricConfig | None = None) -> list[dict]:
+            norm: str = "euclidean") -> list[dict]:
     """Evaluate the adaptive derivation across neighbor counts."""
     if not k_values:
         raise ValueError("empty k grid")
-    index = build_index(batch, metric)
+    index = build_index(batch, norm)
     rows = []
     for k in k_values:
         _, _, policy = _derive_solve_policy(

@@ -27,18 +27,6 @@ NORMS = ("euclidean", "manhattan")
 BLOCK = 1 << 15
 
 
-@dataclass
-class MetricConfig:
-    norm: str = "euclidean"
-    diameter: float | None = None
-
-    def __post_init__(self):
-        if self.norm not in NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}")
-        if self.diameter is not None and self.diameter <= 0:
-            raise ValueError("diameter must be positive")
-
-
 class NeighborEntry(NamedTuple):
     index: int          # transition index in the batch
     distance: float     # raw metric distance
@@ -137,17 +125,16 @@ class NeighborIndex:
         return self.neighbor_sets([s], a, k, alpha)[0]
 
 
-def build_index(batch: Batch, metric: MetricConfig | None = None) -> NeighborIndex:
-    """One sub-index per action over that action's source states.
+def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
+    """One sub-index per action over that action's source states, with
+    distances normalized by the exact diameter of the core-state cloud.
 
     Actions with no transitions get an empty sub-index; queries against
     them return empty neighbor sets.
     """
-    metric = metric or MetricConfig()
-    if metric.diameter is not None:
-        diam = metric.diameter
-    else:
-        diam = diameter(batch, norm=metric.norm)
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}")
+    diam = diameter(batch, norm)
     points: list[np.ndarray] = []
     indices: list[np.ndarray] = []
     for a in range(batch.action_count):
@@ -156,5 +143,4 @@ def build_index(batch: Batch, metric: MetricConfig | None = None) -> NeighborInd
         points.append(np.asfortranarray(np.reshape(
             [batch.transitions[i].s for i in rows], (len(rows), batch.dim)),
             dtype=float))
-    return NeighborIndex(metric.norm, diam, batch.action_count, batch,
-                         points, indices)
+    return NeighborIndex(norm, diam, batch.action_count, batch, points, indices)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dataset import Batch, State, core_states
+from .dataset import State, core_states
 from .derivation import DerivedMdp, neighbor_estimate
 from .neighbors import NeighborIndex
 
@@ -77,15 +77,16 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
 
 
 def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
-             s: State, a: int, k: int, alpha: float = math.inf) -> float:
+             s: State, a: int) -> float:
     """Q-value of an arbitrary state from its neighbors' shaped reward plus
     the discounted solved values of their landing core states.
 
-    Empty neighborhoods return 0, the pessimistic floor used throughout
-    the derivation. Restricted to core states this reproduces the solved
-    Q table (same k, alpha, and penalty mode as the derivation).
+    The neighbors are the derivation's: the MDP's k, alpha and penalty
+    mode over the index it was derived with. Empty neighborhoods return 0,
+    the pessimistic floor used throughout the derivation. Restricted to
+    core states this reproduces the solved Q table.
     """
-    nn = index.query(s, a, k, alpha)
+    nn = index.query(s, a, mdp.k, mdp.alpha)
     if not nn:
         return 0.0
     r, row = neighbor_estimate(index.batch, nn, mdp.mode, mdp.core_lookup)
@@ -94,11 +95,11 @@ def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
 
 
 def greedy_action(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
-                  s: State, k: int, alpha: float = math.inf) -> int:
+                  s: State) -> int:
     """Argmax of lookup_q over actions, lowest index on ties."""
     best_a, best_q = 0, -math.inf
     for a in range(mdp.action_count):
-        q = lookup_q(mdp, solution, index, s, a, k, alpha)
+        q = lookup_q(mdp, solution, index, s, a)
         if q > best_q:
             best_a, best_q = a, q
     return best_a
@@ -156,12 +157,17 @@ def _finite_array(doc: dict, key: str, ndim: int,
     return arr
 
 
-def check_artifacts(batch: Batch, mdp: DerivedMdp, solution: Solution) -> None:
-    """ValueError unless the MDP was derived from the batch and the
-    solution has the MDP's shape."""
-    if core_states(batch) != list(mdp.core):
+def check_artifacts(index: NeighborIndex, mdp: DerivedMdp,
+                    solution: Solution) -> None:
+    """ValueError unless the MDP was derived with the index (its batch's
+    core states, its norm and its diameter) and the solution has the
+    MDP's shape."""
+    if core_states(index.batch) != list(mdp.core):
         raise ValueError("the source batch's core states differ from the "
                          "MDP's: not the batch it was derived from")
+    if (index.norm, index.diameter) != (mdp.norm, mdp.diameter):
+        raise ValueError(f"index norm {index.norm} and diameter {index.diameter!r}"
+                         f" differ from the MDP's {mdp.norm} and {mdp.diameter!r}")
     n, actions = mdp.num_states(), mdp.action_count
     if (solution.values.shape != (n,) or solution.q.shape != (n, actions)
             or solution.policy.shape != (n,)):

@@ -80,21 +80,21 @@ class ProportionalPolicy:
 class GreedyDerivedPolicy:
     """Greedy one-step-lookup policy over a solved derived MDP.
 
-    The index must be built over the batch the MDP was derived from, and
-    the solution must solve that MDP; anything else raises ValueError.
+    The index must be built over the batch the MDP was derived from, with
+    the MDP's norm, and the solution must solve that MDP; anything else
+    raises ValueError.
     """
 
     def __init__(self, mdp: DerivedMdp, solution: Solution,
                  index: NeighborIndex):
-        check_artifacts(index.batch, mdp, solution)
+        check_artifacts(index, mdp, solution)
         self.mdp = mdp
         self.solution = solution
         self.index = index
         self.name = "greedy-derived"
 
     def act(self, state: State, t: int) -> int:
-        return greedy_action(self.mdp, self.solution, self.index,
-                             state, self.mdp.k, self.mdp.alpha)
+        return greedy_action(self.mdp, self.solution, self.index, state)
 
 
 class EpsilonNoisyPolicy:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .dataset import Batch, State
 from .derivation import DerivedMdp, PenaltyMode
-from .neighbors import (MetricConfig, NeighborIndex, build_index, diameter,
-                        distances)
+from .neighbors import NeighborIndex, build_index, distances
 from .planner import Solution, check_artifacts
 
 
@@ -48,9 +47,9 @@ class KWindow(NamedTuple):
     empty: bool
 
 
-def covering_number(batch: Batch, alpha: float,
-                    metric: MetricConfig | None = None) -> int:
-    """Greedy alpha-net size over the batch's (source state, action) pairs.
+def covering_number(index: NeighborIndex, alpha: float) -> int:
+    """Greedy alpha-net size over the (source state, action) pairs of the
+    index's batch, in the index's norm and normalized by its diameter.
 
     Scan in file order; a pair becomes a center unless an existing center
     with the same action lies within normalized distance alpha. Pairs with
@@ -58,15 +57,11 @@ def covering_number(batch: Batch, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    metric = metric or MetricConfig()
-    diam = metric.diameter
-    if diam is None:
-        diam = diameter(batch, norm=metric.norm)
     centers: dict[int, list[State]] = {}
-    for tr in batch.transitions:
+    for tr in index.batch.transitions:
         own = centers.setdefault(tr.a, [])
         if not own or distances(np.asarray([tr.s]), np.asarray(own),
-                                metric.norm).min() / diam > alpha:
+                                index.norm).min() / index.diameter > alpha:
             own.append(tr.s)
     return sum(len(own) for own in centers.values())
 
@@ -109,23 +104,20 @@ def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
 
 
 def pac_bound(batch: Batch, mdp: DerivedMdp, solution: Solution,
-              delta: float, alpha: float | None = None,
-              index: NeighborIndex | None = None) -> PacReport:
+              delta: float, alpha: float | None = None) -> PacReport:
     """Compose the full suboptimality report for a solved derivation.
 
-    The MDP must be derived from the batch and solved by the solution;
-    anything else raises ValueError.
+    The MDP must be derived from the batch in its own norm and solved by
+    the solution; anything else raises ValueError. alpha is the covering
+    radius, by default the MDP's threshold, or 1 when that is infinite.
     """
-    check_artifacts(batch, mdp, solution)
+    index = build_index(batch, mdp.norm)
+    check_artifacts(index, mdp, solution)
     if alpha is None:
         alpha = mdp.alpha
     if not math.isfinite(alpha):
         alpha = 1.0
-    if index is None:
-        metric = MetricConfig(norm=mdp.norm, diameter=mdp.diameter)
-        index = build_index(batch, metric)
-    n_cov = covering_number(
-        batch, alpha, MetricConfig(norm=mdp.norm, diameter=mdp.diameter))
+    n_cov = covering_number(index, alpha)
     q_max = float(np.max(solution.q))
     # heavily penalized MDPs can have all-negative Q; the bound still needs
     # a non-negative scale for the sampling term

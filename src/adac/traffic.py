@@ -211,15 +211,22 @@ def config_to_json(config: IntersectionEnvConfig) -> str:
 
 
 def config_from_json(text: str) -> IntersectionEnvConfig:
+    """Parse a config written by config_to_json; ValueError unless it is one."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("malformed env config JSON: not an object")
     schedule = doc.get("schedule")
-    return IntersectionEnvConfig(
-        flows=tuple((f["name"], float(f["rate"])) for f in doc["flows"]),
-        phases=tuple(tuple(p) for p in doc["phases"]),
-        capacity=int(doc.get("capacity", 4)),
-        arrivals=doc.get("arrivals", "deterministic"),
-        schedule=None if schedule is None else tuple(
-            (int(e["steps"]), tuple(float(x) for x in e["rates"]))
-            for e in schedule),
-        horizon=int(doc.get("horizon", 360)),
-    )
+    try:
+        return IntersectionEnvConfig(
+            flows=tuple((f["name"], float(f["rate"])) for f in doc["flows"]),
+            phases=tuple(tuple(p) for p in doc["phases"]),
+            capacity=int(doc.get("capacity", 4)),
+            arrivals=doc.get("arrivals", "deterministic"),
+            schedule=None if schedule is None else tuple(
+                (int(e["steps"]), tuple(float(x) for x in e["rates"]))
+                for e in schedule),
+            horizon=int(doc.get("horizon", 360)),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed env config JSON "
+                         f"({type(exc).__name__}: {exc})") from exc

@@ -91,14 +91,12 @@ def test_criterion_2_one_step_lookup_argmax(table1):
         adaptive = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
                              mode=PenaltyMode.adaptive(), index=index)
         sol = value_iteration(adaptive, tol=1e-9)
-        assert greedy_action(adaptive, sol, index, (1.0, 4.0), 3,
-                             math.inf) == 1   # EW
+        assert greedy_action(adaptive, sol, index, (1.0, 4.0)) == 1   # EW
 
         averagers = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
                               mode=PenaltyMode.averagers(), index=index)
         sol0 = value_iteration(averagers, tol=1e-9)
-        assert greedy_action(averagers, sol0, index, (1.0, 4.0), 3,
-                             math.inf) == 0   # NS
+        assert greedy_action(averagers, sol0, index, (1.0, 4.0)) == 0   # NS
 
 
 def test_criterion_3_two_flow_experiment():
@@ -259,9 +257,9 @@ def test_criterion_6_bound_toolbox(table1):
             assert value_gap(1.0, 0.1, lo * 10, 0.9) <= value_gap(
                 1.0, 0.1, hi * 10, 0.9)
 
-        assert covering_number(table1, 1e-9) == 6
+        assert covering_number(build_index(table1), 1e-9) == 6
         grid = [1e-9, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0]
-        counts = [covering_number(table1, a) for a in grid]
+        counts = [covering_number(build_index(table1), a) for a in grid]
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == 6 and counts[-1] == 2
 

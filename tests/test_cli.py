@@ -13,7 +13,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def collect_derive_solve(tmp_path, capsys, start, horizon=20, name="batch"):
+def collect_derive_solve(tmp_path, capsys, start, horizon=20, name="batch",
+                         metric="euclidean"):
     """collect -> derive -> solve on the two-flow env; returns the paths."""
     batch = tmp_path / f"{name}.jsonl"
     mdp = tmp_path / f"{name}.mdp.json"
@@ -24,7 +25,8 @@ def collect_derive_solve(tmp_path, capsys, start, horizon=20, name="batch"):
     assert code == 0
     code, _, _ = run(capsys, "derive", "--batch", str(batch), "--k", "3",
                      "--alpha", "inf", "--gamma", "0.99",
-                     "--penalty", "adaptive", "--out", str(mdp))
+                     "--penalty", "adaptive", "--metric", metric,
+                     "--out", str(mdp))
     assert code == 0
     code, _, _ = run(capsys, "solve", "--mdp", str(mdp), "--tol", "1e-9",
                      "--out", str(solution))
@@ -56,6 +58,11 @@ def bounds(capsys, mdp, solution, batch):
                "--solution", str(solution), "--delta", "0.1")
 
 
+def read_csv(path):
+    with path.open() as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestPipeline:
     def test_collect_derive_solve_eval(self, tmp_path, capsys, pipeline):
         batch, mdp, solution = pipeline
@@ -82,6 +89,15 @@ class TestPipeline:
                            "--alpha", "0.5")
         assert code == 0
         assert int(out.strip()) >= 2
+
+    @pytest.mark.parametrize("command", [greedy_eval, bounds])
+    def test_manhattan_artifacts(self, tmp_path, capsys, command):
+        batch, mdp, solution = collect_derive_solve(tmp_path, capsys, "1,3",
+                                                    metric="manhattan")
+        assert json.loads(mdp.read_text())["norm"] == "manhattan"
+        code, out, _ = command(capsys, mdp, solution, batch)
+        assert code == 0
+        assert json.loads(out)
 
     def test_bounds(self, tmp_path, capsys, pipeline):
         batch, mdp, solution = pipeline
@@ -206,6 +222,53 @@ class TestExitCodes:
         assert code == 1
         assert "derived from" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("meta, record", [
+        ("[4]", {}),
+        ('{"action_count": "4"}', {}),
+        ('{"action_count": -1}', {}),
+        ('{"action_count": 2.5}', {}),
+        ('{"action_count": true}', {}),
+        ('{"reward_bound": "high"}', {}),
+        ('{"reward_bound": NaN}', {}),
+        (None, {"traj": True}),
+        (None, {"t": True}),
+    ])
+    def test_malformed_batch_is_rejected(self, tmp_path, capsys, meta,
+                                         record):
+        rec = {"s": [1, 3], "a": 0, "r": 1, "sp": [0, 3], "traj": 0, "t": 0}
+        lines = [json.dumps({**rec, **record})]
+        if meta is not None:
+            lines.insert(0, f'{{"meta": {meta}}}')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "cover", "--batch", str(bad),
+                           "--alpha", "0.5")
+        assert code == 1
+        assert "line 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "not an object"),
+        ({"phases": [[0], [1]]}, "'flows'"),
+        ({"flows": [{"name": "a", "rate": 1}]}, "'phases'"),
+        ({"flows": [{"name": "a", "rate": 1}], "phases": [[0]],
+          "schedule": [{"rates": [1]}]}, "'steps'"),
+        ({"flows": [{"name": "a", "rate": 1}], "phases": [[0]],
+          "schedule": [{"steps": 5}]}, "'rates'"),
+    ])
+    def test_malformed_env_config_is_rejected(self, tmp_path, capsys, doc,
+                                              message):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--env", str(env),
+                           "--episodes", "1", "--horizon", "5")
+        assert code == 1
+        assert message in err and "Traceback" not in err
+
+    def test_eval_needs_an_episode(self, capsys):
+        code, _, err = run(capsys, "eval", "--episodes", "0")
+        assert code == 1
+        assert "episodes" in err and "Traceback" not in err
+
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
@@ -220,7 +283,7 @@ class TestCsvOutputs:
                          "--episodes", "1", "--horizon", "40",
                          "--start", "1,3", "--out", str(out_path))
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = read_csv(out_path)
         assert [r["c"] for r in rows] == ["0", "1", "A-DAC"]
         for row in rows:
             float(row["mean_return"])
@@ -233,7 +296,7 @@ class TestCsvOutputs:
                          "--episodes", "1", "--horizon", "40",
                          "--start", "1,3", "--out", str(out_path))
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = read_csv(out_path)
         assert [r["k"] for r in rows] == ["2", "3", "4"]
 
     def test_shaping_sweep(self, tmp_path, capsys):
@@ -243,7 +306,7 @@ class TestCsvOutputs:
                          "--d-far", "0.5", "--c-values", "0,4",
                          "--out", str(out_path))
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = read_csv(out_path)
         modes = {r["mode"] for r in rows}
         assert modes == {"none", "fixed:0", "fixed:4", "adaptive"}
         adaptive_10 = [float(r["shaped_reward"]) for r in rows
@@ -254,7 +317,7 @@ class TestCsvOutputs:
         out_path = tmp_path / "table.csv"
         code, _, _ = run(capsys, "reproduce-table2", "--out", str(out_path))
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = read_csv(out_path)
         assert len(rows) == 40   # 4 modes x 5 states x 2 actions
         mismatches = [r for r in rows if r["match"] == "false"]
         assert len(mismatches) == 1

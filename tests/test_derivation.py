@@ -153,6 +153,12 @@ class TestBuildMdp:
                     1.0, abs=1e-12)
                 assert adaptive.reward[si, a] <= averagers.reward[si, a] + 1e-12
 
+    def test_rejects_an_index_over_another_batch(self):
+        batch, other = (random_batch(np.random.default_rng(seed), n=40)
+                        for seed in (34, 35))
+        with pytest.raises(ValueError, match="another batch"):
+            build_mdp(batch, k=3, index=build_index(other))
+
     def test_gamma_validation(self, table1):
         with pytest.raises(ValueError):
             derive(table1, PenaltyMode.adaptive(), gamma=1.0)

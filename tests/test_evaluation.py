@@ -47,6 +47,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(config, CyclicPolicy(1), 3, 10, seeds=[1])
 
+    def test_needs_an_episode(self):
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate(two_flow_config(), CyclicPolicy(2), 0, 10)
+
     def test_schedule_advances_across_episodes(self):
         config = IntersectionEnvConfig(
             flows=(("a", 2.0),), phases=((0,),), capacity=10,

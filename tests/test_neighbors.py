@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adac import neighbors
 from adac.dataset import Transition, core_states, make_batch
-from adac.neighbors import NORMS, MetricConfig, build_index, diameter
+from adac.neighbors import NORMS, build_index, diameter
 
 from conftest import (brute_force_diameter, brute_force_knn, euclid, manhattan,
                       random_batch, scale_batch)
@@ -30,6 +30,10 @@ class TestBuildIndex:
             index = build_index(batch)
         assert index.size(0) == 1 and index.size(1) == 0
         assert index.query((1.0, 1.0), 1, 3) == []
+
+    def test_rejects_unknown_norm(self, table1):
+        with pytest.raises(ValueError, match="unknown norm"):
+            build_index(table1, "chebyshev")
 
 
 class TestQuery:
@@ -94,7 +98,7 @@ class TestQuery:
             mp.setattr(neighbors, "BLOCK", 64)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                index = build_index(batch, MetricConfig(norm=norm))
+                index = build_index(batch, norm)
             assert index.diameter == pytest.approx(
                 brute_force_diameter(batch, dist), rel=1e-12)
             for a in range(batch.action_count):
@@ -197,13 +201,3 @@ class TestScaling:
             assert [e.index for e in r1] == [e.index for e in r2]
             assert [e.norm_distance for e in r1] == pytest.approx(
                 [e.norm_distance for e in r2], rel=1e-9)
-
-
-class TestMetricConfig:
-    def test_rejects_unknown_norm(self):
-        with pytest.raises(ValueError):
-            MetricConfig(norm="chebyshev")
-
-    def test_explicit_diameter_wins(self, table1):
-        index = build_index(table1, MetricConfig(diameter=10.0))
-        assert index.diameter == 10.0

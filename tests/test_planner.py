@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -166,20 +167,20 @@ class TestLookup:
                                       tol=1e-11)
         for si, s in enumerate(mdp.core):
             for a in range(mdp.action_count):
-                got = lookup_q(mdp, sol, index, s, a, 3, math.inf)
+                got = lookup_q(mdp, sol, index, s, a)
                 assert got == pytest.approx(sol.q[si, a], abs=1e-12)
 
     def test_new_state_prefers_ew_under_adaptive(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.adaptive())
-        assert greedy_action(mdp, sol, index, (1.0, 4.0), 3, math.inf) == 1
+        assert greedy_action(mdp, sol, index, (1.0, 4.0)) == 1
 
     def test_new_state_prefers_ns_under_averagers(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.averagers())
-        assert greedy_action(mdp, sol, index, (1.0, 4.0), 3, math.inf) == 0
+        assert greedy_action(mdp, sol, index, (1.0, 4.0)) == 0
 
     def test_mirror_state_prefers_ns(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.adaptive())
-        assert greedy_action(mdp, sol, index, (4.0, 1.0), 3, math.inf) == 0
+        assert greedy_action(mdp, sol, index, (4.0, 1.0)) == 0
 
     def test_lookup_against_hand_recomputation(self, table1):
         """Q((1,4), a) from first principles, no library derivation code."""
@@ -196,16 +197,18 @@ class TestLookup:
             cont = sum(sol.values[core_pos[tr.s_next]]
                        for _, _, tr in dists) / 3
             expected = reward + 0.99 * cont
-            got = lookup_q(mdp, sol, index, (1.0, 4.0), a, 3, math.inf)
+            got = lookup_q(mdp, sol, index, (1.0, 4.0), a)
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_tiny_alpha_returns_zero(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.adaptive())
-        assert lookup_q(mdp, sol, index, (100.0, 100.0), 0, 3, 1e-6) == 0.0
+        mdp = dataclasses.replace(mdp, alpha=1e-6)
+        assert lookup_q(mdp, sol, index, (100.0, 100.0), 0) == 0.0
 
     def test_no_data_defaults_to_action_zero(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.adaptive())
-        assert greedy_action(mdp, sol, index, (100.0, 100.0), 3, 1e-6) == 0
+        mdp = dataclasses.replace(mdp, alpha=1e-6)
+        assert greedy_action(mdp, sol, index, (100.0, 100.0)) == 0
 
 
 class TestSolutionSerialization:

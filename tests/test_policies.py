@@ -103,6 +103,13 @@ class TestGreedyDerived:
         with pytest.raises(ValueError, match="solution"):
             GreedyDerivedPolicy(mdp, narrow, index)
 
+    def test_rejects_an_index_of_another_norm(self, table1):
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        sol = value_iteration(mdp, tol=1e-9)
+        with pytest.raises(ValueError, match="manhattan"):
+            GreedyDerivedPolicy(mdp, sol, build_index(table1, "manhattan"))
+
     def test_pure_function_of_state(self, table1):
         index = build_index(table1)
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,

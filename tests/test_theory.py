@@ -31,13 +31,13 @@ class TestCoveringNumber:
         return [(tr.s, tr.a) for tr in batch.transitions]
 
     def test_alpha_one_gives_one_center_per_action(self, table1):
-        assert covering_number(table1, 1.0) == 2
+        assert covering_number(build_index(table1), 1.0) == 2
 
     def test_tiny_alpha_counts_distinct_pairs(self, table1):
-        assert covering_number(table1, 1e-12) == 6
+        assert covering_number(build_index(table1), 1e-12) == 6
 
     def test_alpha_point_two(self, table1):
-        got = covering_number(table1, 0.2)
+        got = covering_number(build_index(table1), 0.2)
         oracle = greedy_cover_oracle(self.pairs(table1), 0.2, SQRT52)
         assert got == len(oracle) == 4
 
@@ -49,7 +49,8 @@ class TestCoveringNumber:
             diam = diameter(batch)
             for alpha in (0.1, 0.3, 0.7):
                 oracle = greedy_cover_oracle(self.pairs(batch), alpha, diam)
-                assert covering_number(batch, alpha) == len(oracle)
+                got = covering_number(build_index(batch), alpha)
+                assert got == len(oracle)
 
     def test_every_pair_within_alpha_of_a_center(self, table1):
         alpha = 0.2
@@ -60,12 +61,12 @@ class TestCoveringNumber:
 
     def test_non_increasing_in_alpha(self, table1):
         grid = [0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
-        counts = [covering_number(table1, a) for a in grid]
+        counts = [covering_number(build_index(table1), a) for a in grid]
         assert counts == sorted(counts, reverse=True)
 
     def test_alpha_must_be_positive(self, table1):
         with pytest.raises(ValueError):
-            covering_number(table1, 0.0)
+            covering_number(build_index(table1), 0.0)
 
 
 class TestSamplingError:
@@ -158,8 +159,7 @@ class TestPacBound:
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.9,
                         mode=PenaltyMode.adaptive(), index=index)
         sol = value_iteration(mdp, tol=1e-9)
-        report = pac_bound(table1, mdp, sol, delta=0.1, alpha=1.0,
-                           index=index)
+        report = pac_bound(table1, mdp, sol, delta=0.1, alpha=1.0)
         expected = (2 * report.epsilon_s
                     + report.d_bar_max * report.r_max_bound) / (1 - 0.9)
         assert report.gap == pytest.approx(expected, abs=1e-9)
@@ -181,8 +181,7 @@ class TestPacBound:
             mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=gamma,
                             mode=PenaltyMode.adaptive(), index=index)
             sol = value_iteration(mdp, tol=1e-9)
-            gaps.append(pac_bound(table1, mdp, sol, 0.1, alpha=1.0,
-                                  index=index).gap)
+            gaps.append(pac_bound(table1, mdp, sol, 0.1, alpha=1.0).gap)
         assert gaps[0] < gaps[1]
 
     def test_report_window_consistency(self, table1):
@@ -190,7 +189,7 @@ class TestPacBound:
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
                         mode=PenaltyMode.adaptive(), index=index)
         sol = value_iteration(mdp, tol=1e-9)
-        report = pac_bound(table1, mdp, sol, 0.1, alpha=0.8, index=index)
+        report = pac_bound(table1, mdp, sol, 0.1, alpha=0.8)
         if not report.k_window_empty:
             assert report.k_min <= report.k_max
         assert report.q_max <= report.q_max_ceiling + 1e-9
@@ -207,6 +206,17 @@ class TestPacBound:
         short = dataclasses.replace(sol, values=sol.values[:-1])
         with pytest.raises(ValueError, match="solution"):
             pac_bound(table1, mdp, short, 0.1)
+
+    def test_rejects_an_mdp_of_another_norm_or_diameter(self, table1):
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        sol = value_iteration(mdp, tol=1e-9)
+        # a Euclidean derivation relabelled Manhattan: the batch's Manhattan
+        # diameter is 10, not the MDP's sqrt(52)
+        for other in (dataclasses.replace(mdp, norm="manhattan"),
+                      dataclasses.replace(mdp, diameter=1.0)):
+            with pytest.raises(ValueError, match="diameter"):
+                pac_bound(table1, other, sol, 0.1)
 
 class TestCanonicalShaping:
     def test_averagers_homogeneous(self):

@@ -10,14 +10,12 @@ covering-number / sampling-error inputs of the suboptimality bound.
 from .dataset import (Batch, BatchError, BatchStats, Transition, batch_stats,
                       concat_batches, core_states, load_batch, make_batch,
                       save_batch)
-from .derivation import (DerivedMdp, PenaltyMode, build_mdp,
-                         empirical_transition, mdp_from_json, mdp_to_json,
-                         shaped_reward)
+from .derivation import (DerivedMdp, PenaltyMode, build_mdp, mdp_from_json,
+                         mdp_to_json)
 from .evaluation import (EvalReport, evaluate, reconstruction_batch,
                          reproduce_table2, sweep_c, sweep_k, two_flow_demo,
                          worked_example_batch, worked_example_mdp)
-from .neighbors import (NeighborEntry, NeighborIndex, NeighborSet,
-                        build_index, diameter)
+from .neighbors import NeighborIndex, build_index, diameter
 from .planner import (ConvergenceError, Solution, greedy_action, lookup_q,
                       solution_from_json, solution_to_json, value_iteration)
 from .policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,

@@ -129,9 +129,13 @@ def _add_eval_args(p):
 
 
 def _start_state(args, config) -> EnvState:
-    if args.start:
-        return EnvState(tuple(int(x) for x in args.start.split(",")))
-    return EnvState((0,) * len(config.flows))
+    if not args.start:
+        return EnvState((0,) * len(config.flows))
+    queues = tuple(int(x) for x in args.start.split(","))
+    if len(queues) != len(config.flows) or min(queues) < 0:
+        raise ValueError(f"--start {args.start!r} is not {len(config.flows)} "
+                         "non-negative queue lengths, one per flow")
+    return EnvState(queues)
 
 
 def _episode_seeds(args, episodes, seed):

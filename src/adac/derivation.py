@@ -15,10 +15,10 @@ distance threshold truncates the set. Pairs with no neighbors at all get
 the pessimistic fallback: reward 0 (the lower reward bound) and an
 absorbing self-loop.
 
-`build_mdp` takes the neighbor sets of all core states from one batched
-kernel call per action (`NeighborIndex.neighbor_sets`); `neighbor_estimate`
-turns one set into its shaped reward and landing row, for the derivation
-and for the planner's lookup of states outside the core alike.
+`build_mdp` reduces the core states' neighbor table, one kernel call per
+action (`NeighborIndex.search`), with array operations: neighbor counts,
+the per-row r_max, the shaped reward as a row sum in neighbor order, and
+landing rows from unique (row, landing core state) keys.
 """
 
 import json
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Batch, State, core_states
-from .neighbors import NORMS, NeighborIndex, NeighborSet, build_index
+from .neighbors import NORMS, NeighborIndex, build_index, row_sums
 
 
 @dataclass(frozen=True)
@@ -103,41 +103,6 @@ class DerivedMdp:
         return len(self.core)
 
 
-def shaped_reward(neighbors: NeighborSet, rewards, mode: PenaltyMode) -> float:
-    """Penalized mean reward of a non-empty neighbor set."""
-    if not neighbors:
-        raise ValueError("empty neighbor set")
-    if len(rewards) != len(neighbors):
-        raise ValueError("rewards not aligned with neighbors")
-    coef = mode.coefficient(rewards)
-    total = 0.0
-    for entry, r in zip(neighbors, rewards):
-        total += r - coef * entry.norm_distance
-    return total / len(neighbors)
-
-
-def empirical_transition(neighbors: NeighborSet, next_states,
-                         core_lookup: dict[State, int]) -> dict[int, float]:
-    """Frequency of each neighbor's landing core state, as probabilities."""
-    if not neighbors:
-        raise ValueError("empty neighbor set")
-    counts: dict[int, int] = {}
-    for sp in next_states:
-        idx = core_lookup[sp]
-        counts[idx] = counts.get(idx, 0) + 1
-    n = len(neighbors)
-    return {idx: cnt / n for idx, cnt in counts.items()}
-
-
-def neighbor_estimate(batch: Batch, neighbors: NeighborSet, mode: PenaltyMode,
-                      core_lookup: dict[State, int]) -> tuple[float, dict[int, float]]:
-    """Shaped reward and landing row of a non-empty neighbor set."""
-    sources = [batch.transitions[e.index] for e in neighbors]
-    return (shaped_reward(neighbors, [tr.r for tr in sources], mode),
-            empirical_transition(neighbors, [tr.s_next for tr in sources],
-                                 core_lookup))
-
-
 def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
               gamma: float = 0.99, mode: PenaltyMode | None = None,
               index: NeighborIndex | None = None) -> DerivedMdp:
@@ -153,25 +118,37 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
     elif index.batch != batch:
         raise ValueError("the index was built over another batch")
     core = tuple(core_states(batch))
-    lookup = {s: i for i, s in enumerate(core)}
-    n = len(core)
-    reward = np.zeros((n, batch.action_count))
-    transition: list[list[dict[int, float]]] = [
-        [{} for _ in range(batch.action_count)] for _ in range(n)
-    ]
-    empty_pairs: list[tuple[int, int]] = []
-    for a in range(batch.action_count):
-        for si, nn in enumerate(index.neighbor_sets(core, a, k, alpha)):
-            if not nn:
-                empty_pairs.append((si, a))
-                reward[si, a] = 0.0
-                transition[si][a] = {si: 1.0}
-                continue
-            reward[si, a], transition[si][a] = neighbor_estimate(
-                batch, nn, mode, lookup)
-    empty_pairs.sort()
-    return DerivedMdp(core, batch.action_count, reward, transition, gamma,
-                      mode, k, alpha, index.diameter, index.norm, empty_pairs)
+    n, actions = len(core), batch.action_count
+    targets = list(range(n))    # int objects shared by all the rows' keys
+    lookup = dict(zip(core, targets))
+    rewards = np.array([tr.r for tr in batch.transitions])
+    landing = np.array([lookup[tr.s_next] for tr in batch.transitions])
+    reward = np.zeros((n, actions))
+    realized = np.zeros((n, actions), dtype=int)    # neighbor counts
+    columns = []
+    for a in range(actions):
+        rows, sources, norm_dist = index.search(core, a, k, alpha)
+        realized[:, a] = counts = np.bincount(rows, minlength=n)
+        r = rewards[sources]
+        if mode.kind == "adaptive":     # r_max: the largest reward of each row
+            coef = np.full(n, -np.inf)
+            np.maximum.at(coef, rows, r)
+        else:
+            coef = np.full(n, mode.coefficient(r))
+        total = row_sums(rows, r - coef[rows] * norm_dist, n)
+        np.divide(total, counts, out=reward[:, a], where=counts > 0)
+        # one cell per (row, landing core state), sorted by both
+        keys, hits = np.unique(rows * n + landing[sources], return_counts=True)
+        row_of = keys // n
+        cells = list(zip([targets[j] for j in (keys % n).tolist()],
+                         (hits / counts[row_of]).tolist()))
+        ends = np.searchsorted(row_of, np.arange(n + 1)).tolist()
+        columns.append([dict(cells[lo:hi]) if lo < hi else {si: 1.0}
+                        for si, (lo, hi) in enumerate(zip(ends, ends[1:]))])
+    return DerivedMdp(core, actions, reward,
+                      [list(per_state) for per_state in zip(*columns)], gamma,
+                      mode, k, alpha, index.diameter, index.norm,
+                      list(map(tuple, np.argwhere(realized == 0).tolist())))
 
 
 def mdp_to_json(mdp: DerivedMdp) -> str:

@@ -2,19 +2,19 @@
 
 Pairs with different actions are treated as infinitely distant, so the
 index keeps one sub-index per action over the source states of that
-action's transitions. One batched kernel, `NeighborIndex.neighbor_sets`,
-answers every search: it computes distances in row blocks of at most
-BLOCK elements, keeps each row's sources at or below its k-th smallest
+action's transitions. One batched kernel, `NeighborIndex.search`, answers
+every search: it computes distances in row blocks of at most BLOCK
+elements, keeps each row's sources at or below its k-th smallest
 distance, orders them by distance with ties broken by lower transition
-index, and cuts them at the normalized threshold alpha. `query` is the
-kernel on one state. Distances are normalized by the exact diameter of
-the core-state point cloud, computed from the same blocked distances.
+index, cuts them at the normalized threshold alpha and returns one flat
+row-major table. `query` is the kernel on one state. Distances are
+normalized by the exact diameter of the core-state point cloud, computed
+from the same blocked distances.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +25,6 @@ NORMS = ("euclidean", "manhattan")
 # elements of one block of the distance matrix (256 KB): bounds the kernel's
 # memory, and blocks that stay in cache measured faster than larger ones
 BLOCK = 1 << 15
-
-
-class NeighborEntry(NamedTuple):
-    index: int          # transition index in the batch
-    distance: float     # raw metric distance
-    norm_distance: float
-
-
-NeighborSet = list[NeighborEntry]
 
 
 def distances(queries: np.ndarray, points: np.ndarray, norm: str) -> np.ndarray:
@@ -83,9 +74,11 @@ class NeighborIndex:
     def size(self, action: int) -> int:
         return len(self._indices[action])
 
-    def neighbor_sets(self, states, a: int, k: int,
-                      alpha: float = math.inf) -> list[NeighborSet]:
-        """Per state, at most k same-action sources with normalized distance
+    def search(self, states, a: int, k: int, alpha: float = math.inf
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbor table of the states as flat arrays: state row, transition
+        index and normalized distance of each neighbor. Row by row, each
+        state's at most k same-action sources with normalized distance
         <= alpha, nearest first, ties to the lower transition index."""
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -94,10 +87,10 @@ class NeighborIndex:
         pts = self._points[a]
         queries = np.asarray(states, dtype=float).reshape(len(states),
                                                           pts.shape[1])
+        parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
         if len(pts) == 0:
-            return [[] for _ in range(len(queries))]
+            return parts[0]
         kth, step = min(k, len(pts)) - 1, max(1, BLOCK // len(pts))
-        out: list[NeighborSet] = []
         for start in range(0, len(queries), step):
             d = distances(queries[start:start + step], pts, self.norm)
             # every source at or below its row's k-th smallest distance, in
@@ -106,23 +99,32 @@ class NeighborIndex:
                 d <= np.partition(d, kth, axis=1)[:, kth, None])
             order = np.lexsort((d[rows, cols], rows))
             rows, cols = rows[order], cols[order]
-            dist = d[rows, cols]
-            norm_dist = dist / self.diameter
+            norm_dist = d[rows, cols] / self.diameter
             # rank within the row: the k nearest and the alpha cut are prefixes
             keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
             if alpha != math.inf:
                 keep &= norm_dist <= alpha
-            ends = np.cumsum(np.bincount(rows[keep], minlength=len(d))).tolist()
-            entries = list(map(NeighborEntry,
-                               self._indices[a][cols[keep]].tolist(),
-                               dist[keep].tolist(), norm_dist[keep].tolist()))
-            out += [entries[lo:hi] for lo, hi in zip([0] + ends, ends)]
-        return out
+            parts.append((rows[keep] + start, self._indices[a][cols[keep]],
+                          norm_dist[keep]))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
-    def query(self, s: State, a: int, k: int,
-              alpha: float = math.inf) -> NeighborSet:
-        """At most k same-action sources with normalized distance <= alpha."""
-        return self.neighbor_sets([s], a, k, alpha)[0]
+    def query(self, s: State, a: int, k: int, alpha: float = math.inf
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Transition indices and normalized distances of the at most k
+        same-action sources of s with normalized distance <= alpha."""
+        return self.search([s], a, k, alpha)[1:]
+
+
+def row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per row of a row-major table of n rows, the sum of its values, added
+    one rank at a time so that each row sums in table order, bit for bit
+    the sequential sum; empty rows sum to 0."""
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    total = np.zeros(n)
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = rank == r
+        total[rows[at]] += values[at]
+    return total
 
 
 def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:

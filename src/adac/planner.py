@@ -10,13 +10,14 @@ Ties in action selection always resolve to the lowest action index.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .dataset import State, core_states
-from .derivation import DerivedMdp, neighbor_estimate
+from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 
 
@@ -83,15 +84,23 @@ def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
 
     The neighbors are the derivation's: the MDP's k, alpha and penalty
     mode over the index it was derived with. Empty neighborhoods return 0,
-    the pessimistic floor used throughout the derivation. Restricted to
-    core states this reproduces the solved Q table.
+    the pessimistic floor used throughout the derivation. At a core state
+    the shaped reward is the MDP's reward bit for bit, but the lookup is
+    not the solved Q table: it uses the final values once, and an empty
+    pair looks up 0 where the table holds gamma times the state's value.
     """
-    nn = index.query(s, a, mdp.k, mdp.alpha)
-    if not nn:
+    sources, norm_dist = index.query(s, a, mdp.k, mdp.alpha)
+    if not len(sources):
         return 0.0
-    r, row = neighbor_estimate(index.batch, nn, mdp.mode, mdp.core_lookup)
-    cont = sum(p * solution.values[i] for i, p in row.items())
-    return r + mdp.gamma * cont
+    transitions = [index.batch.transitions[i] for i in sources.tolist()]
+    coef = mdp.mode.coefficient([tr.r for tr in transitions])
+    total = 0.0
+    for tr, d in zip(transitions, norm_dist.tolist()):
+        total += tr.r - coef * d
+    landings = Counter(mdp.core_lookup[tr.s_next] for tr in transitions)
+    cont = sum(hits / len(sources) * solution.values[j]
+               for j, hits in landings.items())
+    return total / len(sources) + mdp.gamma * cont
 
 
 def greedy_action(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,

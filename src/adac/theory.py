@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import Batch, State
 from .derivation import DerivedMdp, PenaltyMode
-from .neighbors import NeighborIndex, build_index, distances
+from .neighbors import NeighborIndex, build_index, distances, row_sums
 from .planner import Solution, check_artifacts
 
 
@@ -95,11 +95,12 @@ def value_gap(epsilon_s: float, d_bar: float, r_max: float,
 
 def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
     """Worst-case mean normalized neighbor distance over derivation queries."""
-    worst = 0.0
+    n, worst = mdp.num_states(), 0.0
     for a in range(mdp.action_count):
-        for nn in index.neighbor_sets(mdp.core, a, mdp.k, mdp.alpha):
-            if nn:
-                worst = max(worst, sum(e.norm_distance for e in nn) / len(nn))
+        rows, _, norm_dist = index.search(mdp.core, a, mdp.k, mdp.alpha)
+        # an empty row's mean reads 0, which never raises the maximum
+        counts = np.maximum(np.bincount(rows, minlength=n), 1)
+        worst = max(worst, float(np.max(row_sums(rows, norm_dist, n) / counts)))
     return worst
 
 

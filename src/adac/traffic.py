@@ -216,16 +216,23 @@ def config_from_json(text: str) -> IntersectionEnvConfig:
     if not isinstance(doc, dict):
         raise ValueError("malformed env config JSON: not an object")
     schedule = doc.get("schedule")
+
+    def integer(x, key: str) -> int:
+        if type(x) is not int:
+            raise ValueError(f"malformed env config JSON: {key} {x!r} is "
+                             "not an integer")
+        return x
+
     try:
         return IntersectionEnvConfig(
             flows=tuple((f["name"], float(f["rate"])) for f in doc["flows"]),
             phases=tuple(tuple(p) for p in doc["phases"]),
-            capacity=int(doc.get("capacity", 4)),
+            capacity=integer(doc.get("capacity", 4), "capacity"),
             arrivals=doc.get("arrivals", "deterministic"),
             schedule=None if schedule is None else tuple(
-                (int(e["steps"]), tuple(float(x) for x in e["rates"]))
-                for e in schedule),
-            horizon=int(doc.get("horizon", 360)),
+                (integer(e["steps"], "steps"),
+                 tuple(float(x) for x in e["rates"])) for e in schedule),
+            horizon=integer(doc.get("horizon", 360), "horizon"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed env config JSON "

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -50,6 +51,40 @@ def brute_force_diameter(batch, dist=euclid):
     return best if best > 0 else 1.0
 
 
+def brute_force_mdp(batch, k, alpha, mode, diam=None, dist=euclid):
+    """Reference derivation in plain Python on top of brute_force_knn.
+
+    Returns (core, reward, transition, empty), with reward[si][a] the
+    shaped mean of the pair's neighbors, transition[si][a] a dict {core
+    index: probability} and empty the sorted (si, a) pairs with no
+    neighbors, which get reward 0 and a self-loop.
+    """
+    core = []
+    for tr in batch.transitions:
+        if tr.s_next not in core:
+            core.append(tr.s_next)
+    reward, transition, empty = [], [], []
+    for si, s in enumerate(core):
+        reward.append([])
+        transition.append([])
+        for a in range(batch.action_count):
+            nn = brute_force_knn(batch, s, a, k, alpha, diam, dist)
+            if not nn:
+                empty.append((si, a))
+                reward[si].append(0.0)
+                transition[si].append({si: 1.0})
+                continue
+            sources = [batch.transitions[i] for i, _, _ in nn]
+            coef = {"averagers": 0.0, "fixed": mode.c,
+                    "adaptive": max(tr.r for tr in sources)}[mode.kind]
+            reward[si].append(sum(tr.r - coef * nd for tr, (_, _, nd)
+                                  in zip(sources, nn)) / len(nn))
+            landings = Counter(core.index(tr.s_next) for tr in sources)
+            transition[si].append({j: hits / len(nn)
+                                   for j, hits in landings.items()})
+    return core, reward, transition, empty
+
+
 def brute_force_value_iteration(mdp, tol, max_iters=200_000):
     """Reference Jacobi value iteration in plain Python over the dict rows.
 
@@ -87,7 +122,7 @@ def brute_force_value_iteration(mdp, tol, max_iters=200_000):
 
 
 def random_batch(rng, n=30, dim=2, actions=2, coord_max=6, reward_max=5.0,
-                 integer_coords=True):
+                 integer_coords=True, reward_min=0.0):
     """Random single-trajectory batch; integer coords make distance ties common."""
     transitions = []
     for t in range(n):
@@ -98,7 +133,7 @@ def random_batch(rng, n=30, dim=2, actions=2, coord_max=6, reward_max=5.0,
             s = tuple(float(c) for c in rng.uniform(0, coord_max, size=dim))
             sp = tuple(float(c) for c in rng.uniform(0, coord_max, size=dim))
         a = int(rng.integers(0, actions))
-        r = float(np.round(rng.uniform(0, reward_max), 2))
+        r = float(np.round(rng.uniform(reward_min, reward_max), 2))
         transitions.append(Transition(s, a, r, sp, 0, t))
     return make_batch(transitions, action_count=actions,
                       reward_bound=reward_max)

@@ -264,6 +264,15 @@ class TestExitCodes:
         assert code == 1
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("start", ["1", "1,2,3", "1,-2"])
+    def test_start_must_fit_the_env(self, capsys, start):
+        # the default env has two flows
+        code, _, err = run(capsys, "eval", "--policy", "cyclic",
+                           "--episodes", "1", "--horizon", "5",
+                           "--start", start)
+        assert code == 1
+        assert "--start" in err and "Traceback" not in err
+
     def test_eval_needs_an_episode(self, capsys):
         code, _, err = run(capsys, "eval", "--episodes", "0")
         assert code == 1

@@ -1,15 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adac.dataset import Transition, make_batch
-from adac.derivation import (PenaltyMode, build_mdp, empirical_transition,
-                             mdp_from_json, mdp_to_json, shaped_reward)
-from adac.neighbors import build_index
+from adac import neighbors
+from adac.derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
+from adac.neighbors import NORMS, build_index
 
-from conftest import brute_force_knn, random_batch, scale_batch
+from conftest import (brute_force_knn, brute_force_mdp, euclid, manhattan,
+                      random_batch, scale_batch)
 
 SQRT52 = math.sqrt(52)
 
@@ -22,71 +26,58 @@ def derive(batch, mode, k=3, alpha=math.inf, gamma=0.99, index=None):
 class TestShapedReward:
     """Hand-verified cells of the worked example's derived reward table."""
 
-    def query(self, table1, s, a):
-        index = build_index(table1)
-        nn = index.query(s, a, 3)
-        rewards = [table1.transitions[e.index].r for e in nn]
-        return nn, rewards
+    def cell(self, table1, s, a, mode, alpha=math.inf):
+        mdp = derive(table1, mode, k=3, alpha=alpha)
+        return mdp.reward[mdp.core.index(s), a]
 
     def test_averagers_is_plain_mean(self, table1):
-        nn, rewards = self.query(table1, (2.0, 3.0), 0)
-        value = shaped_reward(nn, rewards, PenaltyMode.averagers())
+        value = self.cell(table1, (2.0, 3.0), 0, PenaltyMode.averagers())
         assert value == pytest.approx((4 + 2 + 2) / 3, abs=1e-12)
 
     def test_fixed_cost_cell(self, table1):
-        nn, rewards = self.query(table1, (6.0, 1.0), 0)
-        value = shaped_reward(nn, rewards, PenaltyMode.fixed(1.0))
+        value = self.cell(table1, (6.0, 1.0), 0, PenaltyMode.fixed(1.0))
         # mean r minus mean normalized distance to {(3,3),(6,1),(2,3)}
         expected = 8 / 3 - (math.sqrt(13) + 0 + math.sqrt(20)) / 3 / SQRT52
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(2.29, abs=0.005)
 
     def test_adaptive_cell(self, table1):
-        nn, rewards = self.query(table1, (6.0, 1.0), 0)
-        value = shaped_reward(nn, rewards, PenaltyMode.adaptive())
+        value = self.cell(table1, (6.0, 1.0), 0, PenaltyMode.adaptive())
         expected = 8 / 3 - 4 * (math.sqrt(13) + 0 + math.sqrt(20)) / 3 / SQRT52
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(1.17, abs=0.005)
 
     def test_adaptive_cell_with_documented_slip(self, table1):
         # recomputes to 1.655, not the reference table's printed 1.58
-        nn, rewards = self.query(table1, (2.0, 3.0), 0)
-        value = shaped_reward(nn, rewards, PenaltyMode.adaptive())
+        value = self.cell(table1, (2.0, 3.0), 0, PenaltyMode.adaptive())
         expected = 8 / 3 - 4 * ((1 + 0 + math.sqrt(20)) / (3 * SQRT52))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(1.655, abs=0.001)
         assert abs(value - 1.58) > 0.01
 
     def test_divisor_is_realized_count(self, table1):
-        index = build_index(table1)
-        nn = index.query((2.0, 3.0), 0, 3, alpha=0.2)   # truncates to 2
-        rewards = [table1.transitions[e.index].r for e in nn]
-        value = shaped_reward(nn, rewards, PenaltyMode.averagers())
-        assert len(nn) == 2
-        assert value == pytest.approx(2.0, abs=1e-12)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            shaped_reward([], [], PenaltyMode.averagers())
+        # alpha 0.2 keeps 2 of the 3 neighbors, sources 5 and 1
+        mdp = derive(table1, PenaltyMode.averagers(), k=3, alpha=0.2)
+        si = mdp.core.index((2.0, 3.0))
+        assert mdp.transition[si][0] == {mdp.core.index((0.0, 5.0)): 0.5,
+                                         mdp.core.index((1.0, 5.0)): 0.5}
+        assert mdp.reward[si, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestEmpiricalTransition:
     def test_worked_example_row(self, table1):
-        index = build_index(table1)
-        nn = index.query((2.0, 3.0), 0, 3)
-        nexts = [table1.transitions[e.index].s_next for e in nn]
-        lookup = {s: i for i, s in enumerate(
-            [(3.0, 3.0), (1.0, 5.0), (2.0, 3.0), (6.0, 1.0), (0.0, 5.0)])}
-        row = empirical_transition(nn, nexts, lookup)
+        mdp = derive(table1, PenaltyMode.adaptive(), k=3)
+        assert mdp.core == ((3.0, 3.0), (1.0, 5.0), (2.0, 3.0), (6.0, 1.0),
+                            (0.0, 5.0))
+        row = mdp.transition[2][0]      # (2, 3) under NS
         assert row == {1: pytest.approx(1 / 3), 2: pytest.approx(1 / 3),
                        4: pytest.approx(1 / 3)}
 
     def test_single_entry(self, table1):
-        index = build_index(table1)
-        nn = index.query((6.0, 1.0), 0, 1)
-        nexts = [table1.transitions[e.index].s_next for e in nn]
-        row = empirical_transition(nn, nexts, {(2.0, 3.0): 0})
-        assert row == {0: 1.0}
+        # (6, 1)'s nearest NS source is itself, which lands on (2, 3)
+        mdp = derive(table1, PenaltyMode.adaptive(), k=1)
+        assert mdp.transition[mdp.core.index((6.0, 1.0))][0] == {
+            mdp.core.index((2.0, 3.0)): 1.0}
 
     def test_duplicate_counted_twice(self):
         rows = [Transition((0.0, 0.0), 0, 1.0, (1.0, 1.0), 0, 0),
@@ -235,6 +226,40 @@ class TestScalingInvariance:
 
 
 class TestOracleAgreement:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
+           norm=st.sampled_from(NORMS),
+           mode=st.sampled_from([PenaltyMode.averagers(), PenaltyMode.fixed(1.5),
+                                 PenaltyMode.adaptive()]),
+           k=st.integers(1, 12),
+           alpha=st.one_of(st.just(math.inf), st.floats(0.0, 1.0),
+                           st.builds(lambda p, q: min(p, q) / q,
+                                     st.integers(0, 18), st.integers(1, 18))),
+           # negative rewards make some rows' adaptive r_max negative
+           reward_min=st.sampled_from([0.0, -5.0]))
+    def test_matches_brute_force_derivation(self, seed, integer_coords, norm,
+                                            mode, k, alpha, reward_min):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=int(rng.integers(2, 60)),
+                             dim=int(rng.integers(1, 4)),
+                             actions=int(rng.integers(1, 4)),
+                             integer_coords=integer_coords,
+                             reward_min=reward_min)
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks, so the neighbor rows of one call span several
+            mp.setattr(neighbors, "BLOCK", 64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                index = build_index(batch, norm)
+            mdp = derive(batch, mode, k=k, alpha=alpha, index=index)
+        core, reward, transition, empty = brute_force_mdp(
+            batch, k, alpha, mode, diam=index.diameter,
+            dist=euclid if norm == "euclidean" else manhattan)
+        assert list(mdp.core) == core
+        assert mdp.reward == pytest.approx(np.array(reward), abs=1e-12)
+        assert mdp.transition == transition
+        assert mdp.empty_pairs == empty
+
     def test_rewards_against_brute_force(self, table1):
         """Recompute every cell with an independent scan, no index code."""
         diam = SQRT52

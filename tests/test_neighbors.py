@@ -13,6 +13,14 @@ from adac.neighbors import NORMS, build_index, diameter
 from conftest import (brute_force_diameter, brute_force_knn, euclid, manhattan,
                       random_batch, scale_batch)
 
+SQRT52 = math.sqrt(52)
+
+
+def found(index, s, a, k, alpha=math.inf):
+    """query's result as a list of (transition index, normalized distance)."""
+    indices, norm_dist = index.query(s, a, k, alpha)
+    return list(zip(indices.tolist(), norm_dist.tolist()))
+
 
 class TestBuildIndex:
     def test_worked_example_subindices(self, table1):
@@ -29,7 +37,7 @@ class TestBuildIndex:
         with pytest.warns(RuntimeWarning):   # one-point core cloud
             index = build_index(batch)
         assert index.size(0) == 1 and index.size(1) == 0
-        assert index.query((1.0, 1.0), 1, 3) == []
+        assert found(index, (1.0, 1.0), 1, 3) == []
 
     def test_rejects_unknown_norm(self, table1):
         with pytest.raises(ValueError, match="unknown norm"):
@@ -39,23 +47,20 @@ class TestBuildIndex:
 class TestQuery:
     def test_worked_example_ns_query(self, table1):
         index = build_index(table1)
-        result = index.query((2.0, 3.0), 0, 3)
-        assert [e.index for e in result] == [5, 1, 2]
-        assert [e.distance for e in result] == pytest.approx(
-            [0.0, 1.0, math.sqrt(20)], abs=1e-12)
+        result = found(index, (2.0, 3.0), 0, 3)
+        assert [i for i, _ in result] == [5, 1, 2]
+        assert [d for _, d in result] == pytest.approx(
+            [0.0, 1.0 / SQRT52, math.sqrt(20) / SQRT52], abs=1e-12)
 
     def test_exact_source_at_distance_zero(self, table1):
         index = build_index(table1)
-        result = index.query((6.0, 1.0), 0, 1)
-        assert len(result) == 1
-        assert result[0].index == 2 and result[0].distance == 0.0
+        assert found(index, (6.0, 1.0), 0, 1) == [(2, 0.0)]
 
     def test_alpha_truncates(self, table1):
         index = build_index(table1)
-        result = index.query((2.0, 3.0), 0, 3, alpha=0.2)
-        assert [e.index for e in result] == [5, 1]
-        assert result[1].norm_distance == pytest.approx(1 / math.sqrt(52),
-                                                        abs=1e-12)
+        result = found(index, (2.0, 3.0), 0, 3, alpha=0.2)
+        assert [i for i, _ in result] == [5, 1]
+        assert result[1][1] == pytest.approx(1 / SQRT52, abs=1e-12)
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(21)
@@ -68,8 +73,8 @@ class TestQuery:
             a = int(rng.integers(0, 3))
             k = int(rng.integers(1, 8))
             alpha = float(rng.choice([math.inf, 0.3, 0.1]))
-            got = [(e.index, e.distance) for e in index.query(s, a, k, alpha)]
-            want = [(i, d) for i, d, _ in
+            got = found(index, s, a, k, alpha)
+            want = [(i, nd) for i, _, nd in
                     brute_force_knn(batch, s, a, k, alpha, diam=diam)]
             assert [i for i, _ in got] == [i for i, _ in want]
             assert [d for _, d in got] == pytest.approx(
@@ -82,8 +87,8 @@ class TestQuery:
            alpha=st.one_of(st.just(math.inf), st.floats(0.0, 1.0),
                            st.builds(lambda p, q: min(p, q) / q,
                                      st.integers(0, 18), st.integers(1, 18))))
-    def test_neighbor_sets_match_brute_force(self, seed, integer_coords, norm,
-                                             k, alpha):
+    def test_search_matches_brute_force(self, seed, integer_coords, norm, k,
+                                        alpha):
         rng = np.random.default_rng(seed)
         batch = random_batch(rng, n=int(rng.integers(2, 60)),
                              dim=int(rng.integers(1, 4)),
@@ -102,15 +107,18 @@ class TestQuery:
             assert index.diameter == pytest.approx(
                 brute_force_diameter(batch, dist), rel=1e-12)
             for a in range(batch.action_count):
-                sets = index.neighbor_sets(states, a, k, alpha)
-                assert len(sets) == len(states)
-                for s, got in zip(states, sets):
+                rows, indices, norm_dist = index.search(states, a, k, alpha)
+                assert np.all(np.diff(rows) >= 0)       # row-major
+                for row, s in enumerate(states):
+                    at = rows == row
+                    got = list(zip(indices[at].tolist(),
+                                   norm_dist[at].tolist()))
                     want = brute_force_knn(batch, s, a, k, alpha,
                                            diam=index.diameter, dist=dist)
-                    assert [e.index for e in got] == [i for i, _, _ in want]
-                    assert [e.distance for e in got] == pytest.approx(
-                        [d for _, d, _ in want], rel=1e-12, abs=1e-12)
-                    assert index.query(s, a, k, alpha) == got
+                    assert [i for i, _ in got] == [i for i, _, _ in want]
+                    assert [d for _, d in got] == pytest.approx(
+                        [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
+                    assert found(index, s, a, k, alpha) == got
 
     def test_determinism_on_ties(self):
         # four sources at identical distance from the query
@@ -120,10 +128,10 @@ class TestQuery:
                 Transition((1.0, 0.0), 0, 1.0, (1.0, 1.0), 0, 3)]
         batch = make_batch(rows)
         index = build_index(batch)
-        first = index.query((0.0, 0.0), 0, 2)
-        assert [e.index for e in first] == [0, 1]
+        first = found(index, (0.0, 0.0), 0, 2)
+        assert [i for i, _ in first] == [0, 1]
         for _ in range(5):
-            assert index.query((0.0, 0.0), 0, 2) == first
+            assert found(index, (0.0, 0.0), 0, 2) == first
 
     def test_monotone_in_k_and_alpha(self, table1):
         rng = np.random.default_rng(22)
@@ -131,16 +139,16 @@ class TestQuery:
         for _ in range(50):
             s = tuple(float(x) for x in rng.uniform(0, 7, size=2))
             a = int(rng.integers(0, 2))
-            small = index.query(s, a, 1, 0.3)
-            big_k = index.query(s, a, 3, 0.3)
-            big_alpha = index.query(s, a, 1, 0.9)
+            small = found(index, s, a, 1, 0.3)
+            big_k = found(index, s, a, 3, 0.3)
+            big_alpha = found(index, s, a, 1, 0.9)
             assert big_k[:len(small)] == small
             assert big_alpha[:len(small)] == small
 
     def test_cross_action_isolation(self, table1):
         index = build_index(table1)
-        for e in index.query((2.0, 3.0), 0, 3):
-            assert table1.transitions[e.index].a == 0
+        for i, _ in found(index, (2.0, 3.0), 0, 3):
+            assert table1.transitions[i].a == 0
 
     def test_k_must_be_positive(self, table1):
         index = build_index(table1)
@@ -172,6 +180,22 @@ class TestDiameter:
         assert d == best
 
 
+class TestRowSums:
+    def test_rows_sum_in_table_order(self):
+        # magnitudes far apart, so any other summation order rounds differently
+        rng = np.random.default_rng(26)
+        lengths = rng.integers(0, 20, size=50)
+        rows = np.repeat(np.arange(50), lengths)
+        values = (rng.standard_normal(len(rows))
+                  * 10.0 ** rng.integers(-8, 9, size=len(rows)))
+        got = neighbors.row_sums(rows, values, 52)
+        for row in range(52):
+            total = 0.0
+            for x in values[rows == row].tolist():
+                total += x
+            assert got[row] == total
+
+
 class TestScaling:
     def test_power_of_two_scale_is_exact(self):
         rng = np.random.default_rng(24)
@@ -182,12 +206,7 @@ class TestScaling:
         for _ in range(20):
             s = tuple(float(x) for x in rng.uniform(0, 6, size=2))
             s4 = tuple(4.0 * x for x in s)
-            r1 = i1.query(s, 0, 3)
-            r2 = i2.query(s4, 0, 3)
-            assert [e.index for e in r1] == [e.index for e in r2]
-            assert [e.norm_distance for e in r1] == [
-                e.norm_distance for e in r2]
-            assert [e.distance * 4.0 for e in r1] == [e.distance for e in r2]
+            assert found(i1, s, 0, 3) == found(i2, s4, 0, 3)
 
     def test_arbitrary_scale_preserves_normalized_distance(self):
         rng = np.random.default_rng(25)
@@ -197,7 +216,7 @@ class TestScaling:
         for _ in range(20):
             s = tuple(float(x) for x in rng.uniform(0, 6, size=2))
             sc = tuple(0.37 * x for x in s)
-            r1, r2 = i1.query(s, 1, 3), i2.query(sc, 1, 3)
-            assert [e.index for e in r1] == [e.index for e in r2]
-            assert [e.norm_distance for e in r1] == pytest.approx(
-                [e.norm_distance for e in r2], rel=1e-9)
+            r1, r2 = found(i1, s, 1, 3), found(i2, sc, 1, 3)
+            assert [i for i, _ in r1] == [i for i, _ in r2]
+            assert [d for _, d in r1] == pytest.approx(
+                [d for _, d in r2], rel=1e-9)

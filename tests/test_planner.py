@@ -170,6 +170,48 @@ class TestLookup:
                 got = lookup_q(mdp, sol, index, s, a)
                 assert got == pytest.approx(sol.q[si, a], abs=1e-12)
 
+    def test_empty_pair_looks_up_the_floor_not_the_table(self, table1):
+        index = build_index(table1)
+        mdp = build_mdp(table1, k=3, alpha=0.2, gamma=0.9,
+                        mode=PenaltyMode.adaptive(), index=index)
+        sol = value_iteration(mdp, tol=1e-9)
+        assert (1, 0) in mdp.empty_pairs
+        assert lookup_q(mdp, sol, index, mdp.core[1], 0) == 0.0
+        assert sol.q[1, 0] == pytest.approx(0.9 * sol.values[1], abs=1e-9)
+        assert sol.q[1, 0] == pytest.approx(25.4365, abs=1e-4)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    @pytest.mark.parametrize("mode", [PenaltyMode.averagers(),
+                                      PenaltyMode.fixed(1.5),
+                                      PenaltyMode.adaptive()])
+    def test_zero_values_look_up_the_mdp_reward(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=80, actions=3)
+        index = build_index(batch)
+        mdp = build_mdp(batch, k=6, alpha=0.15, gamma=0.9, mode=mode,
+                        index=index)
+        sol = value_iteration(mdp, tol=1e-9)
+        sol = dataclasses.replace(sol, values=np.zeros_like(sol.values))
+        empty = set(mdp.empty_pairs)
+        assert empty and len(empty) < mdp.num_states() * mdp.action_count
+        for si, s in enumerate(mdp.core):
+            for a in range(mdp.action_count):
+                if (si, a) not in empty:
+                    assert lookup_q(mdp, sol, index, s, a) == mdp.reward[si, a]
+
+    @pytest.mark.parametrize("alpha, gamma", [(math.inf, 0.99), (0.2, 0.9)])
+    @pytest.mark.parametrize("mode", [PenaltyMode.averagers(),
+                                      PenaltyMode.fixed(1.0),
+                                      PenaltyMode.adaptive()])
+    def test_greedy_action_follows_the_policy_on_core_states(
+            self, table1, alpha, gamma, mode):
+        index = build_index(table1)
+        mdp = build_mdp(table1, k=3, alpha=alpha, gamma=gamma, mode=mode,
+                        index=index)
+        sol = value_iteration(mdp, tol=1e-9)
+        assert [greedy_action(mdp, sol, index, s) for s in mdp.core] == (
+            sol.policy.tolist())
+
     def test_new_state_prefers_ew_under_adaptive(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.adaptive())
         assert greedy_action(mdp, sol, index, (1.0, 4.0)) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -211,6 +212,20 @@ class TestConfig:
             capacity=3, arrivals="poisson",
             schedule=((100, (0.2, 0.4)), (100, (0.4, 0.8))), horizon=200)
         assert config_from_json(config_to_json(config)) == config
+
+    @pytest.mark.parametrize("key, value", [
+        ("capacity", 2.7), ("capacity", True), ("capacity", "4"),
+        ("steps", 2.9), ("steps", True), ("horizon", 2.9), ("horizon", True),
+    ])
+    def test_json_rejects_a_non_integer_count(self, key, value):
+        doc = json.loads(config_to_json(IntersectionEnvConfig(
+            flows=(("n", 1.0),), phases=((0,),), schedule=((10, (2.0,)),))))
+        if key == "steps":
+            doc["schedule"][0]["steps"] = value
+        else:
+            doc[key] = value
+        with pytest.raises(ValueError, match=f"{key} .* not an integer"):
+            config_from_json(json.dumps(doc))
 
     def test_schedule_lookup(self):
         config = IntersectionEnvConfig(

@@ -112,6 +112,8 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
         raise ValueError("gamma must lie in [0, 1)")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0 or inf, got {alpha!r}")
     mode = mode or PenaltyMode.adaptive()
     if index is None:
         index = build_index(batch)
@@ -163,7 +165,7 @@ def mdp_to_json(mdp: DerivedMdp) -> str:
         "gamma": mdp.gamma,
         "penalty": {"kind": mdp.mode.kind, "c": mdp.mode.c},
         "k": mdp.k,
-        "alpha": mdp.alpha if math.isfinite(mdp.alpha) else "inf",
+        "alpha": "inf" if mdp.alpha == math.inf else mdp.alpha,
         "diameter": mdp.diameter,
         "norm": mdp.norm,
         "empty_pairs": [list(p) for p in mdp.empty_pairs],
@@ -205,6 +207,8 @@ def _check_mdp(mdp: DerivedMdp) -> None:
         raise ValueError(f"MDP gamma {mdp.gamma} outside [0, 1)")
     if mdp.k < 1:
         raise ValueError(f"MDP k {mdp.k} below 1")
+    if not mdp.alpha >= 0:
+        raise ValueError(f"MDP alpha {mdp.alpha} is not a threshold >= 0")
     if mdp.norm not in NORMS:
         raise ValueError(f"MDP norm {mdp.norm!r} unknown")
     if mdp.reward.shape != (n, actions) or not np.all(np.isfinite(mdp.reward)):

@@ -1,15 +1,20 @@
 """Per-action exact nearest-neighbor search over batch source pairs.
 
-Pairs with different actions are treated as infinitely distant, so the
-index keeps one sub-index per action over the source states of that
-action's transitions. One batched kernel, `NeighborIndex.search`, answers
-every search: it computes distances in row blocks of at most BLOCK
-elements, keeps each row's sources at or below its k-th smallest
-distance, orders them by distance with ties broken by lower transition
-index, cuts them at the normalized threshold alpha and returns one flat
-row-major table. `query` is the kernel on one state. Distances are
-normalized by the exact diameter of the core-state point cloud, computed
-from the same blocked distances.
+Pairs with different actions are treated as infinitely distant. The index
+keeps every source state in one array, grouped by action and in
+transition order within an action. Two searches share one selection step,
+which keeps each group's sources at or below its k-th smallest distance,
+orders them by distance with ties broken by lower transition index and
+cuts them at the normalized threshold alpha:
+
+- `NeighborIndex.search` finds the neighbors of many states for one
+  action, from distances computed in row blocks of at most BLOCK
+  elements, and returns one flat row-major table (the derivation's);
+- `NeighborIndex.query` finds the neighbors of one state for every
+  action, from one distance pass over all sources (the one-step lookup's).
+
+Distances are normalized by the exact diameter of the core-state point
+cloud, computed from the same blocked distances.
 """
 
 import math
@@ -60,19 +65,22 @@ def diameter(batch: Batch, norm: str = "euclidean") -> float:
 
 @dataclass
 class NeighborIndex:
-    """Immutable per-action brute-force index; safe for concurrent queries."""
+    """Immutable brute-force index; safe for concurrent queries."""
     norm: str
     diameter: float
     action_count: int
     batch: Batch = field(repr=False)
-    # per action: (n_a, dim) source coordinates, column-major so that each
-    # coordinate is contiguous, and (n_a,) transition indices, both in file
-    # order so column order breaks ties by transition index
-    _points: list[np.ndarray] = field(repr=False)
-    _indices: list[np.ndarray] = field(repr=False)
+    # (n, dim) source coordinates, column-major so that each coordinate is
+    # contiguous, grouped by action and in file order within an action, so
+    # that column order breaks ties by transition index; action a's sources
+    # are rows _offsets[a]:_offsets[a + 1]
+    _points: np.ndarray = field(repr=False)
+    _indices: np.ndarray = field(repr=False)    # (n,) transition indices
+    _actions: np.ndarray = field(repr=False)    # (n,) actions
+    _offsets: list[int] = field(repr=False)
 
     def size(self, action: int) -> int:
-        return len(self._indices[action])
+        return self._offsets[action + 1] - self._offsets[action]
 
     def search(self, states, a: int, k: int, alpha: float = math.inf
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,7 +92,8 @@ class NeighborIndex:
             raise ValueError("k must be >= 1")
         if not 0 <= a < self.action_count:
             raise ValueError(f"action {a} out of range")
-        pts = self._points[a]
+        lo, hi = self._offsets[a], self._offsets[a + 1]
+        pts = self._points[lo:hi]
         queries = np.asarray(states, dtype=float).reshape(len(states),
                                                           pts.shape[1])
         parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
@@ -94,25 +103,51 @@ class NeighborIndex:
         for start in range(0, len(queries), step):
             d = distances(queries[start:start + step], pts, self.norm)
             # every source at or below its row's k-th smallest distance, in
-            # row-major order; the stable sort keeps ties in column order
+            # row-major order
             rows, cols = np.nonzero(
                 d <= np.partition(d, kth, axis=1)[:, kth, None])
-            order = np.lexsort((d[rows, cols], rows))
-            rows, cols = rows[order], cols[order]
-            norm_dist = d[rows, cols] / self.diameter
-            # rank within the row: the k nearest and the alpha cut are prefixes
-            keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
-            if alpha != math.inf:
-                keep &= norm_dist <= alpha
-            parts.append((rows[keep] + start, self._indices[a][cols[keep]],
-                          norm_dist[keep]))
+            rows, cols, norm_dist = self._select(rows, cols, d[rows, cols],
+                                                 k, alpha)
+            parts.append((rows + start, self._indices[lo + cols], norm_dist))
         return tuple(np.concatenate(col) for col in zip(*parts))
 
-    def query(self, s: State, a: int, k: int, alpha: float = math.inf
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """Transition indices and normalized distances of the at most k
-        same-action sources of s with normalized distance <= alpha."""
-        return self.search([s], a, k, alpha)[1:]
+    def query(self, s: State, k: int, alpha: float = math.inf
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbor table of one state for every action, from one distance
+        pass: action, transition index and normalized distance of each
+        neighbor. Action by action, the at most k sources of that action
+        with normalized distance <= alpha, nearest first, ties to the lower
+        transition index."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        d = distances(np.asarray(s, dtype=float).reshape(
+            1, self._points.shape[1]), self._points, self.norm)[0]
+        # each action's k-th smallest distance, and every source at or below
+        # its action's, in column order
+        kth = np.zeros(self.action_count)
+        for a, (lo, hi) in enumerate(zip(self._offsets, self._offsets[1:])):
+            if lo < hi:
+                rank = min(k, hi - lo) - 1
+                kth[a] = np.partition(d[lo:hi], rank)[rank]
+        cols = np.flatnonzero(d <= kth[self._actions])
+        actions, cols, norm_dist = self._select(self._actions[cols], cols,
+                                                d[cols], k, alpha)
+        return actions, self._indices[cols], norm_dist
+
+    def _select(self, groups, cols, dist, k, alpha):
+        """The selection step of both searches. Given candidates in (group,
+        column) order with their distances, each group's at most k nearest
+        with normalized distance <= alpha, nearest first and ties to the
+        lower column: (groups, columns, normalized distances)."""
+        # the stable sort keeps ties in column order
+        order = np.lexsort((dist, groups))
+        groups, cols = groups[order], cols[order]
+        norm_dist = dist[order] / self.diameter
+        # rank within the group: the k nearest and the alpha cut are prefixes
+        keep = np.arange(len(groups)) - np.searchsorted(groups, groups) < k
+        if alpha != math.inf:
+            keep &= norm_dist <= alpha
+        return groups[keep], cols[keep], norm_dist[keep]
 
 
 def row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -128,21 +163,20 @@ def row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
-    """One sub-index per action over that action's source states, with
-    distances normalized by the exact diameter of the core-state cloud.
+    """Index of the batch's source states grouped by action, with distances
+    normalized by the exact diameter of the core-state cloud.
 
-    Actions with no transitions get an empty sub-index; queries against
-    them return empty neighbor sets.
+    Actions with no transitions get an empty group; they have no neighbors.
     """
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}")
     diam = diameter(batch, norm)
-    points: list[np.ndarray] = []
-    indices: list[np.ndarray] = []
-    for a in range(batch.action_count):
-        rows = [i for i, tr in enumerate(batch.transitions) if tr.a == a]
-        indices.append(np.asarray(rows, dtype=int))
-        points.append(np.asfortranarray(np.reshape(
-            [batch.transitions[i].s for i in rows], (len(rows), batch.dim)),
-            dtype=float))
-    return NeighborIndex(norm, diam, batch.action_count, batch, points, indices)
+    actions = np.array([tr.a for tr in batch.transitions], dtype=int)
+    order = np.argsort(actions, kind="stable")
+    points = np.asfortranarray(np.reshape(
+        [batch.transitions[i].s for i in order.tolist()],
+        (len(order), batch.dim)), dtype=float)
+    offsets = np.searchsorted(actions[order],
+                              np.arange(batch.action_count + 1)).tolist()
+    return NeighborIndex(norm, diam, batch.action_count, batch, points, order,
+                         actions[order], offsets)

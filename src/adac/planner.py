@@ -5,7 +5,11 @@ product of the value vector with a stacked transition matrix whose row
 a * n + s is the landing distribution of pair (s, a). The stopping rule
 scales the requested tolerance by (1 - gamma) / gamma so that `tol`
 bounds the true sup-norm value error, not just the last sweep delta.
-Ties in action selection always resolve to the lowest action index.
+
+The lookup acts from any state: `lookup_q` gives every action's Q from
+one neighbor query over all actions, and `greedy_action` takes its
+argmax. Ties in action selection always resolve to the lowest action
+index.
 """
 
 import json
@@ -38,8 +42,10 @@ class Solution:
 
 def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
                     max_iters: int = 200_000) -> Solution:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     gamma = mdp.gamma
     n, actions = mdp.num_states(), mdp.action_count
     # row a * n + s holds the landing distribution of pair (s, a); sorted
@@ -78,40 +84,44 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
 
 
 def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
-             s: State, a: int) -> float:
-    """Q-value of an arbitrary state from its neighbors' shaped reward plus
-    the discounted solved values of their landing core states.
+             s: State) -> np.ndarray:
+    """Q-values of an arbitrary state, one per action, from its neighbors'
+    shaped reward plus the discounted solved values of their landing core
+    states.
 
     The neighbors are the derivation's: the MDP's k, alpha and penalty
-    mode over the index it was derived with. Empty neighborhoods return 0,
-    the pessimistic floor used throughout the derivation. At a core state
-    the shaped reward is the MDP's reward bit for bit, but the lookup is
-    not the solved Q table: it uses the final values once, and an empty
-    pair looks up 0 where the table holds gamma times the state's value.
+    mode over the index it was derived with, found for all actions in one
+    `NeighborIndex.query`. An action with no neighbors looks up 0, the
+    pessimistic floor used throughout the derivation. At a core state the
+    shaped reward is the MDP's reward bit for bit, but the lookup is not
+    the solved Q table: it uses the final values once, and an empty pair
+    looks up 0 where the table holds gamma times the state's value.
     """
-    sources, norm_dist = index.query(s, a, mdp.k, mdp.alpha)
-    if not len(sources):
-        return 0.0
+    actions, sources, norm_dist = index.query(s, mdp.k, mdp.alpha)
+    q = np.zeros(mdp.action_count)
     transitions = [index.batch.transitions[i] for i in sources.tolist()]
-    coef = mdp.mode.coefficient([tr.r for tr in transitions])
-    total = 0.0
-    for tr, d in zip(transitions, norm_dist.tolist()):
-        total += tr.r - coef * d
-    landings = Counter(mdp.core_lookup[tr.s_next] for tr in transitions)
-    cont = sum(hits / len(sources) * solution.values[j]
-               for j, hits in landings.items())
-    return total / len(sources) + mdp.gamma * cont
+    ends = np.searchsorted(actions, np.arange(mdp.action_count + 1)).tolist()
+    norm_dist = norm_dist.tolist()
+    for a, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        if lo == hi:
+            continue
+        own = transitions[lo:hi]
+        coef = mdp.mode.coefficient([tr.r for tr in own])
+        total = 0.0
+        for tr, d in zip(own, norm_dist[lo:hi]):
+            total += tr.r - coef * d
+        # the continuation sums over landings in first-occurrence order
+        landings = Counter(mdp.core_lookup[tr.s_next] for tr in own)
+        cont = sum(hits / len(own) * solution.values[j]
+                   for j, hits in landings.items())
+        q[a] = total / len(own) + mdp.gamma * cont
+    return q
 
 
 def greedy_action(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
                   s: State) -> int:
     """Argmax of lookup_q over actions, lowest index on ties."""
-    best_a, best_q = 0, -math.inf
-    for a in range(mdp.action_count):
-        q = lookup_q(mdp, solution, index, s, a)
-        if q > best_q:
-            best_a, best_q = a, q
-    return best_a
+    return int(np.argmax(lookup_q(mdp, solution, index, s)))
 
 
 def solution_to_json(solution: Solution) -> str:

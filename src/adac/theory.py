@@ -55,8 +55,8 @@ def covering_number(index: NeighborIndex, alpha: float) -> int:
     with the same action lies within normalized distance alpha. Pairs with
     different actions are infinitely distant.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     centers: dict[int, list[State]] = {}
     for tr in index.batch.transitions:
         own = centers.setdefault(tr.a, [])
@@ -116,7 +116,7 @@ def pac_bound(batch: Batch, mdp: DerivedMdp, solution: Solution,
     check_artifacts(index, mdp, solution)
     if alpha is None:
         alpha = mdp.alpha
-    if not math.isfinite(alpha):
+    if alpha == math.inf:
         alpha = 1.0
     n_cov = covering_number(index, alpha)
     q_max = float(np.max(solution.q))

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import adac
 from adac.cli import main
 from adac.traffic import IntersectionEnvConfig, config_to_json
 
@@ -135,6 +139,28 @@ class TestExitCodes:
                            "--out", str(tmp_path / "s.json"))
         assert code == 2
         assert "convergence" in err.lower() or "sweeps" in err.lower()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--max-iters", "0", "max_iters"),
+        ("--tol", "nan", "tol"),
+        ("--tol", "inf", "tol"),
+    ])
+    def test_solve_rejects_a_bad_setting(self, tmp_path, capsys, pipeline,
+                                         option, value, message):
+        _, mdp, _ = pipeline
+        code, _, err = run(capsys, "solve", "--mdp", str(mdp), option, value,
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 1
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1"])
+    def test_derive_rejects_a_bad_alpha(self, tmp_path, capsys, pipeline,
+                                        alpha):
+        batch, _, _ = pipeline
+        code, _, err = run(capsys, "derive", "--batch", str(batch),
+                           "--alpha", alpha, "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert "alpha" in err and "Traceback" not in err
 
     def test_usage_error_exits_1(self, capsys):
         code, _, _ = run(capsys, "derive")   # missing required args
@@ -365,3 +391,21 @@ class TestEnvConfigFile:
         parser = build_parser()
         args = parser.parse_args(["eval", "--policy", "cyclic"])
         assert args.seed == 42
+
+
+class TestModuleEntryPoint:
+    def test_python_m_adac_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(adac.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+        def adac_m(*argv):
+            return subprocess.run([sys.executable, "-m", "adac", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+
+        demo = adac_m("two-flow-demo")
+        assert demo.returncode == 0, demo.stderr
+        assert json.loads(demo.stdout)["adac"] == 400.0
+        usage = adac_m("derive")     # missing required arguments
+        assert usage.returncode == 1 and "Traceback" not in usage.stderr

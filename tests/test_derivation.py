@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -156,6 +157,12 @@ class TestBuildMdp:
         with pytest.raises(ValueError):
             derive(table1, PenaltyMode.adaptive(), k=0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0, -math.inf])
+    def test_alpha_must_be_a_threshold(self, table1, alpha):
+        # at NaN or below 0 every pair would be empty
+        with pytest.raises(ValueError, match="alpha"):
+            derive(table1, PenaltyMode.adaptive(), alpha=alpha)
+
 
 class TestModeAlgebra:
     def test_fixed_zero_equals_averagers(self):
@@ -287,6 +294,14 @@ class TestSerialization:
         assert back.mode == mdp.mode
         assert back.diameter == mdp.diameter
 
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf])
+    def test_only_positive_infinity_is_written_as_inf(self, table1, alpha):
+        mdp = dataclasses.replace(derive(table1, PenaltyMode.adaptive()),
+                                  alpha=alpha)
+        assert json.loads(mdp_to_json(mdp))["alpha"] != "inf"
+        with pytest.raises(ValueError, match="alpha"):
+            mdp_from_json(mdp_to_json(mdp))
+
     def test_finite_alpha_round_trip(self, table1):
         mdp = derive(table1, PenaltyMode.fixed(2.0), alpha=0.5)
         back = mdp_from_json(mdp_to_json(mdp))
@@ -298,6 +313,9 @@ class TestSerialization:
         ("gamma", -0.1, "gamma"),
         ("reward", [[1.0, 2.0]], "shape"),
         ("k", 0, "k 0"),
+        ("alpha", math.nan, "alpha"),
+        ("alpha", -1.0, "alpha"),
+        ("alpha", "-inf", "alpha"),
         ("norm", "chebyshev", "norm"),
         ("transition", "empty row", "not a distribution"),
         ("transition", "index out of range", "not a distribution"),

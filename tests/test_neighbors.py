@@ -14,21 +14,28 @@ from conftest import (brute_force_diameter, brute_force_knn, euclid, manhattan,
                       random_batch, scale_batch)
 
 SQRT52 = math.sqrt(52)
+# fractions hit Manhattan distances on integer coordinates exactly
+ALPHAS = st.one_of(st.just(math.inf), st.floats(0.0, 1.0),
+                   st.builds(lambda p, q: min(p, q) / q,
+                             st.integers(0, 18), st.integers(1, 18)))
 
 
 def found(index, s, a, k, alpha=math.inf):
-    """query's result as a list of (transition index, normalized distance)."""
-    indices, norm_dist = index.query(s, a, k, alpha)
-    return list(zip(indices.tolist(), norm_dist.tolist()))
+    """query's neighbors of action a as a list of (transition index,
+    normalized distance)."""
+    actions, indices, norm_dist = index.query(s, k, alpha)
+    at = actions == a
+    return list(zip(indices[at].tolist(), norm_dist[at].tolist()))
 
 
 class TestBuildIndex:
     def test_worked_example_subindices(self, table1):
         index = build_index(table1)
         assert index.size(0) == 3 and index.size(1) == 3
-        ns_sources = {tuple(p) for p in index._points[0]}
+        lo, mid, hi = index._offsets
+        ns_sources = {tuple(p) for p in index._points[lo:mid]}
         assert ns_sources == {(3.0, 3.0), (6.0, 1.0), (2.0, 3.0)}
-        ew_sources = {tuple(p) for p in index._points[1]}
+        ew_sources = {tuple(p) for p in index._points[mid:hi]}
         assert ew_sources == {(1.0, 5.0), (2.0, 3.0), (0.0, 5.0)}
 
     def test_single_transition_leaves_other_action_empty(self):
@@ -82,11 +89,40 @@ class TestQuery:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
-           norm=st.sampled_from(NORMS), k=st.integers(1, 12),
-           # fractions hit Manhattan distances on integer coordinates exactly
-           alpha=st.one_of(st.just(math.inf), st.floats(0.0, 1.0),
-                           st.builds(lambda p, q: min(p, q) / q,
-                                     st.integers(0, 18), st.integers(1, 18))))
+           norm=st.sampled_from(NORMS), k=st.integers(1, 12), alpha=ALPHAS,
+           unused_actions=st.integers(0, 2))
+    def test_query_matches_brute_force_for_every_action(
+            self, seed, integer_coords, norm, k, alpha, unused_actions):
+        rng = np.random.default_rng(seed)
+        drawn = random_batch(rng, n=int(rng.integers(2, 60)),
+                             dim=int(rng.integers(1, 4)),
+                             actions=int(rng.integers(1, 4)),
+                             integer_coords=integer_coords)
+        # the last unused_actions actions have no sources
+        batch = make_batch(drawn.transitions,
+                           drawn.action_count + unused_actions,
+                           drawn.reward_bound)
+        dist = euclid if norm == "euclidean" else manhattan
+        extra = rng.integers(0, 9, size=(10, batch.dim)).astype(float)
+        if not integer_coords:
+            extra = rng.uniform(0, 8, size=(10, batch.dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            index = build_index(batch, norm)
+        for s in core_states(batch) + [tuple(map(float, x)) for x in extra]:
+            actions, indices, norm_dist = index.query(s, k, alpha)
+            assert np.all(np.diff(actions) >= 0)        # action-major
+            for a in range(batch.action_count):
+                at = actions == a
+                want = brute_force_knn(batch, s, a, k, alpha,
+                                       diam=index.diameter, dist=dist)
+                assert indices[at].tolist() == [i for i, _, _ in want]
+                assert norm_dist[at].tolist() == pytest.approx(
+                    [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
+           norm=st.sampled_from(NORMS), k=st.integers(1, 12), alpha=ALPHAS)
     def test_search_matches_brute_force(self, seed, integer_coords, norm, k,
                                         alpha):
         rng = np.random.default_rng(seed)
@@ -153,7 +189,7 @@ class TestQuery:
     def test_k_must_be_positive(self, table1):
         index = build_index(table1)
         with pytest.raises(ValueError):
-            index.query((0.0, 0.0), 0, 0)
+            index.query((0.0, 0.0), 0)
 
 
 class TestDiameter:

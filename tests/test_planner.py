@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,24 @@ def tiny_mdp(gamma=0.5):
     with pytest.warns(RuntimeWarning):
         return build_mdp(batch, k=1, alpha=math.inf, gamma=gamma,
                          mode=PenaltyMode.averagers())
+
+
+def scalar_lookup_q(mdp, solution, index, s, a):
+    """Q of one action the one-state-one-action way: the neighbors from
+    search([s], a, ...), the reward summed in neighbor order and the
+    continuation over landings in first-occurrence order."""
+    _, sources, norm_dist = index.search([s], a, mdp.k, mdp.alpha)
+    if not len(sources):
+        return 0.0
+    transitions = [index.batch.transitions[i] for i in sources.tolist()]
+    coef = mdp.mode.coefficient([tr.r for tr in transitions])
+    total = 0.0
+    for tr, d in zip(transitions, norm_dist.tolist()):
+        total += tr.r - coef * d
+    landings = Counter(mdp.core_lookup[tr.s_next] for tr in transitions)
+    cont = sum(hits / len(sources) * solution.values[j]
+               for j, hits in landings.items())
+    return total / len(sources) + mdp.gamma * cont
 
 
 def policy_value_by_linear_solve(mdp, policy):
@@ -167,8 +186,36 @@ class TestLookup:
                                       tol=1e-11)
         for si, s in enumerate(mdp.core):
             for a in range(mdp.action_count):
-                got = lookup_q(mdp, sol, index, s, a)
+                got = lookup_q(mdp, sol, index, s)[a]
                 assert got == pytest.approx(sol.q[si, a], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [44, 45, 46])
+    @pytest.mark.parametrize("mode, k, alpha", [
+        (PenaltyMode.averagers(), 5, math.inf),
+        (PenaltyMode.fixed(1.5), 5, 0.3),
+        (PenaltyMode.adaptive(), 5, 0.15),
+        # numpy's pairwise sum reorders at 8 or more terms
+        (PenaltyMode.adaptive(), 12, math.inf)])
+    @pytest.mark.parametrize("norm", ["euclidean", "manhattan"])
+    def test_lookup_equals_the_per_action_formula(self, seed, mode, k, alpha,
+                                                  norm):
+        rng = np.random.default_rng(seed)
+        drawn = random_batch(rng, n=90, dim=3, actions=3, reward_min=-2.0)
+        # action 3 has no sources
+        batch = make_batch(drawn.transitions, 4, drawn.reward_bound)
+        index = build_index(batch, norm)
+        mdp = build_mdp(batch, k=k, alpha=alpha, gamma=0.9, mode=mode,
+                        index=index)
+        sol = value_iteration(mdp, tol=1e-9)
+        off_data = [tuple(map(float, x)) for x in rng.integers(0, 12, (40, 3))]
+        empty = 0
+        for s in list(mdp.core) + off_data:
+            want = [scalar_lookup_q(mdp, sol, index, s, a) for a in range(4)]
+            got = lookup_q(mdp, sol, index, s)
+            assert got.tolist() == want         # bit for bit
+            assert greedy_action(mdp, sol, index, s) == want.index(max(want))
+            empty += len(index.search([s], 0, mdp.k, mdp.alpha)[0]) == 0
+        assert empty > 0 or alpha == math.inf
 
     def test_empty_pair_looks_up_the_floor_not_the_table(self, table1):
         index = build_index(table1)
@@ -176,7 +223,7 @@ class TestLookup:
                         mode=PenaltyMode.adaptive(), index=index)
         sol = value_iteration(mdp, tol=1e-9)
         assert (1, 0) in mdp.empty_pairs
-        assert lookup_q(mdp, sol, index, mdp.core[1], 0) == 0.0
+        assert lookup_q(mdp, sol, index, mdp.core[1])[0] == 0.0
         assert sol.q[1, 0] == pytest.approx(0.9 * sol.values[1], abs=1e-9)
         assert sol.q[1, 0] == pytest.approx(25.4365, abs=1e-4)
 
@@ -197,7 +244,7 @@ class TestLookup:
         for si, s in enumerate(mdp.core):
             for a in range(mdp.action_count):
                 if (si, a) not in empty:
-                    assert lookup_q(mdp, sol, index, s, a) == mdp.reward[si, a]
+                    assert lookup_q(mdp, sol, index, s)[a] == mdp.reward[si, a]
 
     @pytest.mark.parametrize("alpha, gamma", [(math.inf, 0.99), (0.2, 0.9)])
     @pytest.mark.parametrize("mode", [PenaltyMode.averagers(),
@@ -239,13 +286,13 @@ class TestLookup:
             cont = sum(sol.values[core_pos[tr.s_next]]
                        for _, _, tr in dists) / 3
             expected = reward + 0.99 * cont
-            got = lookup_q(mdp, sol, index, (1.0, 4.0), a)
+            got = lookup_q(mdp, sol, index, (1.0, 4.0))[a]
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_tiny_alpha_returns_zero(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.adaptive())
         mdp = dataclasses.replace(mdp, alpha=1e-6)
-        assert lookup_q(mdp, sol, index, (100.0, 100.0), 0) == 0.0
+        assert lookup_q(mdp, sol, index, (100.0, 100.0))[0] == 0.0
 
     def test_no_data_defaults_to_action_zero(self, table1):
         mdp, sol, index = self.solved(table1, PenaltyMode.adaptive())

@@ -5,14 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from adac import policies
 from adac.dataset import load_batch, make_batch, save_batch
 from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import build_index
-from adac.planner import value_iteration
+from adac.planner import greedy_action, value_iteration
 from adac.policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,
                            GreedyDerivedPolicy, ProportionalPolicy,
                            RandomPolicy, collect)
-from adac.traffic import EnvState, IntersectionEnvConfig, two_flow_config
+from adac.traffic import (EnvState, IntersectionEnvConfig, rollout,
+                          two_flow_config)
 
 
 class TestCyclic:
@@ -119,6 +121,34 @@ class TestGreedyDerived:
         first = [policy.act((x, 4.0), t) for t, x in enumerate(range(8))]
         second = [policy.act((x, 4.0), t) for t, x in enumerate(range(8))]
         assert first == second
+
+    def test_decides_every_step_through_greedy_action(self, monkeypatch):
+        config = IntersectionEnvConfig(
+            flows=(("a", 0.5), ("b", 0.8), ("c", 1.0)),
+            phases=((0,), (1,), (2,)), capacity=3, arrivals="poisson",
+            horizon=120)
+        start = EnvState((0, 0, 0))
+        batch = collect(config, CyclicPolicy(3), 3, 120, start,
+                        rng=np.random.default_rng(5))
+        index = build_index(batch)
+        mdp = build_mdp(batch, k=5, alpha=0.8, gamma=0.99,
+                        mode=PenaltyMode.adaptive(), index=index)
+        sol = value_iteration(mdp, tol=1e-8)
+        calls = Counter()
+
+        def counted(*args):
+            calls[tuple(args[3])] += 1
+            return greedy_action(*args)
+
+        monkeypatch.setattr(policies, "greedy_action", counted)
+        episode = rollout(config, start, GreedyDerivedPolicy(mdp, sol, index),
+                          240, rng=np.random.default_rng(6)).transitions
+        states = [tr.s for tr in episode]
+        assert len(set(states)) < len(states)       # the episode revisits
+        # a revisited state is looked up again: nothing is remembered
+        assert calls == Counter(states)
+        assert [tr.a for tr in episode] == [
+            greedy_action(mdp, sol, index, s) for s in states]
 
 
 class TestCollect:

@@ -65,8 +65,9 @@ class TestCoveringNumber:
         assert counts == sorted(counts, reverse=True)
 
     def test_alpha_must_be_positive(self, table1):
-        with pytest.raises(ValueError):
-            covering_number(build_index(table1), 0.0)
+        for alpha in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                covering_number(build_index(table1), alpha)
 
 
 class TestSamplingError:
@@ -165,6 +166,9 @@ class TestPacBound:
         assert report.gap == pytest.approx(expected, abs=1e-9)
         assert report.r_max_bound == 4.0
         assert report.covering_number == 2
+        # only +inf means the whole cloud; NaN is no radius
+        with pytest.raises(ValueError, match="alpha"):
+            pac_bound(table1, mdp, sol, delta=0.1, alpha=math.nan)
 
     def test_zero_error_zero_gap(self):
         # direct formula check: eps_s = 0, d_bar = 0 makes the gap vanish

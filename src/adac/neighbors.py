@@ -1,17 +1,21 @@
 """Per-action exact nearest-neighbor search over batch source pairs.
 
-Pairs with different actions are treated as infinitely distant. The index
-keeps every source state in one array, grouped by action and in
-transition order within an action. Two searches share one selection step,
-which keeps each group's sources at or below its k-th smallest distance,
-orders them by distance with ties broken by lower transition index and
-cuts them at the normalized threshold alpha:
+Pairs with different actions are treated as infinitely distant. States
+of integer queue counts repeat, and so do most source pairs: the index
+keeps each distinct (action, source point) once, grouped by action, with
+its transitions in file order. Both searches measure distances to the
+distinct points only. An action's k-th smallest distance over its
+distinct points is at least its k-th over its transitions, so the
+transitions of the points at or below it hold every exact neighbor and
+every tie. One selection step then orders those candidates by distance,
+ties to the lower transition index, keeps the first k and cuts them at
+the normalized threshold alpha:
 
 - `NeighborIndex.search` finds the neighbors of many states for one
   action, from distances computed in row blocks of at most BLOCK
   elements, and returns one flat row-major table (the derivation's);
 - `NeighborIndex.query` finds the neighbors of one state for every
-  action, from one distance pass over all sources (the one-step lookup's).
+  action, from one distance pass over all points (the one-step lookup's).
 
 Distances are normalized by the exact diameter of the core-state point
 cloud, computed from the same blocked distances.
@@ -38,10 +42,18 @@ def distances(queries: np.ndarray, points: np.ndarray, norm: str) -> np.ndarray:
     Coordinates are accumulated one at a time, in order, so every entry
     equals the sequential sum over coordinates bit for bit.
     """
-    acc = np.zeros((len(queries), len(points)))
+    acc = np.empty((len(queries), len(points)))
+    term = np.empty_like(acc)
     for c in range(points.shape[1]):
-        diff = points[:, c] - queries[:, c, None]
-        acc += diff * diff if norm == "euclidean" else np.abs(diff)
+        # the first coordinate's term starts the sum (0 + term is term)
+        out = term if c else acc
+        np.subtract(points[:, c], queries[:, c, None], out=out)
+        if norm == "euclidean":
+            np.multiply(out, out, out=out)
+        else:
+            np.abs(out, out=out)
+        if c:
+            acc += term
     return np.sqrt(acc, out=acc) if norm == "euclidean" else acc
 
 
@@ -70,17 +82,23 @@ class NeighborIndex:
     diameter: float
     action_count: int
     batch: Batch = field(repr=False)
-    # (n, dim) source coordinates, column-major so that each coordinate is
-    # contiguous, grouped by action and in file order within an action, so
-    # that column order breaks ties by transition index; action a's sources
-    # are rows _offsets[a]:_offsets[a + 1]
+    # (m, dim) distinct source points, column-major so that each coordinate
+    # is contiguous, grouped by action: action a's points are rows
+    # _offsets[a]:_offsets[a + 1], and _point_actions[p] is point p's action
     _points: np.ndarray = field(repr=False)
-    _indices: np.ndarray = field(repr=False)    # (n,) transition indices
-    _actions: np.ndarray = field(repr=False)    # (n,) actions
+    _point_actions: np.ndarray = field(repr=False)
     _offsets: list[int] = field(repr=False)
+    # transition indices grouped by point, in file order within a point:
+    # point p's are _sources[_starts[p]:_starts[p + 1]]; _point_of[i] is the
+    # point of transition i
+    _sources: np.ndarray = field(repr=False)
+    _starts: np.ndarray = field(repr=False)
+    _point_of: np.ndarray = field(repr=False)
 
     def size(self, action: int) -> int:
-        return self._offsets[action + 1] - self._offsets[action]
+        """Number of transitions with the action."""
+        lo, hi = self._offsets[action], self._offsets[action + 1]
+        return int(self._starts[hi] - self._starts[lo])
 
     def search(self, states, a: int, k: int, alpha: float = math.inf
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,15 +118,24 @@ class NeighborIndex:
         if len(pts) == 0:
             return parts[0]
         kth, step = min(k, len(pts)) - 1, max(1, BLOCK // len(pts))
+        n = len(self._sources)
         for start in range(0, len(queries), step):
             d = distances(queries[start:start + step], pts, self.norm)
-            # every source at or below its row's k-th smallest distance, in
-            # row-major order
-            rows, cols = np.nonzero(
+            # every point at or below its row's k-th smallest distance
+            rows, near = np.nonzero(
                 d <= np.partition(d, kth, axis=1)[:, kth, None])
-            rows, cols, norm_dist = self._select(rows, cols, d[rows, cols],
-                                                 k, alpha)
-            parts.append((rows + start, self._indices[lo + cols], norm_dist))
+            # their transitions, candidate by candidate: candidate c's are the
+            # counts[c] entries of _sources from first[c] on
+            first = self._starts[lo + near]
+            counts = self._starts[lo + near + 1] - first
+            shift = np.repeat(first + counts - np.cumsum(counts), counts)
+            sources = self._sources[shift + np.arange(len(shift))]
+            # in (row, transition index) order
+            rows, sources = np.divmod(
+                np.sort(np.repeat(rows, counts) * n + sources), n)
+            rows, sources, norm_dist = self._select(
+                rows, sources, d[rows, self._point_of[sources] - lo], k, alpha)
+            parts.append((rows + start, sources, norm_dist))
         return tuple(np.concatenate(col) for col in zip(*parts))
 
     def query(self, s: State, k: int, alpha: float = math.inf
@@ -122,32 +149,35 @@ class NeighborIndex:
             raise ValueError("k must be >= 1")
         d = distances(np.asarray(s, dtype=float).reshape(
             1, self._points.shape[1]), self._points, self.norm)[0]
-        # each action's k-th smallest distance, and every source at or below
-        # its action's, in column order
+        # each action's k-th smallest distance, and the transitions of every
+        # point at or below its action's, in file order
         kth = np.zeros(self.action_count)
         for a, (lo, hi) in enumerate(zip(self._offsets, self._offsets[1:])):
             if lo < hi:
                 rank = min(k, hi - lo) - 1
                 kth[a] = np.partition(d[lo:hi], rank)[rank]
-        cols = np.flatnonzero(d <= kth[self._actions])
-        actions, cols, norm_dist = self._select(self._actions[cols], cols,
-                                                d[cols], k, alpha)
-        return actions, self._indices[cols], norm_dist
+        sources = np.flatnonzero(
+            (d <= kth[self._point_actions])[self._point_of])
+        points = self._point_of[sources]
+        return self._select(self._point_actions[points], sources, d[points],
+                            k, alpha)
 
-    def _select(self, groups, cols, dist, k, alpha):
+    def _select(self, groups, sources, dist, k, alpha):
         """The selection step of both searches. Given candidates in (group,
-        column) order with their distances, each group's at most k nearest
-        with normalized distance <= alpha, nearest first and ties to the
-        lower column: (groups, columns, normalized distances)."""
-        # the stable sort keeps ties in column order
+        transition index) order, with each group's k nearest and all its
+        ties at the k-th distance among them, and their distances: each
+        group's at most k nearest with normalized distance <= alpha, nearest
+        first and ties to the lower transition index, as (groups, transition
+        indices, normalized distances)."""
+        # the stable sort keeps ties in transition order
         order = np.lexsort((dist, groups))
-        groups, cols = groups[order], cols[order]
+        groups, sources = groups[order], sources[order]
         norm_dist = dist[order] / self.diameter
         # rank within the group: the k nearest and the alpha cut are prefixes
         keep = np.arange(len(groups)) - np.searchsorted(groups, groups) < k
         if alpha != math.inf:
             keep &= norm_dist <= alpha
-        return groups[keep], cols[keep], norm_dist[keep]
+        return groups[keep], sources[keep], norm_dist[keep]
 
 
 def row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -172,11 +202,25 @@ def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
         raise ValueError(f"unknown norm {norm!r}")
     diam = diameter(batch, norm)
     actions = np.array([tr.a for tr in batch.transitions], dtype=int)
-    order = np.argsort(actions, kind="stable")
-    points = np.asfortranarray(np.reshape(
-        [batch.transitions[i].s for i in order.tolist()],
-        (len(order), batch.dim)), dtype=float)
-    offsets = np.searchsorted(actions[order],
+    coords = np.reshape([tr.s for tr in batch.transitions],
+                        (len(actions), batch.dim)).astype(float)
+    # transitions by action, then coordinates; the stable sort keeps each
+    # point's transitions in file order
+    sources = np.lexsort((*coords.T[::-1], actions))
+    actions, coords = actions[sources], coords[sources]
+    # a transition starts a new point where its action or a coordinate
+    # differs from the previous one's; equal coordinates give equal
+    # distances, -0.0 and 0.0 included
+    new = np.ones(len(sources), dtype=bool)
+    new[1:] = (actions[1:] != actions[:-1]) | np.any(
+        coords[1:] != coords[:-1], axis=1)
+    point_of = np.empty(len(sources), dtype=int)
+    point_of[sources] = np.cumsum(new) - 1
+    point_actions = actions[new]
+    offsets = np.searchsorted(point_actions,
                               np.arange(batch.action_count + 1)).tolist()
-    return NeighborIndex(norm, diam, batch.action_count, batch, points, order,
-                         actions[order], offsets)
+    return NeighborIndex(norm, diam, batch.action_count, batch,
+                         np.asfortranarray(coords[new]), point_actions,
+                         offsets, sources,
+                         np.append(np.flatnonzero(new), len(sources)),
+                         point_of)

@@ -53,12 +53,17 @@ def covering_number(index: NeighborIndex, alpha: float) -> int:
 
     Scan in file order; a pair becomes a center unless an existing center
     with the same action lies within normalized distance alpha. Pairs with
-    different actions are infinitely distant.
+    different actions are infinitely distant. A repeated pair is skipped:
+    it lies within alpha of whatever covered its first occurrence.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     centers: dict[int, list[State]] = {}
+    scanned: set[tuple[int, State]] = set()
     for tr in index.batch.transitions:
+        if (tr.a, tr.s) in scanned:
+            continue
+        scanned.add((tr.a, tr.s))
         own = centers.setdefault(tr.a, [])
         if not own or distances(np.asarray([tr.s]), np.asarray(own),
                                 index.norm).min() / index.diameter > alpha:

@@ -51,6 +51,18 @@ def brute_force_diameter(batch, dist=euclid):
     return best if best > 0 else 1.0
 
 
+def brute_force_cover(batch, alpha, diam, dist=euclid):
+    """Reference greedy alpha-net: every transition's (source, action) pair
+    in file order, repeats included, becomes a center unless a center with
+    the same action lies within normalized distance alpha."""
+    centers = []
+    for tr in batch.transitions:
+        if not any(ca == tr.a and dist(cs, tr.s) / diam <= alpha
+                   for cs, ca in centers):
+            centers.append((tr.s, tr.a))
+    return centers
+
+
 def brute_force_mdp(batch, k, alpha, mode, diam=None, dist=euclid):
     """Reference derivation in plain Python on top of brute_force_knn.
 

@@ -8,16 +8,66 @@ from hypothesis import strategies as st
 
 from adac import neighbors
 from adac.dataset import Transition, core_states, make_batch
+from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import NORMS, build_index, diameter
 
-from conftest import (brute_force_diameter, brute_force_knn, euclid, manhattan,
-                      random_batch, scale_batch)
+from conftest import (brute_force_diameter, brute_force_knn, brute_force_mdp,
+                      euclid, manhattan, random_batch, scale_batch)
 
 SQRT52 = math.sqrt(52)
 # fractions hit Manhattan distances on integer coordinates exactly
 ALPHAS = st.one_of(st.just(math.inf), st.floats(0.0, 1.0),
                    st.builds(lambda p, q: min(p, q) / q,
                              st.integers(0, 18), st.integers(1, 18)))
+# coordinates in 0..1 or 0..2 make most sources share a point, within an
+# action and across actions
+COORD_MAX = st.sampled_from([1, 2, 6])
+
+
+# action 0's nearest point to (0, 0) holds three transitions, and its two
+# points at distance 1 hold two each, with interleaved transition indices
+REPEATED = make_batch([
+    Transition(s, a, r, sp, 0, t) for t, (s, a, r, sp) in enumerate([
+        ((0.0, 0.0), 0, 1.0, (1.0, 0.0)), ((1.0, 0.0), 0, 2.0, (0.0, 1.0)),
+        ((0.0, 0.0), 0, 3.0, (1.0, 1.0)), ((0.0, 1.0), 0, 1.5, (0.0, 0.0)),
+        ((1.0, 0.0), 0, 0.5, (0.0, 0.0)), ((0.0, 0.0), 0, 2.5, (1.0, 0.0)),
+        ((0.0, 1.0), 0, 4.0, (1.0, 1.0)), ((0.0, 0.0), 1, 1.0, (0.0, 0.0)),
+        ((0.0, 0.0), 1, 2.0, (0.0, 1.0))])])
+
+
+def groups(index):
+    """Per action, each distinct source point of the index with its
+    transition indices."""
+    return [{tuple(index._points[p].tolist()):
+             index._sources[index._starts[p]:index._starts[p + 1]].tolist()
+             for p in range(lo, hi)}
+            for lo, hi in zip(index._offsets, index._offsets[1:])]
+
+
+def check_against_brute_force(batch, states, norm, k, alpha):
+    """search and query of every action, and build_mdp, against the
+    brute-force oracles."""
+    dist = euclid if norm == "euclidean" else manhattan
+    index = build_index(batch, norm)
+    for a in range(batch.action_count):
+        rows, indices, norm_dist = index.search(states, a, k, alpha)
+        for row, s in enumerate(states):
+            want = brute_force_knn(batch, s, a, k, alpha,
+                                   diam=index.diameter, dist=dist)
+            at = rows == row
+            assert indices[at].tolist() == [i for i, _, _ in want]
+            assert norm_dist[at].tolist() == pytest.approx(
+                [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
+            assert found(index, s, a, k, alpha) == list(
+                zip(indices[at].tolist(), norm_dist[at].tolist()))
+    mode = PenaltyMode.adaptive()
+    mdp = build_mdp(batch, k, alpha, mode=mode, index=index)
+    core, reward, transition, empty = brute_force_mdp(
+        batch, k, alpha, mode, diam=index.diameter, dist=dist)
+    assert list(mdp.core) == core
+    assert mdp.reward == pytest.approx(np.array(reward), abs=1e-12)
+    assert mdp.transition == transition
+    assert mdp.empty_pairs == empty
 
 
 def found(index, s, a, k, alpha=math.inf):
@@ -32,11 +82,18 @@ class TestBuildIndex:
     def test_worked_example_subindices(self, table1):
         index = build_index(table1)
         assert index.size(0) == 3 and index.size(1) == 3
-        lo, mid, hi = index._offsets
-        ns_sources = {tuple(p) for p in index._points[lo:mid]}
-        assert ns_sources == {(3.0, 3.0), (6.0, 1.0), (2.0, 3.0)}
-        ew_sources = {tuple(p) for p in index._points[mid:hi]}
-        assert ew_sources == {(1.0, 5.0), (2.0, 3.0), (0.0, 5.0)}
+        assert groups(index) == [
+            {(3.0, 3.0): [1], (6.0, 1.0): [2], (2.0, 3.0): [5]},
+            {(1.0, 5.0): [0], (2.0, 3.0): [3], (0.0, 5.0): [4]}]
+
+    def test_repeated_sources_share_one_point(self):
+        index = build_index(REPEATED)
+        assert index.size(0) == 7 and index.size(1) == 2
+        assert groups(index) == [
+            {(0.0, 0.0): [0, 2, 5], (1.0, 0.0): [1, 4], (0.0, 1.0): [3, 6]},
+            {(0.0, 0.0): [7, 8]}]
+        for i, tr in enumerate(REPEATED.transitions):
+            assert tuple(index._points[index._point_of[i]]) == tr.s
 
     def test_single_transition_leaves_other_action_empty(self):
         batch = make_batch([Transition((1.0, 1.0), 0, 1.0, (2.0, 2.0), 0, 0)],
@@ -90,22 +147,25 @@ class TestQuery:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
            norm=st.sampled_from(NORMS), k=st.integers(1, 12), alpha=ALPHAS,
-           unused_actions=st.integers(0, 2))
+           unused_actions=st.integers(0, 2), coord_max=COORD_MAX)
     def test_query_matches_brute_force_for_every_action(
-            self, seed, integer_coords, norm, k, alpha, unused_actions):
+            self, seed, integer_coords, norm, k, alpha, unused_actions,
+            coord_max):
         rng = np.random.default_rng(seed)
         drawn = random_batch(rng, n=int(rng.integers(2, 60)),
                              dim=int(rng.integers(1, 4)),
                              actions=int(rng.integers(1, 4)),
+                             coord_max=coord_max,
                              integer_coords=integer_coords)
         # the last unused_actions actions have no sources
         batch = make_batch(drawn.transitions,
                            drawn.action_count + unused_actions,
                            drawn.reward_bound)
         dist = euclid if norm == "euclidean" else manhattan
-        extra = rng.integers(0, 9, size=(10, batch.dim)).astype(float)
+        extra = rng.integers(0, coord_max + 3,
+                             size=(10, batch.dim)).astype(float)
         if not integer_coords:
-            extra = rng.uniform(0, 8, size=(10, batch.dim))
+            extra = rng.uniform(0, coord_max + 2, size=(10, batch.dim))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             index = build_index(batch, norm)
@@ -122,17 +182,20 @@ class TestQuery:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
-           norm=st.sampled_from(NORMS), k=st.integers(1, 12), alpha=ALPHAS)
+           norm=st.sampled_from(NORMS), k=st.integers(1, 12), alpha=ALPHAS,
+           coord_max=COORD_MAX)
     def test_search_matches_brute_force(self, seed, integer_coords, norm, k,
-                                        alpha):
+                                        alpha, coord_max):
         rng = np.random.default_rng(seed)
         batch = random_batch(rng, n=int(rng.integers(2, 60)),
                              dim=int(rng.integers(1, 4)),
+                             coord_max=coord_max,
                              integer_coords=integer_coords)
         dist = euclid if norm == "euclidean" else manhattan
-        extra = rng.integers(0, 7, size=(10, batch.dim)).astype(float)
+        extra = rng.integers(0, coord_max + 1,
+                             size=(10, batch.dim)).astype(float)
         if not integer_coords:
-            extra = rng.uniform(0, 6, size=(10, batch.dim))
+            extra = rng.uniform(0, coord_max, size=(10, batch.dim))
         states = core_states(batch) + [tuple(map(float, x)) for x in extra]
         with pytest.MonkeyPatch.context() as mp:
             # small blocks, so one call spans several of them
@@ -168,6 +231,45 @@ class TestQuery:
         assert [i for i, _ in first] == [0, 1]
         for _ in range(5):
             assert found(index, (0.0, 0.0), 0, 2) == first
+
+    def test_nearest_point_holds_more_than_k(self):
+        index = build_index(REPEATED)
+        assert found(index, (0.0, 0.0), 0, 2) == [(0, 0.0), (2, 0.0)]
+        assert found(index, (0.0, 0.0), 1, 1) == [(7, 0.0)]
+
+    def test_kth_distance_ties_across_points(self):
+        index = build_index(REPEATED)
+        # points (1, 0) and (0, 1) tie at distance 1: their transitions
+        # 1, 4 and 3, 6 interleave by index
+        assert [i for i, _ in found(index, (0.0, 0.0), 0, 5)] == [0, 2, 5, 1, 3]
+        assert [i for i, _ in found(index, (1.0, 1.0), 0, 3)] == [1, 3, 4]
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("k, alpha", [(1, math.inf), (2, math.inf),
+                                          (4, 0.8), (5, math.inf),
+                                          (6, 0.75), (9, math.inf)])
+    def test_repeated_points_match_brute_force(self, norm, k, alpha):
+        states = core_states(REPEATED) + [(0.5, 0.5), (2.0, 0.0), (0.0, 3.0)]
+        check_against_brute_force(REPEATED, states, norm, k, alpha)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_negative_zero_shares_the_point_of_zero(self, norm):
+        batch = make_batch([
+            Transition((-0.0, 1.0), 0, 1.0, (0.0, 2.0), 0, 0),
+            Transition((1.0, 1.0), 0, 2.0, (-0.0, 1.0), 0, 1),
+            Transition((0.0, 1.0), 0, 3.0, (1.0, 0.0), 0, 2),
+            Transition((0.0, 2.0), 1, 4.0, (0.0, 1.0), 0, 3)],
+            action_count=2)
+        index = build_index(batch, norm)
+        assert groups(index) == [{(-0.0, 1.0): [0, 2], (1.0, 1.0): [1]},
+                                 {(0.0, 2.0): [3]}]
+        for s in ((0.0, 1.0), (-0.0, 1.0), (-0.0, 0.0)):
+            got = found(index, s, 0, 2)
+            assert [i for i, _ in got] == [0, 2]
+            assert got[0][1] == got[1][1]
+        states = core_states(batch) + [(-0.0, 0.0), (0.0, -0.0), (3.0, 0.0)]
+        for k in (1, 2, 3):
+            check_against_brute_force(batch, states, norm, k, math.inf)
 
     def test_monotone_in_k_and_alpha(self, table1):
         rng = np.random.default_rng(22)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,25 +12,12 @@ from adac.planner import value_iteration
 from adac.theory import (canonical_shaping, covering_number, d_bar_max,
                          k_window, pac_bound, sampling_error)
 
-from conftest import euclid, random_batch
+from conftest import brute_force_cover, euclid, manhattan, random_batch
 
 SQRT52 = math.sqrt(52)
 
 
-def greedy_cover_oracle(pairs, alpha, diam):
-    """Reference greedy net: explicit scan, same-action distance only."""
-    centers = []
-    for s, a in pairs:
-        if not any(ca == a and euclid(cs, s) / diam <= alpha
-                   for cs, ca in centers):
-            centers.append((s, a))
-    return centers
-
-
 class TestCoveringNumber:
-    def pairs(self, batch):
-        return [(tr.s, tr.a) for tr in batch.transitions]
-
     def test_alpha_one_gives_one_center_per_action(self, table1):
         assert covering_number(build_index(table1), 1.0) == 2
 
@@ -38,7 +26,7 @@ class TestCoveringNumber:
 
     def test_alpha_point_two(self, table1):
         got = covering_number(build_index(table1), 0.2)
-        oracle = greedy_cover_oracle(self.pairs(table1), 0.2, SQRT52)
+        oracle = brute_force_cover(table1, 0.2, SQRT52)
         assert got == len(oracle) == 4
 
     def test_matches_oracle_on_random_batches(self):
@@ -48,15 +36,34 @@ class TestCoveringNumber:
             from adac.neighbors import diameter
             diam = diameter(batch)
             for alpha in (0.1, 0.3, 0.7):
-                oracle = greedy_cover_oracle(self.pairs(batch), alpha, diam)
+                oracle = brute_force_cover(batch, alpha, diam)
                 got = covering_number(build_index(batch), alpha)
                 assert got == len(oracle)
 
+    def test_matches_oracle_on_repeated_pairs(self):
+        # coordinates in 0..2 repeat most (source, action) pairs, which the
+        # scan skips and the oracle scans again
+        rng = np.random.default_rng(52)
+        for _ in range(8):
+            batch = random_batch(rng, n=int(rng.integers(20, 120)),
+                                 dim=int(rng.integers(1, 4)),
+                                 actions=int(rng.integers(1, 4)),
+                                 coord_max=int(rng.integers(1, 3)))
+            for norm, dist in (("euclidean", euclid),
+                               ("manhattan", manhattan)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    index = build_index(batch, norm)
+                for alpha in (0.05, 0.2, 0.5, 1.0):
+                    oracle = brute_force_cover(batch, alpha, index.diameter,
+                                               dist)
+                    assert covering_number(index, alpha) == len(oracle)
+
     def test_every_pair_within_alpha_of_a_center(self, table1):
         alpha = 0.2
-        centers = greedy_cover_oracle(self.pairs(table1), alpha, SQRT52)
-        for s, a in self.pairs(table1):
-            assert any(ca == a and euclid(cs, s) / SQRT52 <= alpha
+        centers = brute_force_cover(table1, alpha, SQRT52)
+        for tr in table1.transitions:
+            assert any(ca == tr.a and euclid(cs, tr.s) / SQRT52 <= alpha
                        for cs, ca in centers)
 
     def test_non_increasing_in_alpha(self, table1):

@@ -8,6 +8,7 @@ ADAC_SEED sets the default seed.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -207,13 +208,7 @@ def cmd_eval(args):
     report = evaluation.evaluate(config, policy, args.episodes, args.horizon,
                                  args.gamma, seeds=seeds,
                                  start=_start_state(args, config))
-    _print_json({
-        "policy": report.policy, "episodes": report.episodes,
-        "mean_return": report.mean_return, "min_return": report.min_return,
-        "max_return": report.max_return,
-        "mean_discounted": report.mean_discounted,
-        "episode_returns": report.episode_returns, "seeds": report.seeds,
-    }, args.out)
+    _print_json(dataclasses.asdict(report), args.out)
 
 
 def cmd_sweep_c(args):
@@ -249,16 +244,7 @@ def cmd_bounds(args):
     report = theory.pac_bound(batch, mdp, solution, args.delta,
                               alpha=None if args.alpha is None
                               else _parse_alpha(args.alpha))
-    _print_json({
-        "covering_number": report.covering_number,
-        "epsilon_s": report.epsilon_s,
-        "k_min": report.k_min, "k_max": report.k_max,
-        "k_window_empty": report.k_window_empty,
-        "d_bar_max": report.d_bar_max, "gap": report.gap,
-        "delta": report.delta, "q_max": report.q_max,
-        "q_max_ceiling": report.q_max_ceiling,
-        "r_max_bound": report.r_max_bound, "gamma": report.gamma,
-    }, args.out)
+    _print_json(dataclasses.asdict(report), args.out)
 
 
 def cmd_cover(args):

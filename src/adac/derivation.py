@@ -18,17 +18,17 @@ absorbing self-loop.
 `build_mdp` reduces the core states' neighbor table, one kernel call per
 action (`NeighborIndex.search`), with array operations: neighbor counts,
 the per-row r_max, the shaped reward as a row sum in neighbor order, and
-landing rows from unique (row, landing core state) keys.
+landing rows from unique (row, landing core state) keys. The core states,
+the rewards and the landing core states come from the index.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dataset import Batch, State, core_states
+from .dataset import Batch, State
 from .neighbors import NORMS, NeighborIndex, build_index, row_sums
 
 
@@ -40,8 +40,9 @@ class PenaltyMode:
     def __post_init__(self):
         if self.kind not in ("averagers", "fixed", "adaptive"):
             raise ValueError(f"unknown penalty mode {self.kind!r}")
-        if self.c < 0:
-            raise ValueError("cost parameter must be >= 0")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"cost parameter must be finite and >= 0, "
+                             f"got {self.c!r}")
 
     @staticmethod
     def averagers() -> "PenaltyMode":
@@ -94,11 +95,6 @@ class DerivedMdp:
     norm: str
     empty_pairs: list[tuple[int, int]]
 
-    @cached_property
-    def core_lookup(self) -> dict[State, int]:
-        """Row index of each core state."""
-        return {s: i for i, s in enumerate(self.core)}
-
     def num_states(self) -> int:
         return len(self.core)
 
@@ -119,19 +115,15 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
         index = build_index(batch)
     elif index.batch != batch:
         raise ValueError("the index was built over another batch")
-    core = tuple(core_states(batch))
-    n, actions = len(core), batch.action_count
+    n, actions = len(index.core), batch.action_count
     targets = list(range(n))    # int objects shared by all the rows' keys
-    lookup = dict(zip(core, targets))
-    rewards = np.array([tr.r for tr in batch.transitions])
-    landing = np.array([lookup[tr.s_next] for tr in batch.transitions])
     reward = np.zeros((n, actions))
     realized = np.zeros((n, actions), dtype=int)    # neighbor counts
     columns = []
     for a in range(actions):
-        rows, sources, norm_dist = index.search(core, a, k, alpha)
+        rows, sources, norm_dist = index.search(index.core, a, k, alpha)
         realized[:, a] = counts = np.bincount(rows, minlength=n)
-        r = rewards[sources]
+        r = index.rewards[sources]
         if mode.kind == "adaptive":     # r_max: the largest reward of each row
             coef = np.full(n, -np.inf)
             np.maximum.at(coef, rows, r)
@@ -140,14 +132,15 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
         total = row_sums(rows, r - coef[rows] * norm_dist, n)
         np.divide(total, counts, out=reward[:, a], where=counts > 0)
         # one cell per (row, landing core state), sorted by both
-        keys, hits = np.unique(rows * n + landing[sources], return_counts=True)
+        keys, hits = np.unique(rows * n + index.landing[sources],
+                               return_counts=True)
         row_of = keys // n
         cells = list(zip([targets[j] for j in (keys % n).tolist()],
                          (hits / counts[row_of]).tolist()))
         ends = np.searchsorted(row_of, np.arange(n + 1)).tolist()
         columns.append([dict(cells[lo:hi]) if lo < hi else {si: 1.0}
                         for si, (lo, hi) in enumerate(zip(ends, ends[1:]))])
-    return DerivedMdp(core, actions, reward,
+    return DerivedMdp(index.core, actions, reward,
                       [list(per_state) for per_state in zip(*columns)], gamma,
                       mode, k, alpha, index.diameter, index.norm,
                       list(map(tuple, np.argwhere(realized == 0).tolist())))
@@ -205,8 +198,10 @@ def _check_mdp(mdp: DerivedMdp) -> None:
     n, actions = mdp.num_states(), mdp.action_count
     if not 0 <= mdp.gamma < 1:
         raise ValueError(f"MDP gamma {mdp.gamma} outside [0, 1)")
-    if mdp.k < 1:
-        raise ValueError(f"MDP k {mdp.k} below 1")
+    if type(actions) is not int:
+        raise ValueError(f"MDP action_count {actions!r} is not an integer")
+    if type(mdp.k) is not int or mdp.k < 1:
+        raise ValueError(f"MDP k {mdp.k!r} is not an integer >= 1")
     if not mdp.alpha >= 0:
         raise ValueError(f"MDP alpha {mdp.alpha} is not a threshold >= 0")
     if mdp.norm not in NORMS:

@@ -13,7 +13,7 @@ computed values only.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -241,8 +241,7 @@ def reconstruction_batch(collect_horizon: int = 10) -> Batch:
     lead_ew = collect(config, FixedCyclePolicy([EW, NS]), 1,
                       collect_horizon, start)
     transitions = list(lead_ns.transitions)
-    transitions += [Transition(tr.s, tr.a, tr.r, tr.s_next, 1, tr.t)
-                    for tr in lead_ew.transitions]
+    transitions += [replace(tr, traj_id=1) for tr in lead_ew.transitions]
     return make_batch(transitions, action_count=2,
                       reward_bound=lead_ns.reward_bound)
 

@@ -17,8 +17,11 @@ the normalized threshold alpha:
 - `NeighborIndex.query` finds the neighbors of one state for every
   action, from one distance pass over all points (the one-step lookup's).
 
-Distances are normalized by the exact diameter of the core-state point
-cloud, computed from the same blocked distances.
+The index also holds the batch in the array form the derivation and the
+lookup read: the core states (the distinct next states, in order of first
+appearance), each transition's reward and each transition's landing core
+row. Distances are normalized by the exact diameter of the core-state
+point cloud, computed from the same blocked distances.
 """
 
 import math
@@ -57,13 +60,14 @@ def distances(queries: np.ndarray, points: np.ndarray, norm: str) -> np.ndarray:
     return np.sqrt(acc, out=acc) if norm == "euclidean" else acc
 
 
-def diameter(batch: Batch, norm: str = "euclidean") -> float:
-    """Exact diameter of the core-state cloud.
+def diameter(points, norm: str = "euclidean") -> float:
+    """Exact diameter of a point cloud (the core states), given as a
+    sequence of states.
 
     Degenerate clouds (fewer than two distinct points) get the sentinel
     1.0 so normalized distances equal raw ones.
     """
-    pts = np.asfortranarray(core_states(batch), dtype=float)
+    pts = np.asfortranarray(points, dtype=float)
     step = max(1, BLOCK // len(pts))
     # each block of rows against itself and every later point
     best = max((float(distances(pts[i:i + step], pts[i:], norm).max())
@@ -82,6 +86,11 @@ class NeighborIndex:
     diameter: float
     action_count: int
     batch: Batch = field(repr=False)
+    # the distinct next states in order of first appearance; transition i
+    # has reward rewards[i] and lands in core state landing[i]
+    core: tuple[State, ...] = field(repr=False)
+    rewards: np.ndarray = field(repr=False)
+    landing: np.ndarray = field(repr=False)
     # (m, dim) distinct source points, column-major so that each coordinate
     # is contiguous, grouped by action: action a's points are rows
     # _offsets[a]:_offsets[a + 1], and _point_actions[p] is point p's action
@@ -99,6 +108,13 @@ class NeighborIndex:
         """Number of transitions with the action."""
         lo, hi = self._offsets[action], self._offsets[action + 1]
         return int(self._starts[hi] - self._starts[lo])
+
+    def points(self, action: int) -> np.ndarray:
+        """The action's distinct source points, by first appearance."""
+        lo, hi = self._offsets[action], self._offsets[action + 1]
+        # each point's first transition (a point's are in file order)
+        first = self._sources[self._starts[lo:hi]]
+        return self._points[lo:hi][np.argsort(first)]
 
     def search(self, states, a: int, k: int, alpha: float = math.inf
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,7 +216,11 @@ def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
     """
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}")
-    diam = diameter(batch, norm)
+    core = tuple(core_states(batch))
+    diam = diameter(core, norm)
+    row_of = dict(zip(core, range(len(core))))
+    landing = np.array([row_of[tr.s_next] for tr in batch.transitions])
+    rewards = np.array([tr.r for tr in batch.transitions])
     actions = np.array([tr.a for tr in batch.transitions], dtype=int)
     coords = np.reshape([tr.s for tr in batch.transitions],
                         (len(actions), batch.dim)).astype(float)
@@ -219,8 +239,8 @@ def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
     point_actions = actions[new]
     offsets = np.searchsorted(point_actions,
                               np.arange(batch.action_count + 1)).tolist()
-    return NeighborIndex(norm, diam, batch.action_count, batch,
-                         np.asfortranarray(coords[new]), point_actions,
-                         offsets, sources,
+    return NeighborIndex(norm, diam, batch.action_count, batch, core, rewards,
+                         landing, np.asfortranarray(coords[new]),
+                         point_actions, offsets, sources,
                          np.append(np.flatnonzero(new), len(sources)),
                          point_of)

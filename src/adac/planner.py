@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .dataset import State, core_states
+from .dataset import State
 from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 
@@ -99,19 +99,20 @@ def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
     """
     actions, sources, norm_dist = index.query(s, mdp.k, mdp.alpha)
     q = np.zeros(mdp.action_count)
-    transitions = [index.batch.transitions[i] for i in sources.tolist()]
+    rewards = index.rewards[sources].tolist()
+    landing = index.landing[sources].tolist()
     ends = np.searchsorted(actions, np.arange(mdp.action_count + 1)).tolist()
     norm_dist = norm_dist.tolist()
     for a, (lo, hi) in enumerate(zip(ends, ends[1:])):
         if lo == hi:
             continue
-        own = transitions[lo:hi]
-        coef = mdp.mode.coefficient([tr.r for tr in own])
+        own = rewards[lo:hi]
+        coef = mdp.mode.coefficient(own)
         total = 0.0
-        for tr, d in zip(own, norm_dist[lo:hi]):
-            total += tr.r - coef * d
+        for r, d in zip(own, norm_dist[lo:hi]):
+            total += r - coef * d
         # the continuation sums over landings in first-occurrence order
-        landings = Counter(mdp.core_lookup[tr.s_next] for tr in own)
+        landings = Counter(landing[lo:hi])
         cont = sum(hits / len(own) * solution.values[j]
                    for j, hits in landings.items())
         q[a] = total / len(own) + mdp.gamma * cont
@@ -181,7 +182,7 @@ def check_artifacts(index: NeighborIndex, mdp: DerivedMdp,
     """ValueError unless the MDP was derived with the index (its batch's
     core states, its norm and its diameter) and the solution has the
     MDP's shape."""
-    if core_states(index.batch) != list(mdp.core):
+    if index.core != mdp.core:
         raise ValueError("the source batch's core states differ from the "
                          "MDP's: not the batch it was derived from")
     if (index.norm, index.diameter) != (mdp.norm, mdp.diameter):

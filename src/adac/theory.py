@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Batch, State
+from .dataset import Batch
 from .derivation import DerivedMdp, PenaltyMode
 from .neighbors import NeighborIndex, build_index, distances, row_sums
 from .planner import Solution, check_artifacts
@@ -51,24 +51,26 @@ def covering_number(index: NeighborIndex, alpha: float) -> int:
     """Greedy alpha-net size over the (source state, action) pairs of the
     index's batch, in the index's norm and normalized by its diameter.
 
-    Scan in file order; a pair becomes a center unless an existing center
+    The file-order scan: a pair becomes a center unless an earlier center
     with the same action lies within normalized distance alpha. Pairs with
-    different actions are infinitely distant. A repeated pair is skipped:
-    it lies within alpha of whatever covered its first occurrence.
+    different actions are infinitely distant, and a repeated pair lies
+    within alpha of whatever covered its first occurrence. So, action by
+    action over the distinct points in order of first appearance, the
+    first point not yet covered becomes a center and covers every point
+    within alpha of it.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    centers: dict[int, list[State]] = {}
-    scanned: set[tuple[int, State]] = set()
-    for tr in index.batch.transitions:
-        if (tr.a, tr.s) in scanned:
-            continue
-        scanned.add((tr.a, tr.s))
-        own = centers.setdefault(tr.a, [])
-        if not own or distances(np.asarray([tr.s]), np.asarray(own),
-                                index.norm).min() / index.diameter > alpha:
-            own.append(tr.s)
-    return sum(len(own) for own in centers.values())
+    count = 0
+    for a in range(index.action_count):
+        points = index.points(a)
+        uncovered = np.ones(len(points), dtype=bool)
+        while uncovered.any():
+            center = points[np.argmax(uncovered), None]
+            dist = distances(center, points, index.norm)[0] / index.diameter
+            uncovered &= dist > alpha
+            count += 1
+    return count
 
 
 def sampling_error(q_max: float, k: int, n_cov: int, delta: float) -> float:

@@ -42,23 +42,19 @@ class IntersectionEnvConfig:
             raise ValueError("capacity must be a positive integer")
         if self.arrivals not in ("deterministic", "poisson"):
             raise ValueError(f"unknown arrival model {self.arrivals!r}")
-        for _, rate in self.flows:
-            if rate < 0:
-                raise ValueError("arrival rates must be non-negative")
-            if self.arrivals == "deterministic" and rate != int(rate):
-                raise ValueError("deterministic arrivals require integer rates")
-        if self.schedule is not None:
-            for steps, seg_rates in self.schedule:
-                if steps < 1:
-                    raise ValueError("schedule entries need positive durations")
-                if len(seg_rates) != len(self.flows):
-                    raise ValueError("schedule rate vector length mismatch")
-                for rate in seg_rates:
-                    if rate < 0:
-                        raise ValueError("arrival rates must be non-negative")
-                    if self.arrivals == "deterministic" and rate != int(rate):
-                        raise ValueError(
-                            "deterministic arrivals require integer rates")
+        for steps, seg_rates in self.schedule or ():
+            if steps < 1:
+                raise ValueError("schedule entries need positive durations")
+            if len(seg_rates) != len(self.flows):
+                raise ValueError("schedule rate vector length mismatch")
+        # the flows' rates, then every schedule segment's
+        for rates in (self.rates, *(seg for _, seg in self.schedule or ())):
+            for rate in rates:
+                if rate < 0:
+                    raise ValueError("arrival rates must be non-negative")
+                if self.arrivals == "deterministic" and rate != int(rate):
+                    raise ValueError(
+                        "deterministic arrivals require integer rates")
 
     @property
     def action_count(self) -> int:

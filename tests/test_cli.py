@@ -140,6 +140,17 @@ class TestExitCodes:
         assert code == 2
         assert "convergence" in err.lower() or "sweeps" in err.lower()
 
+    @pytest.mark.parametrize("cost", ["nan", "inf"])
+    def test_derive_rejects_a_non_finite_cost(self, tmp_path, capsys,
+                                              pipeline, cost):
+        batch, _, _ = pipeline
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "derive", "--batch", str(batch),
+                           "--penalty", f"fixed:{cost}", "--out", str(out))
+        assert code == 1
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, value, message", [
         ("--max-iters", "0", "max_iters"),
         ("--tol", "nan", "tol"),
@@ -192,6 +203,23 @@ class TestExitCodes:
                            "--out", str(tmp_path / "s.json"))
         assert code == 1
         assert message in err
+
+    @pytest.mark.parametrize("field, value", [("k", 2.5), ("k", True),
+                                              ("action_count", 2.0)])
+    def test_solve_and_greedy_eval_reject_a_non_integer(
+            self, tmp_path, capsys, pipeline, field, value):
+        batch, mdp, solution = pipeline
+        doc = json.loads(mdp.read_text())
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--mdp", str(bad),
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 1
+        assert f"{field} {value!r}" in err and "Traceback" not in err
+        code, _, err = greedy_eval(capsys, bad, solution, batch)
+        assert code == 1
+        assert f"{field} {value!r}" in err and "Traceback" not in err
 
     def test_greedy_eval_rejects_another_source_batch(self, tmp_path, capsys,
                                                       pipeline):

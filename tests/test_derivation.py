@@ -313,6 +313,10 @@ class TestSerialization:
         ("gamma", -0.1, "gamma"),
         ("reward", [[1.0, 2.0]], "shape"),
         ("k", 0, "k 0"),
+        ("k", 2.5, "k 2.5"),
+        ("k", True, "k True"),
+        ("action_count", 2.0, "action_count 2.0"),
+        ("action_count", True, "action_count True"),
         ("alpha", math.nan, "alpha"),
         ("alpha", -1.0, "alpha"),
         ("alpha", "-inf", "alpha"),
@@ -344,3 +348,10 @@ class TestSerialization:
             PenaltyMode.parse("bogus")
         with pytest.raises(ValueError):
             PenaltyMode.fixed(-1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_penalty_rejects_a_non_finite_cost(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyMode.fixed(c)
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyMode.parse(f"fixed:{c}")

@@ -296,20 +296,21 @@ class TestQuery:
 
 class TestDiameter:
     def test_worked_example_exact(self, table1):
-        assert diameter(table1) == pytest.approx(math.sqrt(52), abs=1e-12)
+        assert diameter(core_states(table1)) == pytest.approx(math.sqrt(52),
+                                                              abs=1e-12)
 
     def test_achieved_by_expected_pair(self, table1):
         assert euclid((0.0, 5.0), (6.0, 1.0)) == pytest.approx(
-            diameter(table1), abs=1e-12)
+            diameter(core_states(table1)), abs=1e-12)
 
     def test_degenerate_cloud_sentinel(self):
         rows = [Transition((1.0, 1.0), 0, 1.0, (2.0, 2.0), 0, 0),
                 Transition((3.0, 3.0), 0, 1.0, (2.0, 2.0), 0, 1)]
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            assert diameter(make_batch(rows)) == 1.0
+            assert diameter(core_states(make_batch(rows))) == 1.0
 
     def test_manhattan_mode(self, table1):
-        d = diameter(table1, norm="manhattan")
+        d = diameter(core_states(table1), norm="manhattan")
         best = 0.0
         core = [(3.0, 3.0), (1.0, 5.0), (2.0, 3.0), (6.0, 1.0), (0.0, 5.0)]
         for i in range(len(core)):

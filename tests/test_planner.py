@@ -40,7 +40,7 @@ def scalar_lookup_q(mdp, solution, index, s, a):
     total = 0.0
     for tr, d in zip(transitions, norm_dist.tolist()):
         total += tr.r - coef * d
-    landings = Counter(mdp.core_lookup[tr.s_next] for tr in transitions)
+    landings = Counter(mdp.core.index(tr.s_next) for tr in transitions)
     cont = sum(hits / len(sources) * solution.values[j]
                for j, hits in landings.items())
     return total / len(sources) + mdp.gamma * cont

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adac.dataset import make_batch
+from adac.dataset import Transition, make_batch
 from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import build_index
 from adac.planner import value_iteration
@@ -33,16 +33,39 @@ class TestCoveringNumber:
         rng = np.random.default_rng(51)
         for _ in range(10):
             batch = random_batch(rng, n=int(rng.integers(5, 50)))
-            from adac.neighbors import diameter
-            diam = diameter(batch)
+            diam = build_index(batch).diameter
             for alpha in (0.1, 0.3, 0.7):
                 oracle = brute_force_cover(batch, alpha, diam)
                 got = covering_number(build_index(batch), alpha)
                 assert got == len(oracle)
 
+    @pytest.mark.parametrize("norm, dist", [("euclidean", euclid),
+                                            ("manhattan", manhattan)])
+    def test_net_follows_first_appearance_not_coordinates(self, norm, dist):
+        # action 0's sources at distance 1 of each other, in file order 1, 0,
+        # 2: (1, 0) covers both others at radius 1 (alpha 0.25 of the
+        # diameter 4), where a scan from (0, 0) in coordinate order would
+        # leave (2, 0) to a second center
+        rows = [((1.0, 0.0), 0, (0.0, 0.0)), ((0.0, 0.0), 0, (4.0, 0.0)),
+                ((2.0, 0.0), 0, (0.0, 0.0)), ((0.0, 0.0), 1, (4.0, 0.0)),
+                ((1.0, 0.0), 0, (0.0, 0.0))]
+
+        def cover(rows):
+            batch = make_batch([Transition(s, a, 1.0, sp, 0, t)
+                                for t, (s, a, sp) in enumerate(rows)])
+            index = build_index(batch, norm)
+            assert index.diameter == 4.0
+            got = covering_number(index, 0.25)
+            assert got == len(brute_force_cover(batch, 0.25, 4.0, dist))
+            return got
+
+        assert cover(rows) == 2
+        # the same pairs sorted by action, then coordinates
+        assert cover(sorted(rows, key=lambda row: (row[1], row[0]))) == 3
+
     def test_matches_oracle_on_repeated_pairs(self):
         # coordinates in 0..2 repeat most (source, action) pairs, which the
-        # scan skips and the oracle scans again
+        # net sees once as a distinct point and the oracle scans again
         rng = np.random.default_rng(52)
         for _ in range(8):
             batch = random_batch(rng, n=int(rng.integers(20, 120)),

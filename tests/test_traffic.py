@@ -244,3 +244,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="rate vector length"):
             IntersectionEnvConfig(flows=(("a", 1.0),), phases=((0,),),
                                   schedule=((5, (1.0, 2.0)),))
+        # the flows' rates and every schedule segment's pass the same checks
+        for flow, segment, message in [(-1.0, 1.0, "non-negative"),
+                                       (1.0, -1.0, "non-negative"),
+                                       (1.0, 0.5, "integer rates")]:
+            with pytest.raises(ValueError, match=message):
+                IntersectionEnvConfig(flows=(("a", flow),), phases=((0,),),
+                                      schedule=((5, (1.0,)), (5, (segment,))))
+        with pytest.raises(ValueError, match="positive durations"):
+            IntersectionEnvConfig(flows=(("a", 1.0),), phases=((0,),),
+                                  schedule=((0, (1.0,)),))
+        IntersectionEnvConfig(flows=(("a", 0.5),), phases=((0,),),
+                              arrivals="poisson", schedule=((5, (0.5,)),))

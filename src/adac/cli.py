@@ -45,17 +45,16 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
+    """Comma-separated integers and inclusive lo..hi ranges."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    for part in filter(None, map(str.strip, text.split(","))):
+        lo, dots, hi = part.partition("..")
+        try:
+            out.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
+        except ValueError:
+            raise ValueError(f"{option}: {part!r} is neither an integer nor "
+                             "a lo..hi range of integers") from None
     return out
 
 
@@ -87,7 +86,7 @@ def _build_policy(args, config, seed):
     elif args.policy == "proportional":
         policy = ProportionalPolicy(config.rates, args.period)
     elif args.policy == "fixed-cycle":
-        policy = FixedCyclePolicy(_parse_ints(args.cycle))
+        policy = FixedCyclePolicy(_parse_ints(args.cycle, "--cycle"))
     elif args.policy == "greedy":
         if not (args.mdp and args.solution and args.source_batch):
             raise BatchError("greedy policy needs --mdp, --solution, and "
@@ -141,7 +140,7 @@ def _start_state(args, config) -> EnvState:
 
 def _episode_seeds(args, episodes, seed):
     if args.seeds:
-        return _parse_ints(args.seeds)
+        return _parse_ints(args.seeds, "--seeds")
     return list(range(seed, seed + episodes))
 
 
@@ -230,9 +229,10 @@ def cmd_sweep_k(args):
     seeds = (_episode_seeds(args, args.episodes, args.seed)
              if config.arrivals == "poisson" else None)
     rows = evaluation.sweep_k(
-        batch, _parse_ints(args.k_values), _parse_alpha(args.alpha),
-        args.gamma, config, args.episodes, args.horizon, seeds=seeds,
-        start=_start_state(args, config), norm=args.norm)
+        batch, _parse_ints(args.k_values, "--k-values"),
+        _parse_alpha(args.alpha), args.gamma, config, args.episodes,
+        args.horizon, seeds=seeds, start=_start_state(args, config),
+        norm=args.norm)
     _write_csv(args.out, ["k", "mean_return"], rows)
 
 

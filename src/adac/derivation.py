@@ -15,11 +15,15 @@ distance threshold truncates the set. Pairs with no neighbors at all get
 the pessimistic fallback: reward 0 (the lower reward bound) and an
 absorbing self-loop.
 
-`build_mdp` reduces the core states' neighbor table, one kernel call per
-action (`NeighborIndex.search`), with array operations: neighbor counts,
-the per-row r_max, the shaped reward as a row sum in neighbor order, and
-landing rows from unique (row, landing core state) keys. The core states,
-the rewards and the landing core states come from the index.
+A derivation is two steps. `core_tables` searches the core states'
+neighbors, one kernel call per action (`NeighborIndex.search`), and
+`mdp_from_tables` reduces those tables with array operations: neighbor
+counts and landing rows from unique (row, landing core state) keys
+(`landing_rows`), then the per-row r_max and the shaped reward as a row sum
+in neighbor order (`shaped_reward`). The core states, the rewards and the
+landing core states come from the index. `build_mdp` is the search at k
+followed by the reduction; the C and k sweeps reduce shared tables with the
+same functions.
 """
 
 import json
@@ -99,30 +103,57 @@ class DerivedMdp:
         return len(self.core)
 
 
+def check_params(k: int, alpha: float, gamma: float) -> None:
+    """ValueError unless k, alpha and gamma can parameterize a derivation."""
+    if not 0 <= gamma < 1:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0 or inf, got {alpha!r}")
+
+
 def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
               gamma: float = 0.99, mode: PenaltyMode | None = None,
               index: NeighborIndex | None = None) -> DerivedMdp:
     """Derive the finite MDP over the batch's core states, in the norm and
     diameter of the index (by default Euclidean) built over the batch."""
-    if not 0 <= gamma < 1:
-        raise ValueError("gamma must lie in [0, 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0 or inf, got {alpha!r}")
+    check_params(k, alpha, gamma)
     mode = mode or PenaltyMode.adaptive()
     if index is None:
         index = build_index(batch)
     elif index.batch != batch:
         raise ValueError("the index was built over another batch")
-    n, actions = len(index.core), batch.action_count
-    targets = list(range(n))    # int objects shared by all the rows' keys
-    reward = np.zeros((n, actions))
-    realized = np.zeros((n, actions), dtype=int)    # neighbor counts
-    columns = []
-    for a in range(actions):
-        rows, sources, norm_dist = index.search(index.core, a, k, alpha)
-        realized[:, a] = counts = np.bincount(rows, minlength=n)
+    return mdp_from_tables(index, core_tables(index, k, alpha), k, alpha,
+                           gamma, mode)
+
+
+def core_tables(index: NeighborIndex, k: int, alpha: float) -> list:
+    """Per action, the neighbor table of the index's core states."""
+    return [index.search(index.core, a, k, alpha)
+            for a in range(index.action_count)]
+
+
+def mdp_from_tables(index: NeighborIndex, tables: list, k: int, alpha: float,
+                    gamma: float, mode: PenaltyMode) -> DerivedMdp:
+    """The MDP whose pairs have the neighbors of the core tables (searched
+    at k and alpha over the index): their landing rows, then their shaped
+    rewards."""
+    transition, empty_pairs = landing_rows(index, tables)
+    return DerivedMdp(index.core, index.action_count,
+                      shaped_reward(index, tables, mode), transition, gamma,
+                      mode, k, alpha, index.diameter, index.norm, empty_pairs)
+
+
+def shaped_reward(index: NeighborIndex, tables: list,
+                  mode: PenaltyMode) -> np.ndarray:
+    """(|core|, |actions|) shaped rewards of the core tables: each pair's
+    sum of r_i - coef * d'_i in neighbor order over its neighbor count, 0
+    for a pair with none."""
+    n = len(index.core)
+    reward = np.zeros((n, index.action_count))
+    for a, (rows, sources, norm_dist) in enumerate(tables):
+        counts = np.bincount(rows, minlength=n)
         r = index.rewards[sources]
         if mode.kind == "adaptive":     # r_max: the largest reward of each row
             coef = np.full(n, -np.inf)
@@ -131,6 +162,19 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
             coef = np.full(n, mode.coefficient(r))
         total = row_sums(rows, r - coef[rows] * norm_dist, n)
         np.divide(total, counts, out=reward[:, a], where=counts > 0)
+    return reward
+
+
+def landing_rows(index: NeighborIndex, tables: list) -> tuple[list, list]:
+    """Transition rows of the core tables, [state][action] -> {core index:
+    share of the pair's neighbors landing there}, with a self-loop for
+    each pair without neighbors, and the sorted list of those pairs."""
+    n = len(index.core)
+    targets = list(range(n))    # int objects shared by all the rows' keys
+    realized = np.zeros((n, index.action_count), dtype=int)
+    columns = []
+    for a, (rows, sources, _) in enumerate(tables):
+        realized[:, a] = counts = np.bincount(rows, minlength=n)
         # one cell per (row, landing core state), sorted by both
         keys, hits = np.unique(rows * n + index.landing[sources],
                                return_counts=True)
@@ -140,10 +184,8 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
         ends = np.searchsorted(row_of, np.arange(n + 1)).tolist()
         columns.append([dict(cells[lo:hi]) if lo < hi else {si: 1.0}
                         for si, (lo, hi) in enumerate(zip(ends, ends[1:]))])
-    return DerivedMdp(index.core, actions, reward,
-                      [list(per_state) for per_state in zip(*columns)], gamma,
-                      mode, k, alpha, index.diameter, index.norm,
-                      list(map(tuple, np.argwhere(realized == 0).tolist())))
+    return ([list(per_state) for per_state in zip(*columns)],
+            list(map(tuple, np.argwhere(realized == 0).tolist())))
 
 
 def mdp_to_json(mdp: DerivedMdp) -> str:

@@ -1,6 +1,15 @@
 """Experiment harness: policy evaluation, hyperparameter sweeps, and the
 bundled worked example.
 
+The sweeps check their whole grid (every k, C, alpha, gamma, the episode
+seeds and the snapshot directory) before deriving anything, then search
+the core states' neighbors once per action in all. The C sweep reduces one
+table at k: its rows share the landing rows, and each recomputes only its
+shaped reward. The k sweep searches at the largest k, and each row keeps
+its first k neighbors of every table row, which is the search at that k.
+Every row is bit for bit the row of its own `build_mdp`, solved with the
+module's `value_iteration`.
+
 The worked example is a six-transition two-flow dataset small enough to
 check every derived quantity by hand; reproduce_table2 recomputes its
 shaped-reward table under all penalty modes and compares against the
@@ -13,13 +22,16 @@ computed values only.
 """
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import Batch, Transition, make_batch
-from .derivation import DerivedMdp, PenaltyMode, build_mdp, mdp_to_json
-from .neighbors import build_index
+from .derivation import (DerivedMdp, PenaltyMode, build_mdp, check_params,
+                         core_tables, mdp_from_tables, mdp_to_json,
+                         shaped_reward)
+from .neighbors import build_index, prefix
 from .planner import value_iteration
 from .policies import (CyclicPolicy, FixedCyclePolicy, GreedyDerivedPolicy,
                        collect)
@@ -47,12 +59,8 @@ def evaluate(config: IntersectionEnvConfig, policy, episodes: int,
     ignore seeds. With a rate schedule, episode i starts its environment
     clock at i * horizon so consecutive episodes sweep the schedule.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    _check_episodes(config, episodes, seeds)
     stochastic = config.arrivals == "poisson"
-    if stochastic:
-        if seeds is None or len(seeds) != episodes:
-            raise ValueError("stochastic configs need one seed per episode")
     queues = start.queues if start is not None else (0,) * len(config.flows)
     returns, discounted = [], []
     for ep in range(episodes):
@@ -72,12 +80,17 @@ def evaluate(config: IntersectionEnvConfig, policy, episodes: int,
     )
 
 
-def _derive_solve_policy(batch: Batch, k, alpha, gamma, mode, index=None,
-                         tol: float = 1e-8):
-    index = index or build_index(batch)
-    mdp = build_mdp(batch, k, alpha, gamma, mode, index=index)
-    solution = value_iteration(mdp, tol=tol)
-    return mdp, solution, GreedyDerivedPolicy(mdp, solution, index)
+def _check_episodes(config: IntersectionEnvConfig, episodes: int,
+                    seeds) -> None:
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    if config.arrivals == "poisson" and (seeds is None
+                                         or len(seeds) != episodes):
+        raise ValueError("stochastic configs need one seed per episode")
+
+
+def _greedy_policy(mdp: DerivedMdp, index, tol: float = 1e-8):
+    return GreedyDerivedPolicy(mdp, value_iteration(mdp, tol=tol), index)
 
 
 def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
@@ -88,19 +101,27 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
 
     Returns one row per C value and a final row labeled "A-DAC"; when
     snapshot_dir is set, each derived MDP is written there as JSON so the
-    rows can be reproduced from the snapshots alone.
+    rows can be reproduced from the snapshots alone. Every row's MDP comes
+    from one core-state neighbor search per action: the rows share its
+    landing rows, and only the shaped reward differs.
     """
-    if not c_values:
-        raise ValueError("empty C grid")
-    index = build_index(batch, norm)
-    rows = []
     modes = [(f"{c:g}", PenaltyMode.fixed(c)) for c in c_values]
+    if not modes:
+        raise ValueError("empty C grid")
     modes.append(("A-DAC", PenaltyMode.adaptive()))
+    check_params(k, alpha, gamma)
+    _check_episodes(config, episodes, seeds)
+    if snapshot_dir is not None and not os.path.isdir(snapshot_dir):
+        raise ValueError(f"snapshot directory {snapshot_dir!r} does not exist")
+    index = build_index(batch, norm)
+    tables = core_tables(index, k, alpha)
+    shared = mdp_from_tables(index, tables, k, alpha, gamma, modes[-1][1])
+    rows = []
     for label, mode in modes:
-        mdp, solution, policy = _derive_solve_policy(
-            batch, k, alpha, gamma, mode, index=index)
-        report = evaluate(config, policy, episodes, horizon, gamma,
-                          seeds=seeds, start=start)
+        mdp = replace(shared, mode=mode,
+                      reward=shaped_reward(index, tables, mode))
+        report = evaluate(config, _greedy_policy(mdp, index), episodes,
+                          horizon, gamma, seeds=seeds, start=start)
         if snapshot_dir is not None:
             path = f"{snapshot_dir}/mdp_c_{label.replace(':', '_')}.json"
             with open(path, "w", encoding="utf-8") as fh:
@@ -113,16 +134,23 @@ def sweep_k(batch: Batch, k_values, alpha: float, gamma: float,
             config: IntersectionEnvConfig, episodes: int, horizon: int,
             seeds=None, start: EnvState | None = None,
             norm: str = "euclidean") -> list[dict]:
-    """Evaluate the adaptive derivation across neighbor counts."""
+    """Evaluate the adaptive derivation across neighbor counts. Every row's
+    MDP comes from one core-state neighbor search per action at the
+    largest k, of which each row takes its first k neighbors."""
+    k_values = list(k_values)
     if not k_values:
         raise ValueError("empty k grid")
+    for k in k_values:
+        check_params(k, alpha, gamma)
+    _check_episodes(config, episodes, seeds)
     index = build_index(batch, norm)
+    tables = core_tables(index, max(k_values), alpha)
     rows = []
     for k in k_values:
-        _, _, policy = _derive_solve_policy(
-            batch, k, alpha, gamma, PenaltyMode.adaptive(), index=index)
-        report = evaluate(config, policy, episodes, horizon, gamma,
-                          seeds=seeds, start=start)
+        mdp = mdp_from_tables(index, [prefix(t, k) for t in tables], k, alpha,
+                              gamma, PenaltyMode.adaptive())
+        report = evaluate(config, _greedy_policy(mdp, index), episodes,
+                          horizon, gamma, seeds=seeds, start=start)
         rows.append({"k": k, "mean_return": report.mean_return})
     return rows
 
@@ -252,8 +280,10 @@ def two_flow_demo(collect_horizon: int = 10, horizon: int = 100,
     config = two_flow_config()
     start = EnvState((1, 3))
     batch = reconstruction_batch(collect_horizon)
-    _, _, greedy = _derive_solve_policy(batch, k, math.inf, gamma,
-                                        PenaltyMode.adaptive(), tol=1e-9)
+    index = build_index(batch)
+    greedy = _greedy_policy(build_mdp(batch, k, math.inf, gamma,
+                                      PenaltyMode.adaptive(), index=index),
+                            index, tol=1e-9)
     out = {}
     for name, policy in [
         ("cyclic", CyclicPolicy(2)),

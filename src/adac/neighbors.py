@@ -189,18 +189,34 @@ class NeighborIndex:
         order = np.lexsort((dist, groups))
         groups, sources = groups[order], sources[order]
         norm_dist = dist[order] / self.diameter
-        # rank within the group: the k nearest and the alpha cut are prefixes
-        keep = np.arange(len(groups)) - np.searchsorted(groups, groups) < k
+        # the k nearest and the alpha cut are prefixes of each group
+        keep = group_rank(groups) < k
         if alpha != math.inf:
             keep &= norm_dist <= alpha
         return groups[keep], sources[keep], norm_dist[keep]
+
+
+def group_rank(groups: np.ndarray) -> np.ndarray:
+    """Each entry's rank within its group, for entries sorted by group."""
+    return np.arange(len(groups)) - np.searchsorted(groups, groups)
+
+
+def prefix(table: tuple[np.ndarray, np.ndarray, np.ndarray], k: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first k neighbors of every row of a `NeighborIndex.search`
+    table. Both the k nearest and the alpha cut are prefixes of a row, so
+    from a table searched at a larger k this is the table searched at k,
+    with the same alpha, bit for bit."""
+    rows, sources, norm_dist = table
+    keep = group_rank(rows) < k
+    return rows[keep], sources[keep], norm_dist[keep]
 
 
 def row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Per row of a row-major table of n rows, the sum of its values, added
     one rank at a time so that each row sums in table order, bit for bit
     the sequential sum; empty rows sum to 0."""
-    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    rank = group_rank(rows)
     total = np.zeros(n)
     for r in range(int(rank.max(initial=-1)) + 1):
         at = rank == r

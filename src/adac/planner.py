@@ -2,7 +2,8 @@
 
 Value iteration uses synchronous (Jacobi) sweeps; each is one sparse
 product of the value vector with a stacked transition matrix whose row
-a * n + s is the landing distribution of pair (s, a). The stopping rule
+a * n + s is the landing distribution of pair (s, a), and it writes Q, the
+new values and their change into buffers made once. The stopping rule
 scales the requested tolerance by (1 - gamma) / gamma so that `tol`
 bounds the true sup-norm value error, not just the last sweep delta.
 
@@ -60,25 +61,31 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
     stacked = sparse.csr_matrix((data, indices, indptr), shape=(actions * n, n))
     stacked.sort_indices()
     reward = np.ascontiguousarray(mdp.reward.T)
+    # each sweep writes into these buffers: Q, the new values, |v_new - v|
+    q, v, v_new, diff = (np.empty((actions, n)), np.zeros(n), np.empty(n),
+                         np.empty(n))
 
     def backup(v: np.ndarray) -> np.ndarray:
         """Action-major Q of one Jacobi sweep from values v, shape (A, n)."""
-        return reward + gamma * (stacked @ v).reshape(actions, n)
+        np.multiply((stacked @ v).reshape(actions, n), gamma, out=q)
+        return np.add(reward, q, out=q)
+
+    def change(v_new: np.ndarray, v: np.ndarray) -> float:
+        np.subtract(v_new, v, out=diff)
+        return float(np.abs(diff, out=diff).max())
 
     threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
-    v = np.zeros(n)
     deltas = []
     for it in range(1, max_iters + 1):
-        q = backup(v)
-        v_new = q.max(axis=0)
-        delta = float(np.max(np.abs(v_new - v))) if n else 0.0
+        np.max(backup(v), axis=0, out=v_new)
+        delta = change(v_new, v) if n else 0.0
         deltas.append(delta)
-        v = v_new
+        v, v_new = v_new, v
         if delta <= threshold:
-            residual = float(np.max(np.abs(backup(v).max(axis=0) - v)))
-            q = np.ascontiguousarray(q.T)
-            return Solution(v, q, q.argmax(axis=1), it, residual, tol,
-                            tuple(deltas))
+            q_table = q.T.copy()
+            residual = change(np.max(backup(v), axis=0, out=v_new), v)
+            return Solution(v, q_table, q_table.argmax(axis=1), it, residual,
+                            tol, tuple(deltas))
     raise ConvergenceError(
         f"no convergence after {max_iters} sweeps (last delta {deltas[-1]:.3e})")
 

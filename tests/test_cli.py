@@ -332,6 +332,37 @@ class TestExitCodes:
         assert code == 1
         assert "episodes" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, bad, shown", [
+        ("sweep-k", ["--k-values", "3,0"], "k must be"),
+        ("sweep-k", ["--k-values", "2.."], "'2..' is neither an integer"),
+        ("sweep-k", ["--k-values", "a..3"], "'a..3' is neither an integer"),
+        ("sweep-k", ["--k-values", "2,x"], "'x' is neither an integer"),
+        ("sweep-c", ["--c-values", "1,-1"], "cost parameter"),
+        ("sweep-c", ["--snapshot-dir", "{tmp}/missing"], "snapshot directory"),
+    ])
+    def test_bad_sweep_grid(self, tmp_path, capsys, pipeline, command, bad,
+                            shown):
+        batch, _, _ = pipeline
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, command, "--batch", str(batch),
+                           *(arg.format(tmp=tmp_path) for arg in bad),
+                           "--alpha", "inf", "--episodes", "1",
+                           "--horizon", "20", "--out", str(out_path))
+        assert code == 1
+        assert shown in err and "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_bad_seeds_are_named(self, tmp_path, capsys):
+        env = tmp_path / "env.json"
+        env.write_text(config_to_json(IntersectionEnvConfig(
+            flows=(("a", 1.0), ("b", 1.0)), phases=((0,), (1,)),
+            arrivals="poisson")))
+        code, _, err = run(capsys, "eval", "--env", str(env),
+                           "--episodes", "2", "--seeds", "1,2..")
+        assert code == 1
+        assert "--seeds: '2..' is neither an integer" in err
+        assert "Traceback" not in err
+
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0

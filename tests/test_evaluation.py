@@ -1,14 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
+from adac import evaluation
 from adac.derivation import PenaltyMode, build_mdp
 from adac.evaluation import (evaluate, reconstruction_batch, reproduce_table2,
                              sweep_c, sweep_k, two_flow_demo,
                              worked_example_batch, worked_example_mdp)
-from adac.neighbors import build_index
+from adac.neighbors import NeighborIndex, build_index
 from adac.planner import value_iteration
-from adac.policies import CyclicPolicy, GreedyDerivedPolicy
+from adac.policies import (CyclicPolicy, FixedCyclePolicy, GreedyDerivedPolicy,
+                           collect)
 from adac.traffic import EnvState, IntersectionEnvConfig, two_flow_config
 
 
@@ -136,6 +139,145 @@ class TestSweeps:
                           GreedyDerivedPolicy(snap, sol, index),
                           1, 60, start=args["start"])
         assert report.mean_return == rows[0]["mean_return"]
+
+
+MULTI_FLOW = IntersectionEnvConfig(
+    flows=tuple((f"flow{i}", r) for i, r in enumerate((0.4, 0.6, 0.8, 1.0))),
+    phases=((0,), (1,), (2,), (3,)), capacity=4, arrivals="poisson",
+    horizon=40)
+
+
+def multi_flow_batch():
+    """Poisson multi-flow batch whose behaviour never takes action 3; at
+    alpha 0.1 some pairs of the other actions are empty too, and many
+    have fewer than 8 neighbors."""
+    return collect(MULTI_FLOW, FixedCyclePolicy([0, 1, 2]), 3, 40,
+                   EnvState((0,) * 4), rng=np.random.default_rng(3))
+
+
+class TestSharedTable:
+    """The sweeps derive every row from one core-state search per action;
+    each row must be the row that its own derivation gives."""
+    ALPHA, GAMMA = 0.1, 0.99
+    EVAL = dict(config=MULTI_FLOW, episodes=2, horizon=40, seeds=[11, 12],
+                start=EnvState((0,) * 4))
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The MDP of every value_iteration the sweeps run."""
+        mdps = []
+
+        def recorded(mdp, **kwargs):
+            mdps.append(mdp)
+            return value_iteration(mdp, **kwargs)
+        monkeypatch.setattr(evaluation, "value_iteration", recorded)
+        return mdps
+
+    def expected(self, batch, index, k, mode):
+        mdp = build_mdp(batch, k, self.ALPHA, self.GAMMA, mode, index=index)
+        policy = GreedyDerivedPolicy(mdp, value_iteration(mdp, tol=1e-8),
+                                     index)
+        return mdp, evaluate(gamma=self.GAMMA, policy=policy,
+                             **self.EVAL).mean_return
+
+    def check_rows(self, batch, index, rows, mdps, grid):
+        assert len(rows) == len(mdps) == len(grid)
+        for row, mdp, (k, mode) in zip(rows, mdps, grid):
+            want, mean_return = self.expected(batch, index, k, mode)
+            assert row["mean_return"] == mean_return
+            assert (mdp.k, mdp.alpha, mdp.mode) == (k, self.ALPHA, mode)
+            assert np.array_equal(mdp.reward, want.reward)
+            assert mdp.transition == want.transition
+            assert mdp.empty_pairs == want.empty_pairs
+
+    @pytest.mark.parametrize("norm", ["euclidean", "manhattan"])
+    def test_sweep_c_rows_equal_their_own_derivations(self, solved, norm):
+        batch = multi_flow_batch()
+        index = build_index(batch, norm)
+        c_values = [0.0, 1.0, 2.5]
+        rows = sweep_c(batch, c_values, 5, self.ALPHA, self.GAMMA,
+                       norm=norm, **self.EVAL)
+        assert [row["c"] for row in rows] == ["0", "1", "2.5", "A-DAC"]
+        assert any(a != 3 for _, a in solved[0].empty_pairs)
+        grid = [(5, PenaltyMode.fixed(c)) for c in c_values]
+        self.check_rows(batch, index, rows, solved,
+                        grid + [(5, PenaltyMode.adaptive())])
+
+    @pytest.mark.parametrize("norm", ["euclidean", "manhattan"])
+    def test_sweep_k_rows_equal_their_own_derivations(self, solved, norm):
+        batch = multi_flow_batch()
+        index = build_index(batch, norm)
+        k_values = [3, 1, 8, 2]      # the largest k is not the last
+        rows = sweep_k(batch, iter(k_values), self.ALPHA, self.GAMMA,
+                       norm=norm, **self.EVAL)
+        assert [row["k"] for row in rows] == k_values
+        self.check_rows(batch, index, rows, solved,
+                        [(k, PenaltyMode.adaptive()) for k in k_values])
+
+    def test_one_search_per_action_per_sweep(self, monkeypatch):
+        calls = []
+        search = NeighborIndex.search
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1])
+            return search(self, *args, **kwargs)
+        monkeypatch.setattr(NeighborIndex, "search", counted)
+        batch = multi_flow_batch()
+        sweep_c(batch, [0.0, 1.0], 5, self.ALPHA, self.GAMMA, **self.EVAL)
+        assert calls == [0, 1, 2, 3]
+        calls.clear()
+        sweep_k(batch, range(2, 6), self.ALPHA, self.GAMMA, **self.EVAL)
+        assert calls == [0, 1, 2, 3]
+
+
+class TestSweepValidation:
+    """A bad grid is rejected before anything is derived or evaluated."""
+
+    @pytest.fixture
+    def untouched(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep searched or evaluated")
+        monkeypatch.setattr(NeighborIndex, "search", fail)
+        monkeypatch.setattr(evaluation, "evaluate", fail)
+
+    def sweep_k(self, k_values, alpha=0.8, **kwargs):
+        return sweep_k(reconstruction_batch(), k_values, alpha, 0.99,
+                       two_flow_config(), 1, 20, **kwargs)
+
+    def sweep_c(self, c_values, k=3, alpha=0.8, **kwargs):
+        return sweep_c(reconstruction_batch(), c_values, k, alpha, 0.99,
+                       two_flow_config(), 1, 20, **kwargs)
+
+    @pytest.mark.parametrize("k_values", [[3, 0], [3, True], [3, 2.0],
+                                          [3, -1], []])
+    def test_bad_k(self, untouched, k_values):
+        with pytest.raises(ValueError, match="k"):
+            self.sweep_k(k_values)
+
+    @pytest.mark.parametrize("c_values", [[1.0, -1.0], [1.0, math.nan],
+                                          [1.0, math.inf], []])
+    def test_bad_c(self, untouched, c_values):
+        with pytest.raises(ValueError, match="C|cost"):
+            self.sweep_c(c_values)
+
+    @pytest.mark.parametrize("alpha", [math.nan, -0.5])
+    def test_bad_alpha(self, untouched, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            self.sweep_k([2, 3], alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            self.sweep_c([1.0], alpha=alpha)
+
+    def test_bad_k_of_sweep_c(self, untouched):
+        with pytest.raises(ValueError, match="k"):
+            self.sweep_c([1.0], k=0)
+
+    def test_missing_snapshot_dir(self, untouched, tmp_path):
+        with pytest.raises(ValueError, match="snapshot"):
+            self.sweep_c([1.0], snapshot_dir=str(tmp_path / "missing"))
+
+    def test_missing_seeds(self, untouched):
+        with pytest.raises(ValueError, match="seed"):
+            sweep_k(reconstruction_batch(), [2], 0.8, 0.99, MULTI_FLOW, 2, 20)
 
 
 class TestTwoFlowDemo:

@@ -219,6 +219,34 @@ class TestQuery:
                         [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
                     assert found(index, s, a, k, alpha) == got
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
+           norm=st.sampled_from(NORMS), k_max=st.integers(1, 12),
+           alpha=ALPHAS, coord_max=COORD_MAX, data=st.data())
+    def test_prefix_of_a_deeper_search(self, seed, integer_coords, norm,
+                                       k_max, alpha, coord_max, data):
+        k = data.draw(st.integers(1, k_max), label="k")
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=int(rng.integers(2, 60)),
+                             dim=int(rng.integers(1, 4)),
+                             coord_max=coord_max,
+                             integer_coords=integer_coords)
+        dist = euclid if norm == "euclidean" else manhattan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            index = build_index(batch, norm)
+        for a in range(batch.action_count):
+            deep = index.search(index.core, a, k_max, alpha)
+            rows, indices, norm_dist = neighbors.prefix(deep, k)
+            for want, got in zip(index.search(index.core, a, k, alpha),
+                                 (rows, indices, norm_dist)):
+                assert np.array_equal(got, want)
+            for row, s in enumerate(index.core):
+                assert indices[rows == row].tolist() == [
+                    i for i, _, _ in brute_force_knn(
+                        batch, s, a, k, alpha, diam=index.diameter,
+                        dist=dist)]
+
     def test_determinism_on_ties(self):
         # four sources at identical distance from the query
         rows = [Transition((1.0, 0.0), 0, 1.0, (0.0, 0.0), 0, 0),

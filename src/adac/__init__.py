@@ -27,6 +27,6 @@ from .theory import (KWindow, PacReport, canonical_shaping, covering_number,
 from .traffic import (EnvState, IntersectionEnvConfig, RolloutResult,
                       alternating_return, config_from_json, config_to_json,
                       optimal_green_split, rates_at, rollout, step,
-                      transitions_to_batch, two_flow_config)
+                      two_flow_config)
 
 __version__ = "0.1.0"

@@ -41,20 +41,19 @@ def _default_seed() -> int:
     return int(os.environ.get("ADAC_SEED", "0"))
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_ints(text: str, option: str) -> list[int]:
-    """Comma-separated integers and inclusive lo..hi ranges."""
+def _parse_numbers(text: str, option: str, kind=int) -> list:
+    """Comma-separated numbers of the kind, integers also as inclusive
+    lo..hi ranges."""
     out = []
     for part in filter(None, map(str.strip, text.split(","))):
         lo, dots, hi = part.partition("..")
         try:
-            out.extend(range(int(lo), int(hi) + 1) if dots else [int(part)])
+            out.extend(range(int(lo), int(hi) + 1) if dots and kind is int
+                       else [kind(part)])
         except ValueError:
-            raise ValueError(f"{option}: {part!r} is neither an integer nor "
-                             "a lo..hi range of integers") from None
+            raise ValueError(f"{option}: {part!r} is " + (
+                "neither an integer nor a lo..hi range of integers"
+                if kind is int else "not a number")) from None
     return out
 
 
@@ -86,7 +85,7 @@ def _build_policy(args, config, seed):
     elif args.policy == "proportional":
         policy = ProportionalPolicy(config.rates, args.period)
     elif args.policy == "fixed-cycle":
-        policy = FixedCyclePolicy(_parse_ints(args.cycle, "--cycle"))
+        policy = FixedCyclePolicy(_parse_numbers(args.cycle, "--cycle"))
     elif args.policy == "greedy":
         if not (args.mdp and args.solution and args.source_batch):
             raise BatchError("greedy policy needs --mdp, --solution, and "
@@ -131,7 +130,7 @@ def _add_eval_args(p):
 def _start_state(args, config) -> EnvState:
     if not args.start:
         return EnvState((0,) * len(config.flows))
-    queues = tuple(int(x) for x in args.start.split(","))
+    queues = tuple(_parse_numbers(args.start, "--start"))
     if len(queues) != len(config.flows) or min(queues) < 0:
         raise ValueError(f"--start {args.start!r} is not {len(config.flows)} "
                          "non-negative queue lengths, one per flow")
@@ -140,7 +139,7 @@ def _start_state(args, config) -> EnvState:
 
 def _episode_seeds(args, episodes, seed):
     if args.seeds:
-        return _parse_ints(args.seeds, "--seeds")
+        return _parse_numbers(args.seeds, "--seeds")
     return list(range(seed, seed + episodes))
 
 
@@ -216,7 +215,7 @@ def cmd_sweep_c(args):
     seeds = (_episode_seeds(args, args.episodes, args.seed)
              if config.arrivals == "poisson" else None)
     rows = evaluation.sweep_c(
-        batch, _parse_floats(args.c_values), args.k,
+        batch, _parse_numbers(args.c_values, "--c-values", float), args.k,
         _parse_alpha(args.alpha), args.gamma, config, args.episodes,
         args.horizon, seeds=seeds, start=_start_state(args, config),
         norm=args.norm, snapshot_dir=args.snapshot_dir)
@@ -229,7 +228,7 @@ def cmd_sweep_k(args):
     seeds = (_episode_seeds(args, args.episodes, args.seed)
              if config.arrivals == "poisson" else None)
     rows = evaluation.sweep_k(
-        batch, _parse_ints(args.k_values, "--k-values"),
+        batch, _parse_numbers(args.k_values, "--k-values"),
         _parse_alpha(args.alpha), args.gamma, config, args.episodes,
         args.horizon, seeds=seeds, start=_start_state(args, config),
         norm=args.norm)
@@ -255,10 +254,10 @@ def cmd_cover(args):
 
 def cmd_shaping_sweep(args):
     rows = []
-    for r_max in _parse_floats(args.r_max_values):
+    for r_max in _parse_numbers(args.r_max_values, "--r-max-values", float):
         modes = [("none", PenaltyMode.averagers())]
         modes += [(f"fixed:{c:g}", PenaltyMode.fixed(c))
-                  for c in _parse_floats(args.c_values)]
+                  for c in _parse_numbers(args.c_values, "--c-values", float)]
         modes.append(("adaptive", PenaltyMode.adaptive()))
         for label, mode in modes:
             value = theory.canonical_shaping(args.k, r_max, args.d_near,

@@ -1,17 +1,26 @@
 """Experience data types, batch validation, statistics, and JSONL serialization.
 
-A batch is an ordered list of (s, a, r, s') transitions tagged with a
-trajectory id and a step index. States are fixed-length vectors of
-non-negative vehicle counts. Serialization is JSON Lines, one transition
-per line, with an optional leading meta record carrying declared
-action_count / reward_bound when they exceed the observed maxima.
+A batch holds its transitions as read-only arrays, one per field: states
+`s` and `s_next` (n, dim) of non-negative vehicle counts, actions `a`,
+rewards `r`, trajectory ids `traj` and step indices `t`; `transitions` is
+a row view of them, built on first use. Rows (`make_batch`) and JSON Lines
+files (`load_batch`: one transition per line, after an optional meta record
+declaring action_count / reward_bound) pass one validator.
 """
 
 import json
-import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter
+
+import numpy as np
 
 State = tuple[float, ...]
+
+COLUMNS = ("s", "a", "r", "s_next", "traj", "t")
+_KEYS = ("s", "a", "r", "sp", "traj", "t")    # the columns' keys in a file
 
 
 class BatchError(ValueError):
@@ -28,15 +37,39 @@ class Transition:
     t: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
-    transitions: tuple[Transition, ...]
+    s: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    s_next: np.ndarray
+    traj: np.ndarray
+    t: np.ndarray
     action_count: int
-    dim: int
     reward_bound: float
 
+    def __post_init__(self):
+        for name in COLUMNS:
+            getattr(self, name).flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.a)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Batch) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in (*COLUMNS, "action_count", "reward_bound"))
+
+    @property
+    def dim(self) -> int:
+        return self.s.shape[1]
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        return tuple(map(Transition, map(tuple, self.s.tolist()),
+                         self.a.tolist(), self.r.tolist(),
+                         map(tuple, self.s_next.tolist()),
+                         self.traj.tolist(), self.t.tolist()))
 
 
 @dataclass(frozen=True)
@@ -49,132 +82,131 @@ class BatchStats:
     dim: int
 
 
-def _check_state(coords, where: str) -> State:
-    if not isinstance(coords, (list, tuple)):
-        raise BatchError(f"{where}: state is not a sequence")
-    out = []
-    for c in coords:
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise BatchError(f"{where}: non-numeric coordinate {c!r}")
-        c = float(c)
-        if not math.isfinite(c) or c < 0:
-            raise BatchError(f"{where}: coordinate {c} is negative or non-finite")
-        out.append(c)
-    if not out:
-        raise BatchError(f"{where}: empty state vector")
-    return tuple(out)
+def _only(values, kinds) -> bool:
+    """Whether every value is an instance of kinds and none is a bool."""
+    return all(issubclass(kind, kinds) and kind is not bool
+               for kind in set(map(type, values)))
+
+
+def _checked(rows: list, action_count, reward_bound) -> Batch:
+    """The rows as a Batch, or BatchError naming the first rule they break
+    and the last row's values (on the shortest failing prefix, the bad row)."""
+    s, a, r, s_next, traj, t = columns = list(zip(*rows))
+    # element types first: arrays lose bool and str
+    for values, kinds, message in (
+            (s + s_next, (list, tuple), "state is not a sequence"),
+            (a, int, "action is not a non-negative integer"),
+            (r, (int, float), "non-numeric reward"),
+            (traj + t, int, "traj/t must be integers")):
+        if not _only(values, kinds):
+            raise BatchError(message)
+    dim = len(s[0])
+    if dim == 0:
+        raise BatchError("empty state vector")
+    if set(map(len, s + s_next)) != {dim}:
+        raise BatchError(f"dimension mismatch (expected {dim})")
+    if not _only(chain.from_iterable(s + s_next), (int, float)):
+        raise BatchError("non-numeric coordinate")
+    try:
+        s, a, r, s_next, traj, t = map(np.array, columns, (
+            float, np.int64, float, float, np.int64, np.int64))
+    except OverflowError as exc:
+        raise BatchError(f"number out of range ({exc})") from None
+    if action_count is None:
+        action_count = int(a.max()) + 1
+    max_r = float(r.max())
+    bound = max(max_r, 0.0) if reward_bound is None else float(reward_bound)
+    # trajectories are contiguous runs of equal traj with strictly rising t
+    new = np.r_[True, traj[1:] != traj[:-1]]
+    if not np.all((0 <= s) & (s < np.inf) & (0 <= s_next) & (s_next < np.inf)):
+        raise BatchError("coordinate is negative or non-finite")
+    if not np.all(np.isfinite(r)):
+        raise BatchError("non-finite reward")
+    if not 0 <= a.min() <= a.max() < action_count:
+        raise BatchError(f"action {a[-1]} out of range for action_count "
+                         f"{action_count}")
+    if len(np.unique(traj)) != new.sum():
+        raise BatchError(f"trajectory {traj[-1]} is not contiguous")
+    if not np.all(new[1:] | (t[1:] > t[:-1])):
+        raise BatchError("step index not strictly increasing within "
+                         f"trajectory {traj[-1]}")
+    if bound < max_r:
+        raise BatchError(f"reward_bound {bound} below observed maximum {max_r}")
+    return Batch(s, a, r, s_next, traj, t, action_count, bound)
+
+
+def _validated(rows: list, action_count, reward_bound, where,
+               declared: str) -> Batch:
+    """The batch validator: rows of (s, a, r, s_next, traj, t) to a Batch;
+    where(i) names row i, declared the source of action_count/reward_bound."""
+    if not rows:
+        raise BatchError("empty batch")
+    if action_count is not None and not (_only([action_count], int)
+                                         and action_count >= 0):
+        raise BatchError(f"{declared} action_count {action_count!r} "
+                         "is not a non-negative integer")
+    if reward_bound is not None and not (_only([reward_bound], (int, float))
+                                         and abs(reward_bound) <= sys.float_info.max):
+        raise BatchError(f"{declared} reward_bound {reward_bound!r} "
+                         "is not a finite number")
+    try:
+        return _checked(rows, action_count, reward_bound)
+    except BatchError as exc:
+        error, good, bad = exc, 0, len(rows)
+    # every rule that a prefix breaks, a longer one breaks too: search for
+    # the shortest failing prefix, which ends with the first bad row
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _checked(rows[:mid], action_count, reward_bound)
+            good = mid
+        except BatchError as exc:
+            error, bad = exc, mid
+    raise BatchError(f"{where(bad - 1)}: {error}")
 
 
 def make_batch(transitions, action_count: int | None = None,
                reward_bound: float | None = None) -> Batch:
-    """Validate transitions and assemble a Batch.
-
-    action_count / reward_bound default to the observed maxima. Trajectories
-    must be contiguous runs of equal traj_id with strictly increasing t.
-    """
-    transitions = tuple(transitions)
-    if not transitions:
-        raise BatchError("empty batch")
-    dim = len(transitions[0].s)
-    seen_trajs: set[int] = set()
-    prev_traj = None
-    prev_t = None
-    max_a = 0
-    max_r = -math.inf
-    for i, tr in enumerate(transitions):
-        where = f"transition {i}"
-        if len(tr.s) != dim or len(tr.s_next) != dim:
-            raise BatchError(f"{where}: dimension mismatch (expected {dim})")
-        _check_state(tr.s, where)
-        _check_state(tr.s_next, where)
-        if isinstance(tr.a, bool) or not isinstance(tr.a, int) or tr.a < 0:
-            raise BatchError(f"{where}: action {tr.a!r} is not a non-negative integer")
-        if not math.isfinite(tr.r):
-            raise BatchError(f"{where}: non-finite reward")
-        if tr.traj_id != prev_traj:
-            if tr.traj_id in seen_trajs:
-                raise BatchError(f"{where}: trajectory {tr.traj_id} is not contiguous")
-            seen_trajs.add(tr.traj_id)
-            prev_traj = tr.traj_id
-            prev_t = tr.t
-        else:
-            if tr.t <= prev_t:
-                raise BatchError(f"{where}: step index not strictly increasing "
-                                 f"within trajectory {tr.traj_id}")
-            prev_t = tr.t
-        max_a = max(max_a, tr.a)
-        max_r = max(max_r, tr.r)
-    if action_count is None:
-        action_count = max_a + 1
-    elif max_a >= action_count:
-        raise BatchError(f"action {max_a} out of range for action_count {action_count}")
-    if reward_bound is None:
-        reward_bound = max(max_r, 0.0)
-    elif reward_bound < max_r:
-        raise BatchError(f"reward_bound {reward_bound} below observed maximum {max_r}")
-    return Batch(transitions, action_count, dim, float(reward_bound))
+    """Validate rows with the fields of Transition into a Batch."""
+    rows = list(map(attrgetter("s", "a", "r", "s_next", "traj_id", "t"),
+                    transitions))
+    return _validated(rows, action_count, reward_bound,
+                      "transition {}".format, "declared")
 
 
 def load_batch(path) -> Batch:
     """Load a JSONL batch file; every malformed line reports its line number."""
-    transitions = []
-    meta = None
+    record = itemgetter(*_KEYS)
+    rows, lines, meta = [], [], {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BatchError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:
+                raise BatchError(f"line {lineno}: malformed JSON "
+                                 f"({getattr(exc, 'msg', exc)})") from None
             if not isinstance(rec, dict):
                 raise BatchError(f"line {lineno}: record is not an object")
             if lineno == 1 and "meta" in rec:
                 meta = rec["meta"]
+                if not isinstance(meta, dict):
+                    raise BatchError("line 1: meta record is not an object")
                 continue
-            missing = [k for k in ("s", "a", "r", "sp", "traj", "t") if k not in rec]
+            missing = [k for k in _KEYS if k not in rec]
             if missing:
                 raise BatchError(f"line {lineno}: missing fields {missing}")
-            where = f"line {lineno}"
-            s = _check_state(rec["s"], where)
-            sp = _check_state(rec["sp"], where)
-            a = rec["a"]
-            if isinstance(a, bool) or not isinstance(a, int) or a < 0:
-                raise BatchError(f"{where}: action {a!r} is not a non-negative integer")
-            r = rec["r"]
-            if isinstance(r, bool) or not isinstance(r, (int, float)):
-                raise BatchError(f"{where}: non-numeric reward {r!r}")
-            traj, t = rec["traj"], rec["t"]
-            if type(traj) is not int or type(t) is not int:
-                raise BatchError(f"{where}: traj/t must be integers")
-            transitions.append(Transition(s, a, float(r), sp, traj, t))
-    action_count = reward_bound = None
-    if meta is not None:
-        if not isinstance(meta, dict):
-            raise BatchError("line 1: meta record is not an object")
-        action_count = meta.get("action_count")
-        reward_bound = meta.get("reward_bound")
-        if action_count is not None and (type(action_count) is not int
-                                         or action_count < 0):
-            raise BatchError(f"line 1: meta action_count {action_count!r} "
-                             "is not a non-negative integer")
-        if reward_bound is not None and (
-                type(reward_bound) not in (int, float)
-                or not math.isfinite(reward_bound)):
-            raise BatchError(f"line 1: meta reward_bound {reward_bound!r} "
-                             "is not a finite number")
-    return make_batch(transitions, action_count, reward_bound)
+            rows.append(record(rec))
+            lines.append(lineno)
+    return _validated(rows, meta.get("action_count"), meta.get("reward_bound"),
+                      lambda i: f"line {lines[i]}", "line 1: meta")
 
 
 def save_batch(batch: Batch, path) -> None:
-    """Write JSONL; round-trips through load_batch bit-exactly.
-
-    The meta line is emitted only when the declared action_count or
-    reward_bound is not recoverable from the records alone.
-    """
-    max_a = max(tr.a for tr in batch.transitions)
-    max_r = max(tr.r for tr in batch.transitions)
+    """Write JSONL; round-trips through load_batch bit-exactly. The meta line
+    holds a declared action_count or reward_bound the records do not imply."""
+    max_a, max_r = int(batch.a.max()), float(batch.r.max())
     with open(path, "w", encoding="utf-8") as fh:
         if batch.action_count != max_a + 1 or batch.reward_bound != max(max_r, 0.0):
             fh.write(json.dumps({"meta": {
@@ -182,58 +214,46 @@ def save_batch(batch: Batch, path) -> None:
                 "reward_bound": batch.reward_bound,
                 "dim": batch.dim,
             }}) + "\n")
-        for tr in batch.transitions:
-            fh.write(json.dumps({
-                "s": list(tr.s), "a": tr.a, "r": tr.r, "sp": list(tr.s_next),
-                "traj": tr.traj_id, "t": tr.t,
-            }) + "\n")
+        for values in zip(*(getattr(batch, name).tolist() for name in COLUMNS)):
+            fh.write(json.dumps(dict(zip(_KEYS, values))) + "\n")
+
+
+def core_rows(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """The core states (the distinct next states, -0.0 equal to 0.0) as
+    their first transitions in order of first appearance, and each
+    transition's core state row."""
+    order = np.lexsort(batch.s_next.T[::-1])
+    ranked = batch.s_next[order]
+    new = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
+    # the sort is stable: each core state's first transition comes first
+    first = order[new]
+    landing = np.empty(len(order), dtype=int)
+    landing[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
+    return np.sort(first), landing
 
 
 def core_states(batch: Batch) -> list[State]:
     """Deduplicated next-states in order of first appearance (exact equality)."""
-    seen: set[State] = set()
-    out: list[State] = []
-    for tr in batch.transitions:
-        if tr.s_next not in seen:
-            seen.add(tr.s_next)
-            out.append(tr.s_next)
-    return out
+    return list(map(tuple, batch.s_next[core_rows(batch)[0]].tolist()))
 
 
 def batch_stats(batch: Batch) -> BatchStats:
-    per_action = {a: 0 for a in range(batch.action_count)}
-    rewards = []
-    for tr in batch.transitions:
-        per_action[tr.a] += 1
-        rewards.append(tr.r)
-    return BatchStats(
-        count=len(batch.transitions),
-        per_action=per_action,
-        reward_min=min(rewards),
-        reward_max=max(rewards),
-        reward_mean=sum(rewards) / len(rewards),
-        dim=batch.dim,
-    )
+    counts = np.bincount(batch.a, minlength=batch.action_count)
+    return BatchStats(len(batch), dict(enumerate(counts.tolist())),
+                      float(batch.r.min()), float(batch.r.max()),
+                      float(batch.r.mean()), batch.dim)
 
 
 def concat_batches(batches) -> Batch:
     """Concatenate batches, renumbering trajectory ids to stay distinct."""
     batches = list(batches)
-    if not batches:
-        raise BatchError("empty batch")
-    dim = batches[0].dim
-    transitions = []
-    next_traj = 0
-    for b in batches:
-        if b.dim != dim:
-            raise BatchError("dimension mismatch between batches")
-        remap: dict[int, int] = {}
-        for tr in b.transitions:
-            if tr.traj_id not in remap:
-                remap[tr.traj_id] = next_traj
-                next_traj += 1
-            transitions.append(Transition(tr.s, tr.a, tr.r, tr.s_next,
-                                          remap[tr.traj_id], tr.t))
-    action_count = max(b.action_count for b in batches)
-    reward_bound = max(b.reward_bound for b in batches)
-    return make_batch(transitions, action_count, reward_bound)
+    if len({b.dim for b in batches}) != 1:
+        raise BatchError("dimension mismatch between batches" if batches
+                         else "empty batch")
+    columns = {name: np.concatenate([getattr(b, name) for b in batches])
+               for name in COLUMNS}
+    # each batch's trajectories are contiguous runs: number the runs
+    columns["traj"] = np.cumsum(np.concatenate(
+        [np.r_[True, b.traj[1:] != b.traj[:-1]] for b in batches])) - 1
+    return Batch(**columns, action_count=max(b.action_count for b in batches),
+                 reward_bound=max(b.reward_bound for b in batches))

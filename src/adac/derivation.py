@@ -20,10 +20,10 @@ neighbors, one kernel call per action (`NeighborIndex.search`), and
 `mdp_from_tables` reduces those tables with array operations: neighbor
 counts and landing rows from unique (row, landing core state) keys
 (`landing_rows`), then the per-row r_max and the shaped reward as a row sum
-in neighbor order (`shaped_reward`). The core states, the rewards and the
-landing core states come from the index. `build_mdp` is the search at k
-followed by the reduction; the C and k sweeps reduce shared tables with the
-same functions.
+in neighbor order (`shaped_reward`). The core states and the landing core
+states come from the index, the rewards from its batch. `build_mdp` is the
+search at k followed by the reduction; the C and k sweeps reduce shared
+tables with the same functions.
 """
 
 import json
@@ -154,7 +154,7 @@ def shaped_reward(index: NeighborIndex, tables: list,
     reward = np.zeros((n, index.action_count))
     for a, (rows, sources, norm_dist) in enumerate(tables):
         counts = np.bincount(rows, minlength=n)
-        r = index.rewards[sources]
+        r = index.batch.r[sources]
         if mode.kind == "adaptive":     # r_max: the largest reward of each row
             coef = np.full(n, -np.inf)
             np.maximum.at(coef, rows, r)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Batch, Transition, make_batch
+from .dataset import Batch, Transition, concat_batches, make_batch
 from .derivation import (DerivedMdp, PenaltyMode, build_mdp, check_params,
                          core_tables, mdp_from_tables, mdp_to_json,
                          shaped_reward)
@@ -268,10 +268,7 @@ def reconstruction_batch(collect_horizon: int = 10) -> Batch:
     lead_ns = collect(config, CyclicPolicy(2), 1, collect_horizon, start)
     lead_ew = collect(config, FixedCyclePolicy([EW, NS]), 1,
                       collect_horizon, start)
-    transitions = list(lead_ns.transitions)
-    transitions += [replace(tr, traj_id=1) for tr in lead_ew.transitions]
-    return make_batch(transitions, action_count=2,
-                      reward_bound=lead_ns.reward_bound)
+    return concat_batches([lead_ns, lead_ew])
 
 
 def two_flow_demo(collect_horizon: int = 10, horizon: int = 100,

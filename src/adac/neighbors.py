@@ -17,11 +17,11 @@ the normalized threshold alpha:
 - `NeighborIndex.query` finds the neighbors of one state for every
   action, from one distance pass over all points (the one-step lookup's).
 
-The index also holds the batch in the array form the derivation and the
-lookup read: the core states (the distinct next states, in order of first
-appearance), each transition's reward and each transition's landing core
-row. Distances are normalized by the exact diameter of the core-state
-point cloud, computed from the same blocked distances.
+The index also holds what the derivation and the lookup read beyond the
+batch's columns: the core states (the distinct next states, in order of
+first appearance) and each transition's landing core row. Distances are
+normalized by the exact diameter of the core-state point cloud, computed
+from the same blocked distances.
 """
 
 import math
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Batch, State, core_states
+from .dataset import Batch, State, core_rows
 
 NORMS = ("euclidean", "manhattan")
 
@@ -87,9 +87,8 @@ class NeighborIndex:
     action_count: int
     batch: Batch = field(repr=False)
     # the distinct next states in order of first appearance; transition i
-    # has reward rewards[i] and lands in core state landing[i]
+    # lands in core state landing[i]
     core: tuple[State, ...] = field(repr=False)
-    rewards: np.ndarray = field(repr=False)
     landing: np.ndarray = field(repr=False)
     # (m, dim) distinct source points, column-major so that each coordinate
     # is contiguous, grouped by action: action a's points are rows
@@ -103,11 +102,6 @@ class NeighborIndex:
     _sources: np.ndarray = field(repr=False)
     _starts: np.ndarray = field(repr=False)
     _point_of: np.ndarray = field(repr=False)
-
-    def size(self, action: int) -> int:
-        """Number of transitions with the action."""
-        lo, hi = self._offsets[action], self._offsets[action + 1]
-        return int(self._starts[hi] - self._starts[lo])
 
     def points(self, action: int) -> np.ndarray:
         """The action's distinct source points, by first appearance."""
@@ -232,18 +226,12 @@ def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
     """
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}")
-    core = tuple(core_states(batch))
-    diam = diameter(core, norm)
-    row_of = dict(zip(core, range(len(core))))
-    landing = np.array([row_of[tr.s_next] for tr in batch.transitions])
-    rewards = np.array([tr.r for tr in batch.transitions])
-    actions = np.array([tr.a for tr in batch.transitions], dtype=int)
-    coords = np.reshape([tr.s for tr in batch.transitions],
-                        (len(actions), batch.dim)).astype(float)
+    first, landing = core_rows(batch)
+    core = batch.s_next[first]
     # transitions by action, then coordinates; the stable sort keeps each
     # point's transitions in file order
-    sources = np.lexsort((*coords.T[::-1], actions))
-    actions, coords = actions[sources], coords[sources]
+    sources = np.lexsort((*batch.s.T[::-1], batch.a))
+    actions, coords = batch.a[sources], batch.s[sources]
     # a transition starts a new point where its action or a coordinate
     # differs from the previous one's; equal coordinates give equal
     # distances, -0.0 and 0.0 included
@@ -255,8 +243,9 @@ def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
     point_actions = actions[new]
     offsets = np.searchsorted(point_actions,
                               np.arange(batch.action_count + 1)).tolist()
-    return NeighborIndex(norm, diam, batch.action_count, batch, core, rewards,
-                         landing, np.asfortranarray(coords[new]),
-                         point_actions, offsets, sources,
+    return NeighborIndex(norm, diameter(core, norm), batch.action_count, batch,
+                         tuple(map(tuple, core.tolist())), landing,
+                         np.asfortranarray(coords[new]), point_actions,
+                         offsets, sources,
                          np.append(np.flatnonzero(new), len(sources)),
                          point_of)

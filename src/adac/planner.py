@@ -106,7 +106,7 @@ def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
     """
     actions, sources, norm_dist = index.query(s, mdp.k, mdp.alpha)
     q = np.zeros(mdp.action_count)
-    rewards = index.rewards[sources].tolist()
+    rewards = index.batch.r[sources].tolist()
     landing = index.landing[sources].tolist()
     ends = np.searchsorted(actions, np.arange(mdp.action_count + 1)).tolist()
     norm_dist = norm_dist.tolist()

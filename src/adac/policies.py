@@ -9,12 +9,11 @@ import math
 
 import numpy as np
 
-from .dataset import Batch, State
+from .dataset import Batch, State, make_batch
 from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 from .planner import Solution, check_artifacts, greedy_action
-from .traffic import (EnvState, IntersectionEnvConfig, rollout,
-                      transitions_to_batch)
+from .traffic import EnvState, IntersectionEnvConfig, reward_bound, rollout
 
 
 class CyclicPolicy:
@@ -129,4 +128,4 @@ def collect(config: IntersectionEnvConfig, policy, episodes: int,
     for ep in range(episodes):
         result = rollout(config, start, policy, horizon, rng=rng, traj_id=ep)
         transitions.extend(result.transitions)
-    return transitions_to_batch(transitions, config)
+    return make_batch(transitions, config.action_count, reward_bound(config))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Batch
-from .derivation import DerivedMdp, PenaltyMode
+from .derivation import DerivedMdp, PenaltyMode, core_tables
 from .neighbors import NeighborIndex, build_index, distances, row_sums
 from .planner import Solution, check_artifacts
 
@@ -103,8 +103,7 @@ def value_gap(epsilon_s: float, d_bar: float, r_max: float,
 def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
     """Worst-case mean normalized neighbor distance over derivation queries."""
     n, worst = mdp.num_states(), 0.0
-    for a in range(mdp.action_count):
-        rows, _, norm_dist = index.search(mdp.core, a, mdp.k, mdp.alpha)
+    for rows, _, norm_dist in core_tables(index, mdp.k, mdp.alpha):
         # an empty row's mean reads 0, which never raises the maximum
         counts = np.maximum(np.bincount(rows, minlength=n), 1)
         worst = max(worst, float(np.max(row_sums(rows, norm_dist, n) / counts)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Batch, State, Transition, make_batch
+from .dataset import State, Transition
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,6 @@ def two_flow_config(lambda_ns: int = 1, lambda_ew: int = 3,
 
 def reward_bound(config: IntersectionEnvConfig) -> float:
     return float(config.capacity * max(len(p) for p in config.phases))
-
-
-def transitions_to_batch(transitions, config: IntersectionEnvConfig) -> Batch:
-    return make_batch(transitions, action_count=config.action_count,
-                      reward_bound=reward_bound(config))
 
 
 def config_to_json(config: IntersectionEnvConfig) -> str:

@@ -286,11 +286,18 @@ class TestExitCodes:
         ('{"reward_bound": NaN}', {}),
         (None, {"traj": True}),
         (None, {"t": True}),
+        # numbers beyond float range, and nesting beyond the recursion limit
+        pytest.param(None, {"s": [10**400, 3]}, id="huge-coordinate"),
+        pytest.param(None, {"r": 10**400}, id="huge-reward"),
+        pytest.param('{"reward_bound": 1' + "0" * 400 + "}", {},
+                     id="huge-reward-bound"),
+        pytest.param(None, "[" * 100_000, id="deep-nesting"),
     ])
     def test_malformed_batch_is_rejected(self, tmp_path, capsys, meta,
                                          record):
         rec = {"s": [1, 3], "a": 0, "r": 1, "sp": [0, 3], "traj": 0, "t": 0}
-        lines = [json.dumps({**rec, **record})]
+        lines = [record if isinstance(record, str)
+                 else json.dumps({**rec, **record})]
         if meta is not None:
             lines.insert(0, f'{{"meta": {meta}}}')
         bad = tmp_path / "bad.jsonl"
@@ -327,6 +334,17 @@ class TestExitCodes:
         assert code == 1
         assert "--start" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["eval", "--episodes", "1", "--horizon", "5", "--start", "1,x"],
+         "--start: 'x' is neither an integer"),
+        (["shaping-sweep", "--r-max-values", "2,z"],
+         "--r-max-values: 'z' is not a number"),
+    ])
+    def test_bad_number_names_the_option_and_part(self, capsys, argv, shown):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert shown in err and "Traceback" not in err
+
     def test_eval_needs_an_episode(self, capsys):
         code, _, err = run(capsys, "eval", "--episodes", "0")
         assert code == 1
@@ -339,6 +357,7 @@ class TestExitCodes:
         ("sweep-k", ["--k-values", "2,x"], "'x' is neither an integer"),
         ("sweep-c", ["--c-values", "1,-1"], "cost parameter"),
         ("sweep-c", ["--snapshot-dir", "{tmp}/missing"], "snapshot directory"),
+        ("sweep-c", ["--c-values", "1,y"], "--c-values: 'y' is not a number"),
     ])
     def test_bad_sweep_grid(self, tmp_path, capsys, pipeline, command, bad,
                             shown):

@@ -1,13 +1,46 @@
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adac.dataset import (BatchError, Transition, batch_stats, concat_batches,
                           core_states, load_batch, make_batch, save_batch)
 
 from conftest import random_batch
+
+# JSON values a malformed batch file may hold where a number belongs
+NUMBERS = st.one_of(
+    st.integers(0, 6), st.floats(0, 6), st.booleans(), st.integers(-2, -1),
+    st.integers(2**63 - 1, 10**400), st.sampled_from([math.nan, math.inf]),
+    st.none(), st.text(max_size=2))
+
+
+def mostly(valid, invalid):
+    """valid four times in five, otherwise invalid"""
+    return st.integers(0, 4).flatmap(lambda i: valid if i else invalid)
+
+
+STATES = mostly(st.lists(st.integers(0, 6), min_size=2, max_size=2),
+                st.one_of(st.lists(NUMBERS, max_size=3), NUMBERS,
+                          st.lists(st.lists(NUMBERS, max_size=2), max_size=2)))
+FIELDS = {"s": STATES, "a": mostly(st.integers(0, 2), NUMBERS),
+          "r": mostly(st.floats(0, 5), NUMBERS), "sp": STATES,
+          "traj": mostly(st.integers(0, 2), NUMBERS),
+          "t": mostly(st.integers(0, 5), NUMBERS)}
+RECORDS = mostly(st.fixed_dictionaries(FIELDS),
+                 st.fixed_dictionaries({}, optional=FIELDS))
+METAS = mostly(st.fixed_dictionaries({}, optional={
+    "action_count": mostly(st.integers(0, 4), NUMBERS),
+    "reward_bound": mostly(st.floats(0, 10), NUMBERS), "dim": NUMBERS}),
+    NUMBERS)
+LINES = mostly(RECORDS.map(json.dumps), st.one_of(
+    st.sampled_from(["", "{", "[" * 100_000, "null"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)))
 
 TABLE1_JSONL = """\
 {"s":[1,5],"a":1,"r":2,"sp":[3,3],"traj":0,"t":0}
@@ -71,6 +104,47 @@ class TestLoadBatch:
             load_batch(write(
                 tmp_path, '{"s":[1,0],"a":0.5,"r":1,"sp":[0,0],"traj":0,"t":0}\n'))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("s", [1, "2"], "non-numeric coordinate"),
+        ("s", [1, True], "non-numeric coordinate"),
+        ("s", [1], "dimension mismatch"),
+        ("sp", 1, "state is not a sequence"),
+        ("s", [1, math.inf], "coordinate is negative or non-finite"),
+        ("s", [1, 10**400], "number out of range"),
+        ("a", True, "action"),
+        ("a", -1, "action -1 out of range"),
+        ("a", 2**63, "number out of range"),
+        ("r", False, "non-numeric reward"),
+        ("r", math.nan, "non-finite reward"),
+        ("traj", 0, "trajectory 0 is not contiguous"),
+        ("t", 0, "step index not strictly increasing"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, field, value, message):
+        rec = {"s": [1, 1], "a": 0, "r": 1, "sp": [1, 1]}
+        lines = [{**rec, "traj": 0, "t": 0}, None, {**rec, "traj": 1, "t": 0},
+                 {**rec, "traj": 1, "t": 1}]
+        # lines 5 and 6 break the rule; line 2 is blank
+        lines += [{**rec, "traj": 1, "t": t, field: value} for t in (2, 3)]
+        text = "\n".join("" if r is None else json.dumps(r) for r in lines)
+        with pytest.raises(BatchError, match=f"^line 5: {message}"):
+            load_batch(write(tmp_path, text + "\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(meta=st.none() | METAS, lines=st.lists(LINES, max_size=6))
+    def test_arbitrary_lines_load_or_raise_batch_error(
+            self, tmp_path_factory, meta, lines):
+        if meta is not None:
+            lines = [json.dumps({"meta": meta})] + lines
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            batch = load_batch(path)
+        except BatchError:
+            return
+        assert np.all(np.isfinite(batch.s)) and np.all(batch.s >= 0)
+        assert 0 <= batch.a.min() <= batch.a.max() < batch.action_count
+        assert batch.r.max() <= batch.reward_bound < math.inf
+
 
 class TestValidation:
     def test_non_contiguous_trajectory(self):
@@ -95,6 +169,30 @@ class TestValidation:
         rows = [Transition((0.0,), 0, 5.0, (0.0,), 0, 0)]
         with pytest.raises(BatchError, match="reward_bound"):
             make_batch(rows, reward_bound=4.0)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, True,
+                                       "4", 10**400])
+    def test_declared_reward_bound_must_be_a_finite_number(self, bound):
+        rows = [Transition((0.0,), 0, 1.0, (0.0,), 0, 0)]
+        with pytest.raises(BatchError, match="declared reward_bound"):
+            make_batch(rows, reward_bound=bound)
+
+    @pytest.mark.parametrize("count", [-1, 2.0, True, "2"])
+    def test_declared_action_count_must_be_a_count(self, count):
+        rows = [Transition((0.0,), 0, 1.0, (0.0,), 0, 0)]
+        with pytest.raises(BatchError, match="declared action_count"):
+            make_batch(rows, action_count=count)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", True), ("traj_id", False), ("r", True), ("a", True),
+        ("s", (True, 0.0)), ("s_next", [0.0, "1"]), ("s", np.zeros(1)),
+    ])
+    def test_rows_get_the_file_rules(self, field, value):
+        rows = [Transition((0.0,), 0, 1.0, (0.0,), 0, 0),
+                replace(Transition((0.0,), 0, 1.0, (0.0,), 0, 1),
+                        **{field: value})]
+        with pytest.raises(BatchError, match="transition 1"):
+            make_batch(rows)
 
 
 class TestCoreStates:
@@ -169,6 +267,31 @@ class TestBatchStats:
 
 
 class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           integer_coords=st.booleans(), negative_zero=st.booleans())
+    def test_save_load_is_the_identity(self, tmp_path_factory, seed, n,
+                                       integer_coords, negative_zero):
+        batch = random_batch(np.random.default_rng(seed), n=n, coord_max=2,
+                             integer_coords=integer_coords)
+        if negative_zero:   # every other transition's zeros as -0.0
+            batch = make_batch([
+                replace(tr, s=tuple(x or (-0.0 if i % 2 else x) for x in tr.s),
+                        s_next=tuple(x or (-0.0 if i % 2 else x)
+                                     for x in tr.s_next))
+                for i, tr in enumerate(batch.transitions)],
+                batch.action_count, batch.reward_bound)
+        first = tmp_path_factory.getbasetemp() / "first.jsonl"
+        second = tmp_path_factory.getbasetemp() / "second.jsonl"
+        save_batch(batch, first)
+        loaded = load_batch(first)
+        save_batch(loaded, second)
+        assert loaded == batch
+        assert np.array_equal(np.signbit(loaded.s), np.signbit(batch.s))
+        assert np.array_equal(np.signbit(loaded.s_next),
+                              np.signbit(batch.s_next))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_worked_example(self, tmp_path, table1):
         path = tmp_path / "t1.jsonl"
         save_batch(table1, path)
@@ -223,3 +346,46 @@ class TestConcat:
         save_batch(table1, tmp_path / "b.jsonl")
         first = json.loads((tmp_path / "b.jsonl").read_text().splitlines()[0])
         assert set(first) == {"s", "a", "r", "sp", "traj", "t"}
+
+
+class TestColumns:
+    def test_columns_are_read_only(self, table1):
+        assert table1.s.shape == table1.s_next.shape == (6, 2)
+        for column in (table1.s, table1.a, table1.r, table1.s_next,
+                       table1.traj, table1.t):
+            assert len(column) == 6
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_row_view_matches_the_columns(self, table1):
+        rows = table1.transitions
+        assert rows is table1.transitions       # built once
+        assert [tr.s for tr in rows] == [tuple(x) for x in table1.s.tolist()]
+        assert [tr.traj_id for tr in rows] == table1.traj.tolist()
+        assert make_batch(rows, table1.action_count,
+                          table1.reward_bound) == table1
+
+    def test_equality_is_over_columns_and_declared_values(self, table1):
+        assert concat_batches([table1]) == table1
+        assert make_batch(table1.transitions, 3, table1.reward_bound) != table1
+        assert make_batch(table1.transitions[:-1]) != table1
+        assert table1 != table1.transitions
+
+    def test_derive_solve_act_and_bound_never_build_the_row_view(self):
+        from adac.derivation import build_mdp
+        from adac.neighbors import build_index
+        from adac.planner import value_iteration
+        from adac.policies import GreedyDerivedPolicy
+        from adac.theory import covering_number, pac_bound
+        from adac.evaluation import reconstruction_batch
+        batch = reconstruction_batch()
+        index = build_index(batch, "manhattan")
+        mdp = build_mdp(batch, k=3, alpha=math.inf, index=index)
+        solution = value_iteration(mdp, tol=1e-9)
+        policy = GreedyDerivedPolicy(mdp, solution, index)
+        assert policy.act((1.0, 3.0), 0) in (0, 1)
+        pac_bound(batch, mdp, solution, 0.1)
+        covering_number(index, 0.5)
+        batch_stats(batch)
+        core_states(batch)
+        assert "transitions" not in vars(batch)

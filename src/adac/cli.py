@@ -10,14 +10,13 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import evaluation, theory
-from .dataset import (BatchError, batch_stats, load_batch, save_batch)
+from .dataset import BatchError, load_batch, save_batch
 from .derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
 from .neighbors import NORMS, build_index
 from .planner import (ConvergenceError, solution_from_json, solution_to_json,
@@ -37,8 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ADAC_SEED", "0"))
+def _number(text: str, option: str, kind=float):
+    """One number of the kind, or ValueError naming the option."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{option}: {text!r} is not " + (
+            "an integer" if kind is int else "a number")) from None
 
 
 def _parse_numbers(text: str, option: str, kind=int) -> list:
@@ -57,20 +61,14 @@ def _parse_numbers(text: str, option: str, kind=int) -> list:
     return out
 
 
-def _parse_alpha(text: str) -> float:
-    return math.inf if text in ("inf", "infinity") else float(text)
+def _load(path, parse):
+    """The artifact in the file, read by parse from its text."""
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read())
 
 
 def _load_env(path) -> IntersectionEnvConfig:
-    if path is None:
-        return two_flow_config()
-    with open(path, encoding="utf-8") as fh:
-        return config_from_json(fh.read())
-
-
-def _load_mdp(path):
-    with open(path, encoding="utf-8") as fh:
-        return mdp_from_json(fh.read())
+    return two_flow_config() if path is None else _load(path, config_from_json)
 
 
 def _add_metric_args(p):
@@ -90,9 +88,8 @@ def _build_policy(args, config, seed):
         if not (args.mdp and args.solution and args.source_batch):
             raise BatchError("greedy policy needs --mdp, --solution, and "
                              "--source-batch")
-        mdp = _load_mdp(args.mdp)
-        with open(args.solution, encoding="utf-8") as fh:
-            solution = solution_from_json(fh.read())
+        mdp = _load(args.mdp, mdp_from_json)
+        solution = _load(args.solution, solution_from_json)
         source = load_batch(args.source_batch)
         index = build_index(source, mdp.norm)
         policy = GreedyDerivedPolicy(mdp, solution, index)
@@ -171,15 +168,18 @@ def cmd_collect(args):
     batch = collect(config, policy, args.episodes, args.horizon,
                     _start_state(args, config), rng=rng)
     save_batch(batch, args.out)
-    stats = batch_stats(batch)
-    print(f"wrote {stats.count} transitions "
+    print(f"wrote {len(batch)} transitions "
           f"({args.episodes} episodes x {args.horizon} steps) to {args.out}")
 
 
 def cmd_derive(args):
     batch = load_batch(args.batch)
-    mdp = build_mdp(batch, k=args.k, alpha=_parse_alpha(args.alpha),
-                    gamma=args.gamma, mode=PenaltyMode.parse(args.penalty),
+    try:
+        mode = PenaltyMode.parse(args.penalty)
+    except ValueError as exc:
+        raise ValueError(f"--penalty: {exc}") from None
+    mdp = build_mdp(batch, k=args.k, alpha=_number(args.alpha, "--alpha"),
+                    gamma=args.gamma, mode=mode,
                     index=build_index(batch, args.norm))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(mdp_to_json(mdp))
@@ -189,7 +189,7 @@ def cmd_derive(args):
 
 
 def cmd_solve(args):
-    mdp = _load_mdp(args.mdp)
+    mdp = _load(args.mdp, mdp_from_json)
     solution = value_iteration(mdp, tol=args.tol, max_iters=args.max_iters)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(solution_to_json(solution))
@@ -216,7 +216,7 @@ def cmd_sweep_c(args):
              if config.arrivals == "poisson" else None)
     rows = evaluation.sweep_c(
         batch, _parse_numbers(args.c_values, "--c-values", float), args.k,
-        _parse_alpha(args.alpha), args.gamma, config, args.episodes,
+        _number(args.alpha, "--alpha"), args.gamma, config, args.episodes,
         args.horizon, seeds=seeds, start=_start_state(args, config),
         norm=args.norm, snapshot_dir=args.snapshot_dir)
     _write_csv(args.out, ["c", "mean_return"], rows)
@@ -229,7 +229,7 @@ def cmd_sweep_k(args):
              if config.arrivals == "poisson" else None)
     rows = evaluation.sweep_k(
         batch, _parse_numbers(args.k_values, "--k-values"),
-        _parse_alpha(args.alpha), args.gamma, config, args.episodes,
+        _number(args.alpha, "--alpha"), args.gamma, config, args.episodes,
         args.horizon, seeds=seeds, start=_start_state(args, config),
         norm=args.norm)
     _write_csv(args.out, ["k", "mean_return"], rows)
@@ -237,19 +237,18 @@ def cmd_sweep_k(args):
 
 def cmd_bounds(args):
     batch = load_batch(args.batch)
-    mdp = _load_mdp(args.mdp)
-    with open(args.solution, encoding="utf-8") as fh:
-        solution = solution_from_json(fh.read())
+    mdp = _load(args.mdp, mdp_from_json)
+    solution = _load(args.solution, solution_from_json)
     report = theory.pac_bound(batch, mdp, solution, args.delta,
                               alpha=None if args.alpha is None
-                              else _parse_alpha(args.alpha))
+                              else _number(args.alpha, "--alpha"))
     _print_json(dataclasses.asdict(report), args.out)
 
 
 def cmd_cover(args):
     batch = load_batch(args.batch)
     index = build_index(batch, args.norm)
-    print(theory.covering_number(index, _parse_alpha(args.alpha)))
+    print(theory.covering_number(index, _number(args.alpha, "--alpha")))
 
 
 def cmd_shaping_sweep(args):
@@ -296,7 +295,8 @@ def cmd_two_flow_demo(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="adac", description=__doc__)
-    parser.add_argument("--seed", type=int, default=_default_seed())
+    parser.add_argument("--seed", type=int, default=_number(
+        os.environ.get("ADAC_SEED", "0"), "ADAC_SEED", int))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("collect", help="roll out a behavior policy to JSONL")
@@ -393,17 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the parser reads ADAC_SEED, so building it can fail too
+        args = build_parser().parse_args(argv)
+        args.func(args)
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0              # --help and friends
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
         return 1
-    try:
-        args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -178,12 +178,13 @@ def load_batch(path) -> Batch:
     """Load a JSONL batch file; every malformed line reports its line number."""
     record = itemgetter(*_KEYS)
     rows, lines, meta = [], [], {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                # each line decoded alone, so that bad UTF-8 names its line
+                rec = json.loads(line.decode("utf-8"))
             except (ValueError, RecursionError) as exc:
                 raise BatchError(f"line {lineno}: malformed JSON "
                                  f"({getattr(exc, 'msg', exc)})") from None
@@ -199,8 +200,13 @@ def load_batch(path) -> Batch:
                 raise BatchError(f"line {lineno}: missing fields {missing}")
             rows.append(record(rec))
             lines.append(lineno)
-    return _validated(rows, meta.get("action_count"), meta.get("reward_bound"),
-                      lambda i: f"line {lines[i]}", "line 1: meta")
+    batch = _validated(rows, meta.get("action_count"), meta.get("reward_bound"),
+                       lambda i: f"line {lines[i]}", "line 1: meta")
+    dim = meta.get("dim", batch.dim)
+    if not (_only([dim], int) and dim == batch.dim):
+        raise BatchError(f"line 1: meta dim {dim!r} is not the records' "
+                         f"dimension {batch.dim}")
+    return batch
 
 
 def save_batch(batch: Batch, path) -> None:

@@ -15,15 +15,15 @@ distance threshold truncates the set. Pairs with no neighbors at all get
 the pessimistic fallback: reward 0 (the lower reward bound) and an
 absorbing self-loop.
 
-A derivation is two steps. `core_tables` searches the core states'
-neighbors, one kernel call per action (`NeighborIndex.search`), and
-`mdp_from_tables` reduces those tables with array operations: neighbor
-counts and landing rows from unique (row, landing core state) keys
-(`landing_rows`), then the per-row r_max and the shaped reward as a row sum
-in neighbor order (`shaped_reward`). The core states and the landing core
-states come from the index, the rewards from its batch. `build_mdp` is the
-search at k followed by the reduction; the C and k sweeps reduce shared
-tables with the same functions.
+A derivation is two steps. One `NeighborIndex.search` finds the core
+states' neighbors for every action, as one table keyed by the pair id
+si * action_count + a, and `mdp_from_table` reduces it over the pairs:
+neighbor counts and landing rows from unique (pair, landing core state)
+keys (`landing_rows`), then the per-pair r_max and the shaped reward as a
+sum in neighbor order (`shaped_reward`). The core states and the landing
+core states come from the index, the rewards from its batch. `build_mdp`
+is the search at k followed by the reduction; the C and k sweeps reduce a
+shared table with the same functions.
 """
 
 import json
@@ -124,68 +124,61 @@ def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
         index = build_index(batch)
     elif index.batch != batch:
         raise ValueError("the index was built over another batch")
-    return mdp_from_tables(index, core_tables(index, k, alpha), k, alpha,
-                           gamma, mode)
+    return mdp_from_table(index, index.search(index.core, k, alpha), k, alpha,
+                          gamma, mode)
 
 
-def core_tables(index: NeighborIndex, k: int, alpha: float) -> list:
-    """Per action, the neighbor table of the index's core states."""
-    return [index.search(index.core, a, k, alpha)
-            for a in range(index.action_count)]
-
-
-def mdp_from_tables(index: NeighborIndex, tables: list, k: int, alpha: float,
-                    gamma: float, mode: PenaltyMode) -> DerivedMdp:
-    """The MDP whose pairs have the neighbors of the core tables (searched
-    at k and alpha over the index): their landing rows, then their shaped
-    rewards."""
-    transition, empty_pairs = landing_rows(index, tables)
+def mdp_from_table(index: NeighborIndex, table: tuple, k: int, alpha: float,
+                   gamma: float, mode: PenaltyMode) -> DerivedMdp:
+    """The MDP whose pairs have the neighbors of the core states' table
+    (searched at k and alpha over the index): their landing rows, then
+    their shaped rewards."""
+    transition, empty_pairs = landing_rows(index, table)
     return DerivedMdp(index.core, index.action_count,
-                      shaped_reward(index, tables, mode), transition, gamma,
+                      shaped_reward(index, table, mode), transition, gamma,
                       mode, k, alpha, index.diameter, index.norm, empty_pairs)
 
 
-def shaped_reward(index: NeighborIndex, tables: list,
+def shaped_reward(index: NeighborIndex, table: tuple,
                   mode: PenaltyMode) -> np.ndarray:
-    """(|core|, |actions|) shaped rewards of the core tables: each pair's
-    sum of r_i - coef * d'_i in neighbor order over its neighbor count, 0
-    for a pair with none."""
-    n = len(index.core)
-    reward = np.zeros((n, index.action_count))
-    for a, (rows, sources, norm_dist) in enumerate(tables):
-        counts = np.bincount(rows, minlength=n)
-        r = index.batch.r[sources]
-        if mode.kind == "adaptive":     # r_max: the largest reward of each row
-            coef = np.full(n, -np.inf)
-            np.maximum.at(coef, rows, r)
-        else:
-            coef = np.full(n, mode.coefficient(r))
-        total = row_sums(rows, r - coef[rows] * norm_dist, n)
-        np.divide(total, counts, out=reward[:, a], where=counts > 0)
-    return reward
+    """(|core|, |actions|) shaped rewards of the core states' table: each
+    pair's sum of r_i - coef * d'_i in neighbor order over its neighbor
+    count, 0 for a pair with none."""
+    size = len(index.core) * index.action_count
+    pairs, sources, norm_dist = table
+    counts = np.bincount(pairs, minlength=size)
+    r = index.batch.r[sources]
+    if mode.kind == "adaptive":     # r_max: the largest reward of each pair
+        coef = np.full(size, -np.inf)
+        np.maximum.at(coef, pairs, r)
+    else:
+        coef = np.full(size, mode.coefficient(r))
+    total = row_sums(pairs, r - coef[pairs] * norm_dist, size)
+    reward = np.zeros(size)
+    np.divide(total, counts, out=reward, where=counts > 0)
+    return reward.reshape(len(index.core), index.action_count)
 
 
-def landing_rows(index: NeighborIndex, tables: list) -> tuple[list, list]:
-    """Transition rows of the core tables, [state][action] -> {core index:
-    share of the pair's neighbors landing there}, with a self-loop for
-    each pair without neighbors, and the sorted list of those pairs."""
-    n = len(index.core)
+def landing_rows(index: NeighborIndex, table: tuple) -> tuple[list, list]:
+    """Transition rows of the core states' table, [state][action] -> {core
+    index: share of the pair's neighbors landing there}, with a self-loop
+    for each pair without neighbors, and the sorted list of those pairs."""
+    n, actions = len(index.core), index.action_count
+    pairs, sources, _ = table
+    counts = np.bincount(pairs, minlength=n * actions)
     targets = list(range(n))    # int objects shared by all the rows' keys
-    realized = np.zeros((n, index.action_count), dtype=int)
-    columns = []
-    for a, (rows, sources, _) in enumerate(tables):
-        realized[:, a] = counts = np.bincount(rows, minlength=n)
-        # one cell per (row, landing core state), sorted by both
-        keys, hits = np.unique(rows * n + index.landing[sources],
-                               return_counts=True)
-        row_of = keys // n
-        cells = list(zip([targets[j] for j in (keys % n).tolist()],
-                         (hits / counts[row_of]).tolist()))
-        ends = np.searchsorted(row_of, np.arange(n + 1)).tolist()
-        columns.append([dict(cells[lo:hi]) if lo < hi else {si: 1.0}
-                        for si, (lo, hi) in enumerate(zip(ends, ends[1:]))])
-    return ([list(per_state) for per_state in zip(*columns)],
-            list(map(tuple, np.argwhere(realized == 0).tolist())))
+    # one cell per (pair, landing core state), sorted by both
+    keys, hits = np.unique(pairs * n + index.landing[sources],
+                           return_counts=True)
+    pair_of = keys // n
+    # two lists, not one list of (key, share) tuples: fewer objects at once
+    landed = [targets[j] for j in (keys % n).tolist()]
+    shares = (hits / counts[pair_of]).tolist()
+    ends = np.searchsorted(pair_of, np.arange(n * actions + 1)).tolist()
+    rows = [dict(zip(landed[lo:hi], shares[lo:hi])) if lo < hi else
+            {p // actions: 1.0} for p, (lo, hi) in enumerate(zip(ends, ends[1:]))]
+    return ([rows[i:i + actions] for i in range(0, len(rows), actions)],
+            [divmod(p, actions) for p in np.flatnonzero(counts == 0).tolist()])
 
 
 def mdp_to_json(mdp: DerivedMdp) -> str:

@@ -3,10 +3,10 @@ bundled worked example.
 
 The sweeps check their whole grid (every k, C, alpha, gamma, the episode
 seeds and the snapshot directory) before deriving anything, then search
-the core states' neighbors once per action in all. The C sweep reduces one
+the core states' neighbors once, for every action. The C sweep reduces one
 table at k: its rows share the landing rows, and each recomputes only its
 shaped reward. The k sweep searches at the largest k, and each row keeps
-its first k neighbors of every table row, which is the search at that k.
+the first k neighbors of every pair, which is the search at that k.
 Every row is bit for bit the row of its own `build_mdp`, solved with the
 module's `value_iteration`.
 
@@ -29,8 +29,7 @@ import numpy as np
 
 from .dataset import Batch, Transition, concat_batches, make_batch
 from .derivation import (DerivedMdp, PenaltyMode, build_mdp, check_params,
-                         core_tables, mdp_from_tables, mdp_to_json,
-                         shaped_reward)
+                         mdp_from_table, mdp_to_json, shaped_reward)
 from .neighbors import build_index, prefix
 from .planner import value_iteration
 from .policies import (CyclicPolicy, FixedCyclePolicy, GreedyDerivedPolicy,
@@ -60,6 +59,8 @@ def evaluate(config: IntersectionEnvConfig, policy, episodes: int,
     clock at i * horizon so consecutive episodes sweep the schedule.
     """
     _check_episodes(config, episodes, seeds)
+    if not 0 <= gamma <= 1:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
     stochastic = config.arrivals == "poisson"
     queues = start.queues if start is not None else (0,) * len(config.flows)
     returns, discounted = [], []
@@ -102,8 +103,8 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
     Returns one row per C value and a final row labeled "A-DAC"; when
     snapshot_dir is set, each derived MDP is written there as JSON so the
     rows can be reproduced from the snapshots alone. Every row's MDP comes
-    from one core-state neighbor search per action: the rows share its
-    landing rows, and only the shaped reward differs.
+    from one core-state neighbor search: the rows share its landing rows,
+    and only the shaped reward differs.
     """
     modes = [(f"{c:g}", PenaltyMode.fixed(c)) for c in c_values]
     if not modes:
@@ -114,12 +115,12 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
     if snapshot_dir is not None and not os.path.isdir(snapshot_dir):
         raise ValueError(f"snapshot directory {snapshot_dir!r} does not exist")
     index = build_index(batch, norm)
-    tables = core_tables(index, k, alpha)
-    shared = mdp_from_tables(index, tables, k, alpha, gamma, modes[-1][1])
+    table = index.search(index.core, k, alpha)
+    shared = mdp_from_table(index, table, k, alpha, gamma, modes[-1][1])
     rows = []
     for label, mode in modes:
         mdp = replace(shared, mode=mode,
-                      reward=shaped_reward(index, tables, mode))
+                      reward=shaped_reward(index, table, mode))
         report = evaluate(config, _greedy_policy(mdp, index), episodes,
                           horizon, gamma, seeds=seeds, start=start)
         if snapshot_dir is not None:
@@ -135,8 +136,8 @@ def sweep_k(batch: Batch, k_values, alpha: float, gamma: float,
             seeds=None, start: EnvState | None = None,
             norm: str = "euclidean") -> list[dict]:
     """Evaluate the adaptive derivation across neighbor counts. Every row's
-    MDP comes from one core-state neighbor search per action at the
-    largest k, of which each row takes its first k neighbors."""
+    MDP comes from one core-state neighbor search at the largest k, of
+    which each row takes the first k neighbors of every pair."""
     k_values = list(k_values)
     if not k_values:
         raise ValueError("empty k grid")
@@ -144,11 +145,11 @@ def sweep_k(batch: Batch, k_values, alpha: float, gamma: float,
         check_params(k, alpha, gamma)
     _check_episodes(config, episodes, seeds)
     index = build_index(batch, norm)
-    tables = core_tables(index, max(k_values), alpha)
+    table = index.search(index.core, max(k_values), alpha)
     rows = []
     for k in k_values:
-        mdp = mdp_from_tables(index, [prefix(t, k) for t in tables], k, alpha,
-                              gamma, PenaltyMode.adaptive())
+        mdp = mdp_from_table(index, prefix(table, k), k, alpha, gamma,
+                             PenaltyMode.adaptive())
         report = evaluate(config, _greedy_policy(mdp, index), episodes,
                           horizon, gamma, seeds=seeds, start=start)
         rows.append({"k": k, "mean_return": report.mean_return})

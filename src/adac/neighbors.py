@@ -9,13 +9,14 @@ distinct points is at least its k-th over its transitions, so the
 transitions of the points at or below it hold every exact neighbor and
 every tie. One selection step then orders those candidates by distance,
 ties to the lower transition index, keeps the first k and cuts them at
-the normalized threshold alpha:
+the normalized threshold alpha. Both searches cover every action:
 
-- `NeighborIndex.search` finds the neighbors of many states for one
-  action, from distances computed in row blocks of at most BLOCK
-  elements, and returns one flat row-major table (the derivation's);
-- `NeighborIndex.query` finds the neighbors of one state for every
-  action, from one distance pass over all points (the one-step lookup's).
+- `NeighborIndex.search` finds the neighbors of many states, from
+  distances to all points computed in row blocks of at most BLOCK
+  elements, and returns one flat table keyed by the pair id
+  row * action_count + action, in pair order (the derivation's);
+- `NeighborIndex.query` finds the neighbors of one state, keyed by
+  action (the one-step lookup's); it equals `search([s])` bit for bit.
 
 The index also holds what the derivation and the lookup read beyond the
 batch's columns: the core states (the distinct next states, in order of
@@ -110,42 +111,41 @@ class NeighborIndex:
         first = self._sources[self._starts[lo:hi]]
         return self._points[lo:hi][np.argsort(first)]
 
-    def search(self, states, a: int, k: int, alpha: float = math.inf
+    def search(self, states, k: int, alpha: float = math.inf
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Neighbor table of the states as flat arrays: state row, transition
-        index and normalized distance of each neighbor. Row by row, each
-        state's at most k same-action sources with normalized distance
+        """Neighbor table of the states for every action, as flat arrays:
+        pair id (row * action_count + action), transition index and
+        normalized distance of each neighbor. Pair by pair, each (state,
+        action)'s at most k sources of that action with normalized distance
         <= alpha, nearest first, ties to the lower transition index."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not 0 <= a < self.action_count:
-            raise ValueError(f"action {a} out of range")
-        lo, hi = self._offsets[a], self._offsets[a + 1]
-        pts = self._points[lo:hi]
+        pts, actions = self._points, self.action_count
         queries = np.asarray(states, dtype=float).reshape(len(states),
                                                           pts.shape[1])
         parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
-        if len(pts) == 0:
-            return parts[0]
-        kth, step = min(k, len(pts)) - 1, max(1, BLOCK // len(pts))
-        n = len(self._sources)
+        segments = [(lo, hi, min(k, hi - lo) - 1) for lo, hi
+                    in zip(self._offsets, self._offsets[1:]) if lo < hi]
+        step = max(1, BLOCK // len(pts))
         for start in range(0, len(queries), step):
             d = distances(queries[start:start + step], pts, self.norm)
-            # every point at or below its row's k-th smallest distance
-            rows, near = np.nonzero(
-                d <= np.partition(d, kth, axis=1)[:, kth, None])
+            # every point at or below its action's k-th smallest distance
+            near = np.empty(d.shape, dtype=bool)
+            for lo, hi, kth in segments:
+                seg = d[:, lo:hi]
+                np.less_equal(seg, np.partition(seg, kth, axis=1)[:, kth, None],
+                              out=near[:, lo:hi])
+            rows, near = np.nonzero(near)
             # their transitions, candidate by candidate: candidate c's are the
             # counts[c] entries of _sources from first[c] on
-            first = self._starts[lo + near]
-            counts = self._starts[lo + near + 1] - first
+            first = self._starts[near]
+            counts = self._starts[near + 1] - first
             shift = np.repeat(first + counts - np.cumsum(counts), counts)
-            sources = self._sources[shift + np.arange(len(shift))]
-            # in (row, transition index) order
-            rows, sources = np.divmod(
-                np.sort(np.repeat(rows, counts) * n + sources), n)
-            rows, sources, norm_dist = self._select(
-                rows, sources, d[rows, self._point_of[sources] - lo], k, alpha)
-            parts.append((rows + start, sources, norm_dist))
+            pairs, sources, norm_dist = self._select(
+                np.repeat(rows * actions + self._point_actions[near], counts),
+                self._sources[shift + np.arange(len(shift))],
+                np.repeat(d[rows, near], counts), k, alpha)
+            parts.append((pairs + start * actions, sources, norm_dist))
         return tuple(np.concatenate(col) for col in zip(*parts))
 
     def query(self, s: State, k: int, alpha: float = math.inf
@@ -173,14 +173,12 @@ class NeighborIndex:
                             k, alpha)
 
     def _select(self, groups, sources, dist, k, alpha):
-        """The selection step of both searches. Given candidates in (group,
-        transition index) order, with each group's k nearest and all its
-        ties at the k-th distance among them, and their distances: each
-        group's at most k nearest with normalized distance <= alpha, nearest
-        first and ties to the lower transition index, as (groups, transition
-        indices, normalized distances)."""
-        # the stable sort keeps ties in transition order
-        order = np.lexsort((dist, groups))
+        """The selection step of both searches. Given candidates with each
+        group's k nearest and all its ties at the k-th distance among them,
+        and their distances: each group's at most k nearest with normalized
+        distance <= alpha, nearest first and ties to the lower transition
+        index, as (groups, transition indices, normalized distances)."""
+        order = np.lexsort((sources, dist, groups))
         groups, sources = groups[order], sources[order]
         norm_dist = dist[order] / self.diameter
         # the k nearest and the alpha cut are prefixes of each group
@@ -197,13 +195,13 @@ def group_rank(groups: np.ndarray) -> np.ndarray:
 
 def prefix(table: tuple[np.ndarray, np.ndarray, np.ndarray], k: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first k neighbors of every row of a `NeighborIndex.search`
-    table. Both the k nearest and the alpha cut are prefixes of a row, so
+    """The first k neighbors of every pair of a `NeighborIndex.search`
+    table. Both the k nearest and the alpha cut are prefixes of a pair, so
     from a table searched at a larger k this is the table searched at k,
     with the same alpha, bit for bit."""
-    rows, sources, norm_dist = table
-    keep = group_rank(rows) < k
-    return rows[keep], sources[keep], norm_dist[keep]
+    pairs, sources, norm_dist = table
+    keep = group_rank(pairs) < k
+    return pairs[keep], sources[keep], norm_dist[keep]
 
 
 def row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Batch
-from .derivation import DerivedMdp, PenaltyMode, core_tables
+from .derivation import DerivedMdp, PenaltyMode
 from .neighbors import NeighborIndex, build_index, distances, row_sums
 from .planner import Solution, check_artifacts
 
@@ -102,12 +102,12 @@ def value_gap(epsilon_s: float, d_bar: float, r_max: float,
 
 def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
     """Worst-case mean normalized neighbor distance over derivation queries."""
-    n, worst = mdp.num_states(), 0.0
-    for rows, _, norm_dist in core_tables(index, mdp.k, mdp.alpha):
-        # an empty row's mean reads 0, which never raises the maximum
-        counts = np.maximum(np.bincount(rows, minlength=n), 1)
-        worst = max(worst, float(np.max(row_sums(rows, norm_dist, n) / counts)))
-    return worst
+    pairs, _, norm_dist = index.search(index.core, mdp.k, mdp.alpha)
+    size = mdp.num_states() * index.action_count
+    # an empty pair's mean reads 0, which never raises the maximum
+    counts = np.maximum(np.bincount(pairs, minlength=size), 1)
+    return float(np.max(row_sums(pairs, norm_dist, size) / counts,
+                        initial=0.0))
 
 
 def pac_bound(batch: Batch, mdp: DerivedMdp, solution: Solution,
@@ -157,8 +157,10 @@ def canonical_shaping(k: int, r_max: float, d_near: float, d_far: float,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    if not (1 <= r_max < math.inf and 0 <= d_near < math.inf
+            and 0 <= d_far < math.inf):
+        raise ValueError("r_max must be finite and >= 1 and the distances "
+                         f"finite and >= 0, got {(r_max, d_near, d_far)}")
     coef = mode.coefficient((1.0, r_max))
     total = (k - 1) * (1.0 - coef * d_near) + (r_max - coef * d_far)
     return total / k

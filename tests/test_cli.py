@@ -292,6 +292,8 @@ class TestExitCodes:
         pytest.param('{"reward_bound": 1' + "0" * 400 + "}", {},
                      id="huge-reward-bound"),
         pytest.param(None, "[" * 100_000, id="deep-nesting"),
+        # a dimension the records do not have
+        pytest.param('{"dim": 7}', {}, id="meta-dim"),
     ])
     def test_malformed_batch_is_rejected(self, tmp_path, capsys, meta,
                                          record):
@@ -306,6 +308,18 @@ class TestExitCodes:
                            "--alpha", "0.5")
         assert code == 1
         assert "line 1" in err and "Traceback" not in err
+
+    def test_undecodable_batch_names_its_line(self, tmp_path, capsys,
+                                              pipeline):
+        batch, _, _ = pipeline
+        first, second, *_ = batch.read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(first + second.replace(b"}", b', "x": "\xff"}'))
+        code, _, err = run(capsys, "cover", "--batch", str(bad),
+                           "--alpha", "0.5")
+        assert code == 1
+        assert "line 2: malformed JSON ('utf-8' codec" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("doc, message", [
         ([1, 2], "not an object"),
@@ -381,6 +395,49 @@ class TestExitCodes:
         assert code == 1
         assert "--seeds: '2..' is neither an integer" in err
         assert "Traceback" not in err
+
+    def test_bad_adac_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("ADAC_SEED", "x")
+        code, _, err = run(capsys, "eval", "--policy", "cyclic")
+        assert code == 1
+        assert "ADAC_SEED: 'x' is not an integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["derive", "sweep-c", "sweep-k",
+                                         "bounds", "cover"])
+    def test_bad_alpha_is_named(self, tmp_path, capsys, pipeline, command):
+        batch, mdp, solution = pipeline
+        extra = {"derive": ["--out", str(tmp_path / "m.json")],
+                 "bounds": ["--mdp", str(mdp), "--solution", str(solution)]}
+        code, _, err = run(capsys, command, "--batch", str(batch),
+                           "--alpha", "abc", *extra.get(command, []))
+        assert code == 1
+        assert "--alpha: 'abc' is not a number" in err
+        assert "Traceback" not in err
+
+    def test_bad_penalty_cost_is_named(self, tmp_path, capsys, pipeline):
+        batch, _, _ = pipeline
+        code, _, err = run(capsys, "derive", "--batch", str(batch),
+                           "--penalty", "fixed:abc",
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert "--penalty: could not convert string to float: 'abc'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma", ["nan", "-5", "1.5"])
+    def test_eval_rejects_a_bad_gamma(self, capsys, gamma):
+        code, out, err = run(capsys, "eval", "--policy", "cyclic",
+                             "--gamma", gamma)
+        assert code == 1
+        assert "gamma must lie in [0, 1]" in err and out == ""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--d-near", "nan"), ("--d-far", "-1"), ("--d-far", "inf"),
+        ("--r-max-values", "nan")])
+    def test_shaping_sweep_rejects_a_bad_input(self, capsys, option, value):
+        code, out, err = run(capsys, "shaping-sweep", option, value)
+        assert code == 1
+        assert "must be finite" in err and "nan" not in out
 
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")

@@ -156,8 +156,8 @@ def multi_flow_batch():
 
 
 class TestSharedTable:
-    """The sweeps derive every row from one core-state search per action;
-    each row must be the row that its own derivation gives."""
+    """The sweeps derive every row from one core-state search; each row
+    must be the row that its own derivation gives."""
     ALPHA, GAMMA = 0.1, 0.99
     EVAL = dict(config=MULTI_FLOW, episodes=2, horizon=40, seeds=[11, 12],
                 start=EnvState((0,) * 4))
@@ -214,20 +214,21 @@ class TestSharedTable:
         self.check_rows(batch, index, rows, solved,
                         [(k, PenaltyMode.adaptive()) for k in k_values])
 
-    def test_one_search_per_action_per_sweep(self, monkeypatch):
+    def test_one_search_per_sweep(self, monkeypatch):
         calls = []
         search = NeighborIndex.search
 
-        def counted(self, *args, **kwargs):
-            calls.append(args[1])
-            return search(self, *args, **kwargs)
+        def counted(self, states, *args):
+            calls.append((len(states),) + args)
+            return search(self, states, *args)
         monkeypatch.setattr(NeighborIndex, "search", counted)
         batch = multi_flow_batch()
+        n = len(build_index(batch).core)
         sweep_c(batch, [0.0, 1.0], 5, self.ALPHA, self.GAMMA, **self.EVAL)
-        assert calls == [0, 1, 2, 3]
+        assert calls == [(n, 5, self.ALPHA)]
         calls.clear()
         sweep_k(batch, range(2, 6), self.ALPHA, self.GAMMA, **self.EVAL)
-        assert calls == [0, 1, 2, 3]
+        assert calls == [(n, 5, self.ALPHA)]
 
 
 class TestSweepValidation:

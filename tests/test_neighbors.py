@@ -49,12 +49,12 @@ def check_against_brute_force(batch, states, norm, k, alpha):
     brute-force oracles."""
     dist = euclid if norm == "euclidean" else manhattan
     index = build_index(batch, norm)
+    pairs, indices, norm_dist = index.search(states, k, alpha)
     for a in range(batch.action_count):
-        rows, indices, norm_dist = index.search(states, a, k, alpha)
         for row, s in enumerate(states):
             want = brute_force_knn(batch, s, a, k, alpha,
                                    diam=index.diameter, dist=dist)
-            at = rows == row
+            at = pairs == row * batch.action_count + a
             assert indices[at].tolist() == [i for i, _, _ in want]
             assert norm_dist[at].tolist() == pytest.approx(
                 [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
@@ -203,11 +203,12 @@ class TestQuery:
                 index = build_index(batch, norm)
             assert index.diameter == pytest.approx(
                 brute_force_diameter(batch, dist), rel=1e-12)
+            pairs, indices, norm_dist = index.search(states, k, alpha)
+            assert np.all(np.diff(pairs) >= 0)          # pair-major
+            rows, actions = np.divmod(pairs, batch.action_count)
             for a in range(batch.action_count):
-                rows, indices, norm_dist = index.search(states, a, k, alpha)
-                assert np.all(np.diff(rows) >= 0)       # row-major
                 for row, s in enumerate(states):
-                    at = rows == row
+                    at = (rows == row) & (actions == a)
                     got = list(zip(indices[at].tolist(),
                                    norm_dist[at].tolist()))
                     want = brute_force_knn(batch, s, a, k, alpha,
@@ -216,6 +217,51 @@ class TestQuery:
                     assert [d for _, d in got] == pytest.approx(
                         [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
                     assert found(index, s, a, k, alpha) == got
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(NORMS),
+           k=st.integers(1, 12), alpha=ALPHAS,
+           unused_actions=st.integers(0, 2),
+           coord_max=st.sampled_from([1, 2]))
+    def test_one_table_for_every_action(self, seed, norm, k, alpha,
+                                        unused_actions, coord_max):
+        """search's pair ids split into (row, action) by divmod give each
+        pair's exact neighbors, and search([s]) is query(s) bit for bit,
+        on batches where most sources tie."""
+        rng = np.random.default_rng(seed)
+        drawn = random_batch(rng, n=int(rng.integers(2, 60)),
+                             dim=int(rng.integers(1, 4)),
+                             actions=int(rng.integers(1, 4)),
+                             coord_max=coord_max)
+        batch = make_batch(drawn.transitions,
+                           drawn.action_count + unused_actions,
+                           drawn.reward_bound)
+        dist = euclid if norm == "euclidean" else manhattan
+        extra = rng.integers(0, coord_max + 2, size=(10, batch.dim))
+        states = core_states(batch) + [tuple(map(float, x)) for x in extra]
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks, so one call spans several of them
+            mp.setattr(neighbors, "BLOCK", 64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                index = build_index(batch, norm)
+            table = index.search(states, k, alpha)
+            for s in states:
+                for want, got in zip(index.query(s, k, alpha),
+                                     index.search([s], k, alpha)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+        pairs, indices, norm_dist = table
+        rows, actions = np.divmod(pairs, batch.action_count)
+        want = [(row, a, i, nd) for row, s in enumerate(states)
+                for a in range(batch.action_count)
+                for i, _, nd in brute_force_knn(batch, s, a, k, alpha,
+                                                diam=index.diameter,
+                                                dist=dist)]
+        assert list(zip(rows.tolist(), actions.tolist(),
+                        indices.tolist())) == [w[:3] for w in want]
+        assert norm_dist.tolist() == pytest.approx([w[3] for w in want],
+                                                   rel=1e-12, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
@@ -233,14 +279,15 @@ class TestQuery:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             index = build_index(batch, norm)
+        deep = index.search(index.core, k_max, alpha)
+        pairs, indices, norm_dist = neighbors.prefix(deep, k)
+        for want, got in zip(index.search(index.core, k, alpha),
+                             (pairs, indices, norm_dist)):
+            assert np.array_equal(got, want)
         for a in range(batch.action_count):
-            deep = index.search(index.core, a, k_max, alpha)
-            rows, indices, norm_dist = neighbors.prefix(deep, k)
-            for want, got in zip(index.search(index.core, a, k, alpha),
-                                 (rows, indices, norm_dist)):
-                assert np.array_equal(got, want)
             for row, s in enumerate(index.core):
-                assert indices[rows == row].tolist() == [
+                at = pairs == row * batch.action_count + a
+                assert indices[at].tolist() == [
                     i for i, _, _ in brute_force_knn(
                         batch, s, a, k, alpha, diam=index.diameter,
                         dist=dist)]

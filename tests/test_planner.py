@@ -30,9 +30,10 @@ def tiny_mdp(gamma=0.5):
 
 def scalar_lookup_q(mdp, solution, index, s, a):
     """Q of one action the one-state-one-action way: the neighbors from
-    search([s], a, ...), the reward summed in neighbor order and the
-    continuation over landings in first-occurrence order."""
-    _, sources, norm_dist = index.search([s], a, mdp.k, mdp.alpha)
+    search([s], ...) at pair id a, the reward summed in neighbor order and
+    the continuation over landings in first-occurrence order."""
+    pairs, sources, norm_dist = index.search([s], mdp.k, mdp.alpha)
+    sources, norm_dist = sources[pairs == a], norm_dist[pairs == a]
     if not len(sources):
         return 0.0
     transitions = [index.batch.transitions[i] for i in sources.tolist()]
@@ -214,7 +215,7 @@ class TestLookup:
             got = lookup_q(mdp, sol, index, s)
             assert got.tolist() == want         # bit for bit
             assert greedy_action(mdp, sol, index, s) == want.index(max(want))
-            empty += len(index.search([s], 0, mdp.k, mdp.alpha)[0]) == 0
+            empty += 0 not in index.search([s], mdp.k, mdp.alpha)[0]
         assert empty > 0 or alpha == math.inf
 
     def test_empty_pair_looks_up_the_floor_not_the_table(self, table1):

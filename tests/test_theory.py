@@ -299,3 +299,10 @@ class TestCanonicalShaping:
             canonical_shaping(1, 2.0, 0.5, 0.5, PenaltyMode.adaptive())
         with pytest.raises(ValueError):
             canonical_shaping(5, 0.5, 0.5, 0.5, PenaltyMode.adaptive())
+        for r_max, d_near, d_far in ((math.nan, 0.5, 0.5),
+                                     (math.inf, 0.5, 0.5),
+                                     (2.0, math.nan, 0.5),
+                                     (2.0, 0.5, -0.1), (2.0, 0.5, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                canonical_shaping(5, r_max, d_near, d_far,
+                                  PenaltyMode.adaptive())

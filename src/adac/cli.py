@@ -193,7 +193,8 @@ def cmd_solve(args):
     solution = value_iteration(mdp, tol=args.tol, max_iters=args.max_iters)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(solution_to_json(solution))
-    print(f"solved in {solution.iterations} sweeps, "
+    print(f"solved in {solution.iterations} sweeps with "
+          f"{len(solution.deltas)} policy improvements, "
           f"residual {solution.residual:.3e} -> {args.out}")
 
 
@@ -317,10 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("solve", help="value-iterate a derived MDP")
+    p = sub.add_parser("solve", help="solve a derived MDP by modified "
+                       "policy iteration")
     p.add_argument("--mdp", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=200_000)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="bound on the sup-norm error of the values")
+    p.add_argument("--max-iters", type=int, default=200_000,
+                   help="budget of sweeps, counting every full backup and "
+                   "every policy-evaluation sweep; exit 2 when it runs out")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

@@ -229,7 +229,7 @@ def mdp_from_json(text: str) -> DerivedMdp:
 
 
 def _check_mdp(mdp: DerivedMdp) -> None:
-    """Reject anything value iteration cannot treat as a discounted MDP."""
+    """Reject anything the solver cannot treat as a discounted MDP."""
     n, actions = mdp.num_states(), mdp.action_count
     if not 0 <= mdp.gamma < 1:
         raise ValueError(f"MDP gamma {mdp.gamma} outside [0, 1)")

@@ -1,11 +1,16 @@
 """Exact tabular solution of a derived MDP and the one-step state lookup.
 
-Value iteration uses synchronous (Jacobi) sweeps; each is one sparse
-product of the value vector with a stacked transition matrix whose row
-a * n + s is the landing distribution of pair (s, a), and it writes Q, the
-new values and their change into buffers made once. The stopping rule
-scales the requested tolerance by (1 - gamma) / gamma so that `tol`
-bounds the true sup-norm value error, not just the last sweep delta.
+The solver is modified policy iteration (Puterman and Shin, 1978). Each
+outer step is one full backup, a sparse product of the value vector with
+a stacked transition matrix whose row a * n + s is the landing
+distribution of pair (s, a), written into buffers made once. The greedy
+policy of that backup is then evaluated in part: EVAL_SWEEPS sweeps of
+v <- r_pi + gamma * P_pi v, where P_pi is the policy's n rows of the
+stacked matrix. The stopping test is on full backups only: a backup whose
+change is at most tol * (1 - gamma) / gamma returns its values, Q table and
+greedy policy. That certificate holds for any starting values, so `tol`
+bounds the true sup-norm error of the values (against the optimal values
+and against the returned policy's own), not just the last change.
 
 The lookup acts from any state: `lookup_q` gives every action's Q from
 one neighbor query over all actions, and `greedy_action` takes its
@@ -26,8 +31,12 @@ from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 
 
+# evaluation sweeps of the greedy policy after each full backup
+EVAL_SWEEPS = 50
+
+
 class ConvergenceError(RuntimeError):
-    """Value iteration did not meet its tolerance within max_iters sweeps."""
+    """The solver did not meet its tolerance within max_iters sweeps."""
 
 
 @dataclass
@@ -35,14 +44,16 @@ class Solution:
     values: np.ndarray       # (|core|,)
     q: np.ndarray            # (|core|, |actions|)
     policy: np.ndarray       # (|core|,) int
-    iterations: int
-    residual: float
-    tol: float
-    deltas: tuple[float, ...] = ()   # per-sweep max-norm changes
+    iterations: int          # every sweep: full backups and evaluation sweeps
+    residual: float          # max-norm change of one more full backup
+    tol: float               # bound on the sup-norm error of values
+    deltas: tuple[float, ...] = ()   # max-norm change of each full backup
 
 
 def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
                     max_iters: int = 200_000) -> Solution:
+    """Solve the MDP to within tol; ConvergenceError if max_iters sweeps,
+    full backups and evaluation sweeps together, do not get there."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iters < 1:
@@ -61,12 +72,14 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
     stacked = sparse.csr_matrix((data, indices, indptr), shape=(actions * n, n))
     stacked.sort_indices()
     reward = np.ascontiguousarray(mdp.reward.T)
-    # each sweep writes into these buffers: Q, the new values, |v_new - v|
+    states = np.arange(n)
+    # each full backup writes into these buffers: Q, the new values and
+    # |v_new - v|; each evaluation sweep writes v in place
     q, v, v_new, diff = (np.empty((actions, n)), np.zeros(n), np.empty(n),
                          np.empty(n))
 
     def backup(v: np.ndarray) -> np.ndarray:
-        """Action-major Q of one Jacobi sweep from values v, shape (A, n)."""
+        """Action-major Q of one full backup from values v, shape (A, n)."""
         np.multiply((stacked @ v).reshape(actions, n), gamma, out=q)
         return np.add(reward, q, out=q)
 
@@ -75,8 +88,9 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         return float(np.abs(diff, out=diff).max())
 
     threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
-    deltas = []
-    for it in range(1, max_iters + 1):
+    deltas, sweeps = [], 0
+    while sweeps < max_iters:
+        sweeps += 1
         np.max(backup(v), axis=0, out=v_new)
         delta = change(v_new, v) if n else 0.0
         deltas.append(delta)
@@ -84,10 +98,20 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         if delta <= threshold:
             q_table = q.T.copy()
             residual = change(np.max(backup(v), axis=0, out=v_new), v)
-            return Solution(v, q_table, q_table.argmax(axis=1), it, residual,
-                            tol, tuple(deltas))
+            return Solution(v, q_table, q_table.argmax(axis=1), sweeps,
+                            residual, tol, tuple(deltas))
+        # partial evaluation of the greedy policy: its n rows of the stacked
+        # matrix, whose columns stay sorted
+        rows = q.argmax(axis=0) * n + states
+        p_pi, r_pi = stacked[rows], reward.ravel()[rows]
+        evals = min(EVAL_SWEEPS, max_iters - sweeps)
+        for _ in range(evals):
+            np.multiply(p_pi @ v, gamma, out=v)
+            np.add(r_pi, v, out=v)
+        sweeps += evals
     raise ConvergenceError(
-        f"no convergence after {max_iters} sweeps (last delta {deltas[-1]:.3e})")
+        f"no convergence after {max_iters} sweeps, {len(deltas)} of them "
+        f"full backups (last backup change {deltas[-1]:.3e})")
 
 
 def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
@@ -157,13 +181,24 @@ def solution_from_json(text: str) -> Solution:
     if np.any((policy < 0) | (policy >= q.shape[1])):
         raise ValueError(f"malformed solution JSON: a policy action outside "
                          f"the {q.shape[1]} columns of q")
+    # the solver's values and policy are q's row maxima and argmaxes, and
+    # JSON floats round-trip, so a real file keeps both exactly
+    if not np.array_equal(values, q.max(axis=1)):
+        raise ValueError("malformed solution JSON: 'values' are not the row "
+                         "maxima of 'q'")
+    if not np.array_equal(policy, q.argmax(axis=1)):
+        raise ValueError("malformed solution JSON: 'policy' is not the first "
+                         "argmax of each row of 'q'")
     iterations, residual, tol = (doc.get(key) for key in
                                  ("iterations", "residual", "tol"))
     if type(iterations) is not int or iterations < 0:
         raise ValueError(f"malformed solution JSON: iterations {iterations!r}")
-    for key, x in (("residual", residual), ("tol", tol)):
-        if type(x) not in (int, float) or not math.isfinite(x):
-            raise ValueError(f"malformed solution JSON: {key} {x!r}")
+    if type(residual) not in (int, float) or not 0 <= residual < math.inf:
+        raise ValueError(f"malformed solution JSON: residual {residual!r} is "
+                         f"not a finite number >= 0")
+    if type(tol) not in (int, float) or not 0 < tol < math.inf:
+        raise ValueError(f"malformed solution JSON: tol {tol!r} is not a "
+                         f"finite positive number")
     return Solution(values, q, policy, iterations, residual, tol)
 
 

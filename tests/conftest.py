@@ -6,6 +6,7 @@ import pytest
 
 from adac.dataset import Transition, make_batch
 from adac.evaluation import worked_example_batch
+from adac.planner import EVAL_SWEEPS
 
 
 @pytest.fixture
@@ -98,38 +99,46 @@ def brute_force_mdp(batch, k, alpha, mode, diam=None, dist=euclid):
 
 
 def brute_force_value_iteration(mdp, tol, max_iters=200_000):
-    """Reference Jacobi value iteration in plain Python over the dict rows.
+    """Reference modified policy iteration in plain Python over the dict rows.
 
-    Every row sums its terms in ascending column order, and the stopping
-    rule is the planner's. Returns (values, q, policy, iterations,
-    residual, deltas), with q as a list of per-state action lists and the
-    policy's ties going to the lowest action.
+    Each outer step is a full backup, stopped by the planner's rule; the
+    backup's greedy policy is then evaluated by up to EVAL_SWEEPS sweeps,
+    and max_iters bounds the full and the evaluation sweeps together.
+    Every row sums its terms in ascending column order. Returns (values,
+    q, policy, iterations, residual, deltas), with q as a list of
+    per-state action lists, deltas one per full backup and the policy's
+    ties going to the lowest action.
     """
     n, actions, gamma = mdp.num_states(), mdp.action_count, mdp.gamma
     threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
 
-    def backup(v):
-        q = []
-        for si in range(n):
-            q.append([])
-            for a in range(actions):
-                row = mdp.transition[si][a]
-                total = 0.0
-                for j in sorted(row):
-                    total += row[j] * v[j]
-                q[si].append(float(mdp.reward[si, a]) + gamma * total)
-        return q
+    def q_value(v, si, a):
+        row = mdp.transition[si][a]
+        total = 0.0
+        for j in sorted(row):
+            total += row[j] * v[j]
+        return float(mdp.reward[si, a]) + gamma * total
 
-    v, deltas = [0.0] * n, []
-    for it in range(1, max_iters + 1):
+    def backup(v):
+        return [[q_value(v, si, a) for a in range(actions)]
+                for si in range(n)]
+
+    v, deltas, sweeps = [0.0] * n, [], 0
+    while sweeps < max_iters:
+        sweeps += 1
         q = backup(v)
         v_new = [max(qs) for qs in q]
         deltas.append(max(abs(x - y) for x, y in zip(v_new, v)))
         v = v_new
+        policy = [qs.index(max(qs)) for qs in q]
         if deltas[-1] <= threshold:
             residual = max(abs(max(qs) - x) for qs, x in zip(backup(v), v))
-            policy = [qs.index(max(qs)) for qs in q]
-            return v, q, policy, it, residual, deltas
+            return v, q, policy, sweeps, residual, deltas
+        evals = 0
+        while evals < EVAL_SWEEPS and sweeps < max_iters:
+            evals += 1
+            sweeps += 1
+            v = [q_value(v, si, a) for si, a in enumerate(policy)]
     raise RuntimeError(f"no convergence after {max_iters} sweeps")
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 import adac
 from adac.cli import main
+from adac.planner import EVAL_SWEEPS
 from adac.traffic import IntersectionEnvConfig, config_to_json
 
 
@@ -80,6 +82,21 @@ class TestPipeline:
         assert report["policy"] == "greedy-derived"
         assert report["mean_return"] > 300.0
 
+    def test_solve_reports_sweeps_and_policy_improvements(self, tmp_path,
+                                                          capsys, pipeline):
+        _, mdp, _ = pipeline
+        out_path = tmp_path / "s.json"
+        code, out, _ = run(capsys, "solve", "--mdp", str(mdp),
+                           "--tol", "1e-9", "--out", str(out_path))
+        assert code == 0
+        match = re.match(r"solved in (\d+) sweeps with (\d+) policy "
+                         r"improvements, residual", out)
+        sweeps, improvements = map(int, match.groups())
+        assert sweeps == json.loads(out_path.read_text())["iterations"]
+        # every improvement but the last is followed by a whole evaluation
+        assert sweeps == improvements + EVAL_SWEEPS * (improvements - 1)
+        assert improvements > 1
+
     def test_eval_cyclic_baseline(self, capsys):
         code, out, _ = run(capsys, "eval", "--policy", "cyclic",
                            "--episodes", "1", "--horizon", "100",
@@ -150,6 +167,18 @@ class TestExitCodes:
         assert code == 1
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("max_iters", [1 + EVAL_SWEEPS // 2,
+                                           EVAL_SWEEPS + 1])
+    def test_a_budget_spent_in_policy_evaluation_exits_2(
+            self, tmp_path, capsys, pipeline, max_iters):
+        _, mdp, _ = pipeline
+        out = tmp_path / "s.json"
+        code, _, err = run(capsys, "solve", "--mdp", str(mdp), "--tol", "1e-9",
+                           "--max-iters", str(max_iters), "--out", str(out))
+        assert code == 2
+        assert f"no convergence after {max_iters} sweeps" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("option, value, message", [
         ("--max-iters", "0", "max_iters"),
@@ -248,6 +277,25 @@ class TestExitCodes:
         code, _, err = command(capsys, mdp, bad, batch)
         assert code == 1
         assert "no 'q'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [greedy_eval, bounds])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(tol=-1, residual=-5), "residual"),
+        (lambda d: d.update(tol=0), "tol"),
+        (lambda d: d["values"].__setitem__(0, d["values"][0] - 1.0),
+         "row maxima"),
+        (lambda d: d["policy"].__setitem__(0, 1 - d["policy"][0]), "argmax"),
+    ])
+    def test_solution_that_no_solve_writes_is_rejected(
+            self, tmp_path, capsys, pipeline, command, edit, message):
+        batch, mdp, solution = pipeline
+        doc = json.loads(solution.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = command(capsys, mdp, bad, batch)
+        assert code == 1
+        assert message in err and "Traceback" not in err
 
     def test_greedy_eval_rejects_a_cut_q(self, tmp_path, capsys, pipeline):
         batch, mdp, solution = pipeline

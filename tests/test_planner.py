@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from adac.dataset import Transition, make_batch
 from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import build_index
-from adac.planner import (ConvergenceError, greedy_action, lookup_q,
-                          solution_from_json, solution_to_json,
+from adac.planner import (EVAL_SWEEPS, ConvergenceError, greedy_action,
+                          lookup_q, solution_from_json, solution_to_json,
                           value_iteration)
 
 from conftest import brute_force_value_iteration, random_batch
@@ -160,6 +160,58 @@ class TestValueIteration:
         assert list(sol.deltas) == deltas
         assert sol.residual == residual
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-8])
+    def test_tol_bounds_the_error_of_the_values(self, seed, gamma, tol):
+        # shaped rewards below 0 make the iterates from v = 0 non-monotone,
+        # integer coordinates give ties, and alpha 0.3 gives empty pairs
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=40, actions=3, coord_max=6,
+                             reward_max=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mdp = build_mdp(batch, k=3, alpha=0.3, gamma=gamma,
+                            mode=PenaltyMode.fixed(8))
+        assert mdp.empty_pairs and np.any(mdp.reward < 0)
+        sol = value_iteration(mdp, tol=tol)
+        assert len(sol.deltas) > 1      # at least one evaluation phase ran
+        own = policy_value_by_linear_solve(mdp, sol.policy)
+        assert np.max(np.abs(sol.values - own)) <= tol
+        best = value_iteration(mdp, tol=1e-12).values
+        assert np.max(np.abs(sol.values - best)) <= tol + 1e-11
+
+    def test_gamma_zero_takes_one_full_backup(self):
+        batch = random_batch(np.random.default_rng(3), n=30, actions=3,
+                             reward_max=1.0)
+        mdp = build_mdp(batch, k=3, alpha=math.inf, gamma=0.0,
+                        mode=PenaltyMode.fixed(8))
+        sol = value_iteration(mdp, tol=1e-12)
+        assert (sol.iterations, len(sol.deltas)) == (1, 1)
+        assert np.array_equal(sol.values, mdp.reward.max(axis=1))
+        assert sol.residual == 0.0
+
+    def test_every_sweep_counts_against_max_iters(self, table1):
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        sol = value_iteration(mdp, tol=1e-9)
+        backups = len(sol.deltas)
+        assert backups > 2
+        # each backup but the last is followed by a whole evaluation phase
+        assert sol.iterations == backups + EVAL_SWEEPS * (backups - 1)
+        assert value_iteration(mdp, tol=1e-9,
+                               max_iters=sol.iterations).iterations == (
+            sol.iterations)
+        # one sweep short, and a budget that ends inside the first and
+        # inside the last evaluation phase
+        for max_iters in (sol.iterations - 1, 1 + EVAL_SWEEPS // 2,
+                          sol.iterations - 1 - EVAL_SWEEPS // 2):
+            with pytest.raises(ConvergenceError, match=f"{max_iters} sweeps"):
+                value_iteration(mdp, tol=1e-9, max_iters=max_iters)
+            with pytest.raises(RuntimeError):
+                brute_force_value_iteration(mdp, tol=1e-9,
+                                            max_iters=max_iters)
+
     def test_non_convergence_raises(self, table1):
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
                         mode=PenaltyMode.adaptive())
@@ -301,6 +353,32 @@ class TestLookup:
         assert greedy_action(mdp, sol, index, (100.0, 100.0)) == 0
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+_numbers = st.integers(-2, 2) | st.floats(-2, 2)
+
+
+@st.composite
+def _solution_docs(draw):
+    """A document a solve could write, up to three of whose fields are then
+    replaced by arbitrary JSON or by numbers and arrays of numbers."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = draw(st.lists(st.lists(_numbers, min_size=m, max_size=m),
+                      min_size=n, max_size=n))
+    doc = {"values": [max(row) for row in q], "q": q,
+           "policy": [row.index(max(row)) for row in q],
+           "iterations": draw(st.integers(0, 10)),
+           "residual": draw(_numbers), "tol": draw(_numbers)}
+    fields = st.one_of(_json_values, _numbers, st.lists(_numbers, max_size=3),
+                       st.lists(st.lists(_numbers, max_size=3), max_size=3))
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
+        doc[key] = draw(fields)
+    return doc
+
+
 class TestSolutionSerialization:
     def test_round_trip(self, table1):
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
@@ -332,3 +410,37 @@ class TestSolutionSerialization:
         edit(doc)
         with pytest.raises(ValueError, match=message):
             solution_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(tol=-1, residual=-5), "residual"),
+        (lambda d: d.update(residual=-1e-300), "residual"),
+        (lambda d: d.update(tol=0.0), "tol"),
+        (lambda d: d.update(tol=-1e-9), "tol"),
+        (lambda d: d.update(tol=math.inf), "tol"),
+        (lambda d: d["values"].__setitem__(2, d["values"][2] + 1e-9),
+         "row maxima"),
+        (lambda d: d.update(values=[2.0], q=[[1, 2]], policy=[0]), "argmax"),
+        # ties go to the lowest action
+        (lambda d: d.update(values=[1.0], q=[[1, 1]], policy=[1]), "argmax"),
+    ])
+    def test_load_rejects_what_no_solve_writes(self, table1, edit, message):
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        doc = json.loads(solution_to_json(value_iteration(mdp, tol=1e-9)))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            solution_from_json(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(max_size=40),
+        _json_values.map(json.dumps),
+        _solution_docs().map(json.dumps)))
+    def test_load_of_arbitrary_json_raises_only_value_error(self, text):
+        try:
+            sol = solution_from_json(text)
+        except ValueError:
+            return
+        assert np.array_equal(sol.values, sol.q.max(axis=1))
+        assert np.array_equal(sol.policy, sol.q.argmax(axis=1))
+        assert sol.residual >= 0 and sol.tol > 0

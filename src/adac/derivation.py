@@ -29,6 +29,7 @@ shared table with the same functions.
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -205,6 +206,7 @@ def mdp_from_json(text: str) -> DerivedMdp:
     """Parse an MDP written by mdp_to_json; ValueError unless it is one."""
     doc = json.loads(text)
     try:
+        _reject_booleans(doc)
         alpha = doc["alpha"]
         mdp = DerivedMdp(
             core=tuple(tuple(float(c) for c in s) for s in doc["core"]),
@@ -228,6 +230,26 @@ def mdp_from_json(text: str) -> DerivedMdp:
     return mdp
 
 
+def _reject_booleans(doc: dict) -> None:
+    """ValueError if a JSON true or false stands where the MDP has numbers:
+    json reads them as bools, which Python and numpy take for 1 and 0."""
+    # core, reward and empty_pairs are lists of rows of numbers; transition
+    # holds, per state and action, a list of [index, probability] pairs
+    for key, levels in (("core", 1), ("reward", 1), ("transition", 3),
+                        ("empty_pairs", 1)):
+        leaves = doc[key]
+        for _ in range(levels):
+            leaves = chain.from_iterable(leaves)
+        if bool in set(map(type, leaves)):
+            raise ValueError(f"malformed MDP JSON: a boolean in {key!r}")
+    for key, value in (("gamma", doc["gamma"]), ("alpha", doc["alpha"]),
+                       ("diameter", doc["diameter"]),
+                       ("penalty cost", doc["penalty"]["c"])):
+        if type(value) is bool:
+            raise ValueError(f"malformed MDP JSON: {key} {value!r} is not a "
+                             f"number")
+
+
 def _check_mdp(mdp: DerivedMdp) -> None:
     """Reject anything the solver cannot treat as a discounted MDP."""
     n, actions = mdp.num_states(), mdp.action_count
@@ -239,6 +261,9 @@ def _check_mdp(mdp: DerivedMdp) -> None:
         raise ValueError(f"MDP k {mdp.k!r} is not an integer >= 1")
     if not mdp.alpha >= 0:
         raise ValueError(f"MDP alpha {mdp.alpha} is not a threshold >= 0")
+    if not 0 < mdp.diameter < math.inf:
+        raise ValueError(f"MDP diameter {mdp.diameter!r} is not a finite "
+                         f"number > 0")
     if mdp.norm not in NORMS:
         raise ValueError(f"MDP norm {mdp.norm!r} unknown")
     if mdp.reward.shape != (n, actions) or not np.all(np.isfinite(mdp.reward)):

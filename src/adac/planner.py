@@ -22,6 +22,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -216,6 +217,11 @@ def _finite_array(doc: dict, key: str, ndim: int,
             or not np.all(np.isfinite(arr))):
         raise ValueError(f"malformed solution JSON: {key!r} is not a finite "
                          f"{ndim}-D array of {what}")
+    # json reads true and false as bools, which numpy takes for 1 and 0
+    # beside numbers
+    leaves = doc[key] if ndim == 1 else chain.from_iterable(doc[key])
+    if bool in set(map(type, leaves)):
+        raise ValueError(f"malformed solution JSON: a boolean in {key!r}")
     return arr
 
 

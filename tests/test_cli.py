@@ -250,6 +250,33 @@ class TestExitCodes:
         assert code == 1
         assert f"{field} {value!r}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["reward"][0].__setitem__(0, True), "boolean in 'reward'"),
+        # core state 1 exists, so the row still reads as a distribution
+        (lambda d: d["transition"][0].__setitem__(0, [[True, 1.0]]),
+         "boolean in 'transition'"),
+        (lambda d: d["core"][0].__setitem__(0, True), "boolean in 'core'"),
+        (lambda d: d.update(gamma=False), "gamma False"),
+        (lambda d: d.update(diameter=True), "diameter True"),
+        (lambda d: d.update(diameter=-3.0), "diameter -3.0"),
+    ])
+    def test_solve_and_greedy_eval_reject_a_boolean_or_bad_number(
+            self, tmp_path, capsys, pipeline, edit, message):
+        batch, mdp, solution = pipeline
+        doc = json.loads(mdp.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "s.json"
+        code, _, err = run(capsys, "solve", "--mdp", str(bad),
+                           "--out", str(out))
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+        code, _, err = greedy_eval(capsys, bad, solution, batch)
+        assert code == 1
+        assert message in err and "Traceback" not in err
+
     def test_greedy_eval_rejects_another_source_batch(self, tmp_path, capsys,
                                                       pipeline):
         _, mdp, solution = pipeline
@@ -285,6 +312,9 @@ class TestExitCodes:
         (lambda d: d["values"].__setitem__(0, d["values"][0] - 1.0),
          "row maxima"),
         (lambda d: d["policy"].__setitem__(0, 1 - d["policy"][0]), "argmax"),
+        # json reads true and false as bools, which numpy takes for 1 and 0
+        (lambda d: d["policy"].__setitem__(0, bool(d["policy"][0])),
+         "boolean in 'policy'"),
     ])
     def test_solution_that_no_solve_writes_is_rejected(
             self, tmp_path, capsys, pipeline, command, edit, message):

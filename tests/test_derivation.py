@@ -325,6 +325,18 @@ class TestSerialization:
         ("transition", "index out of range", "not a distribution"),
         ("transition", "half a row", "not a distribution"),
         ("penalty", None, "malformed"),
+        # json reads true and false as bools, which pass for 1 and 0
+        ("reward", "true", "boolean in 'reward'"),
+        ("transition", "true index", "boolean in 'transition'"),
+        ("core", "true", "boolean in 'core'"),
+        ("empty_pairs", [[0, False]], "boolean in 'empty_pairs'"),
+        ("gamma", False, "gamma False"),
+        ("gamma", True, "gamma True"),
+        ("diameter", True, "diameter True"),
+        ("diameter", -3.0, "diameter -3.0"),
+        ("diameter", 0.0, "diameter 0.0"),
+        ("alpha", True, "alpha True"),
+        ("penalty", {"kind": "fixed", "c": True}, "penalty cost True"),
     ])
     def test_load_rejects_a_malformed_mdp(self, table1, field, value, message):
         doc = json.loads(mdp_to_json(derive(table1, PenaltyMode.adaptive())))
@@ -335,6 +347,11 @@ class TestSerialization:
             row[0][0] = len(doc["core"])
         elif value == "half a row":
             doc["transition"][0][0] = [[j, p / 2] for j, p in row]
+        elif value == "true index":
+            # core state 1 exists, so the row still reads as a distribution
+            doc["transition"][0][0] = [[True, 1.0]]
+        elif value == "true":
+            doc[field][0][0] = True
         else:
             doc[field] = value
         with pytest.raises(ValueError, match=message):

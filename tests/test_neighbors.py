@@ -70,6 +70,17 @@ def check_against_brute_force(batch, states, norm, k, alpha):
     assert mdp.empty_pairs == empty
 
 
+def full_scan_diameter(points, norm):
+    """The largest distance between any two of the points, from
+    `neighbors.distances` over every pair in row blocks: the scan that
+    `diameter` prunes."""
+    pts = np.asfortranarray(points, dtype=float)
+    step = max(1, neighbors.BLOCK // len(pts))
+    return max((float(neighbors.distances(pts[i:i + step], pts[i:],
+                                          norm).max())
+                for i in range(0, len(pts) - 1, step)), default=0.0)
+
+
 def found(index, s, a, k, alpha=math.inf):
     """query's neighbors of action a as a list of (transition index,
     normalized distance)."""
@@ -181,9 +192,9 @@ class TestQuery:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
            norm=st.sampled_from(NORMS), k=st.integers(1, 12), alpha=ALPHAS,
-           coord_max=COORD_MAX)
+           coord_max=COORD_MAX, probe=st.integers(1, 2))
     def test_search_matches_brute_force(self, seed, integer_coords, norm, k,
-                                        alpha, coord_max):
+                                        alpha, coord_max, probe):
         rng = np.random.default_rng(seed)
         batch = random_batch(rng, n=int(rng.integers(2, 60)),
                              dim=int(rng.integers(1, 4)),
@@ -196,8 +207,10 @@ class TestQuery:
             extra = rng.uniform(0, coord_max, size=(10, batch.dim))
         states = core_states(batch) + [tuple(map(float, x)) for x in extra]
         with pytest.MonkeyPatch.context() as mp:
-            # small blocks, so one call spans several of them
+            # small blocks, so one call spans several of them, and a small
+            # probe, so that windows hold part of an action's points
             mp.setattr(neighbors, "BLOCK", 64)
+            mp.setattr(neighbors, "PROBE", probe)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 index = build_index(batch, norm)
@@ -222,9 +235,9 @@ class TestQuery:
     @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(NORMS),
            k=st.integers(1, 12), alpha=ALPHAS,
            unused_actions=st.integers(0, 2),
-           coord_max=st.sampled_from([1, 2]))
+           coord_max=st.sampled_from([1, 2]), probe=st.integers(1, 2))
     def test_one_table_for_every_action(self, seed, norm, k, alpha,
-                                        unused_actions, coord_max):
+                                        unused_actions, coord_max, probe):
         """search's pair ids split into (row, action) by divmod give each
         pair's exact neighbors, and search([s]) is query(s) bit for bit,
         on batches where most sources tie."""
@@ -240,8 +253,10 @@ class TestQuery:
         extra = rng.integers(0, coord_max + 2, size=(10, batch.dim))
         states = core_states(batch) + [tuple(map(float, x)) for x in extra]
         with pytest.MonkeyPatch.context() as mp:
-            # small blocks, so one call spans several of them
+            # small blocks, so one call spans several of them, and a small
+            # probe, so that windows hold part of an action's points
             mp.setattr(neighbors, "BLOCK", 64)
+            mp.setattr(neighbors, "PROBE", probe)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 index = build_index(batch, norm)
@@ -367,7 +382,138 @@ class TestQuery:
             index.query((0.0, 0.0), 0)
 
 
+class TestWindow:
+    """search measures each pair against a window of its action's points
+    only. With PROBE, QUERIES and BLOCK patched small, the windows, their
+    blocks and the selection batches all hold part of the work."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), integer_coords=st.booleans(),
+           norm=st.sampled_from(NORMS), k=st.integers(1, 12), alpha=ALPHAS,
+           probe=st.integers(1, 2), queries=st.integers(1, 5),
+           coord_max=st.sampled_from([1, 2]), flat_action=st.booleans(),
+           unused_actions=st.integers(0, 1))
+    def test_partial_windows_match_query_and_brute_force(
+            self, seed, integer_coords, norm, k, alpha, probe, queries,
+            coord_max, flat_action, unused_actions):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 5))
+        drawn = random_batch(rng, n=int(rng.integers(100, 250)), dim=dim,
+                             actions=int(rng.integers(1, 4)),
+                             coord_max=coord_max,
+                             integer_coords=integer_coords)
+        rows = []
+        for tr in drawn.transitions:
+            s = list(tr.s)
+            if flat_action:
+                # coordinate 0 spreads widest, but action 0's sources share
+                # one value of it, so that action's windows are all its points
+                s[0] = 1.0 if tr.a == 0 else 3.0 * s[0]
+            # -0.0 beside 0.0
+            s = [-0.0 if c == 0 and rng.random() < 0.5 else c for c in s]
+            rows.append(Transition(tuple(s), tr.a, tr.r, tr.s_next,
+                                   tr.traj_id, tr.t))
+        # the last unused_actions actions have no sources
+        batch = make_batch(rows, drawn.action_count + unused_actions,
+                           drawn.reward_bound)
+        # core states, states far outside the cloud, and -0.0
+        states = (core_states(batch)[:30]
+                  + [tuple(map(float, x)) for x in
+                     rng.uniform(-50.0, 50.0 + coord_max, size=(4, dim))]
+                  + [(1e12,) * dim, (-1e12,) + (0.0,) * (dim - 1),
+                     (-0.0,) * dim])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "PROBE", probe)
+            mp.setattr(neighbors, "QUERIES", queries)
+            mp.setattr(neighbors, "BLOCK", 64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                index = build_index(batch, norm)
+            pairs, indices, norm_dist = index.search(states, k, alpha)
+        assert np.all(np.diff(pairs) >= 0)              # pair-major
+        # state by state, the table is query's scan of every point
+        rows, actions = np.divmod(pairs, batch.action_count)
+        for row, s in enumerate(states):
+            at = rows == row
+            want = index.query(s, k, alpha)
+            for got, w in zip((actions[at], indices[at], norm_dist[at]), want):
+                assert got.tobytes() == w.tobytes()
+        dist = euclid if norm == "euclidean" else manhattan
+        for row in rng.choice(len(states), size=3, replace=False).tolist():
+            for a in range(batch.action_count):
+                at = pairs == row * batch.action_count + a
+                want = brute_force_knn(batch, states[row], a, k, alpha,
+                                       diam=index.diameter, dist=dist)
+                assert indices[at].tolist() == [i for i, _, _ in want]
+                assert norm_dist[at].tolist() == pytest.approx(
+                    [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_far_states_on_float_coordinates(self, norm, dim):
+        # far from the cloud, q_c +- r rounds by more than a distance does:
+        # without slack the window would miss the k-th nearest point
+        rng = np.random.default_rng(27)
+        batch = random_batch(rng, n=200, dim=dim, actions=2,
+                             integer_coords=False)
+        states = [(x,) * dim for x in (-1e12, 1e12, -37.3, 1e6 + 0.1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "PROBE", 1)
+            mp.setattr(neighbors, "BLOCK", 64)
+            index = build_index(batch, norm)
+            for k in (1, 2, 3):
+                for s in states:
+                    for got, want in zip(index.search([s], k),
+                                         index.query(s, k)):
+                        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_states_that_are_not_finite(self, norm):
+        # every distance of such a state is inf or NaN: search covers all
+        # of an action's points, as query does
+        index = build_index(REPEATED, norm)
+        states = [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0),
+                  (1e300, 1e300)]
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            # windows even on three points
+            mp.setattr(neighbors, "PROBE", 1)
+            mp.setattr(neighbors, "BLOCK", 1)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for k in (1, 2):
+                for s in states:
+                    for got, want in zip(index.search([s], k),
+                                         index.query(s, k)):
+                        assert got.tobytes() == want.tobytes()
+
+    def test_empty_states(self, table1):
+        pairs, indices, norm_dist = build_index(table1).search([], 3)
+        assert len(pairs) == len(indices) == len(norm_dist) == 0
+
+
 class TestDiameter:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(NORMS),
+           cloud=st.sampled_from(["ties", "floats", "collinear", "one point"]),
+           n=st.integers(1, 300), dim=st.integers(1, 4))
+    def test_pruned_scan_equals_the_full_scan(self, seed, norm, cloud, n, dim):
+        rng = np.random.default_rng(seed)
+        if cloud == "ties":
+            pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+        elif cloud == "floats":
+            pts = (rng.uniform(0, 10, size=(n, dim))
+                   * 10.0 ** rng.integers(-3, 4))
+        elif cloud == "collinear":
+            pts = np.outer(rng.uniform(0, 5, size=n),
+                           rng.uniform(0, 2, size=dim))
+        else:
+            pts = np.repeat(rng.uniform(0, 5, size=(1, dim)), n, axis=0)
+        want = full_scan_diameter(pts, norm)
+        if want == 0.0:
+            with pytest.warns(RuntimeWarning, match="degenerate"):
+                assert diameter(pts, norm) == 1.0
+        else:
+            assert diameter(pts, norm) == want
+
     def test_worked_example_exact(self, table1):
         assert diameter(core_states(table1)) == pytest.approx(math.sqrt(52),
                                                               abs=1e-12)

@@ -402,6 +402,12 @@ class TestSolutionSerialization:
         (lambda d: d.update(policy=[2] * len(d["policy"])), "policy action"),
         (lambda d: d.update(iterations="12"), "iterations"),
         (lambda d: d.update(residual=None), "residual"),
+        # json reads true and false as bools, which pass for 1 and 0
+        (lambda d: d.update(values=[1.0, 2.0], q=[[1.0, 0.5], [2.0, True]],
+                            policy=[0, False]), "boolean in 'q'"),
+        (lambda d: d.update(values=[1.0, 2.0], q=[[1.0, 0.5], [2.0, 1.0]],
+                            policy=[0, False]), "boolean in 'policy'"),
+        (lambda d: d["values"].__setitem__(0, True), "boolean in 'values'"),
     ])
     def test_load_rejects_a_malformed_solution(self, table1, edit, message):
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,

@@ -3,9 +3,10 @@
 A batch holds its transitions as read-only arrays, one per field: states
 `s` and `s_next` (n, dim) of non-negative vehicle counts, actions `a`,
 rewards `r`, trajectory ids `traj` and step indices `t`; `transitions` is
-a row view of them, built on first use. Rows (`make_batch`) and JSON Lines
-files (`load_batch`: one transition per line, after an optional meta record
-declaring action_count / reward_bound) pass one validator.
+a row view of them, built on first use. Rows (`make_batch`), columns
+(`batch_from_columns`) and JSON Lines files (`load_batch`: one transition
+per line, after an optional meta record declaring action_count /
+reward_bound) pass one validator.
 """
 
 import json
@@ -21,6 +22,7 @@ State = tuple[float, ...]
 
 COLUMNS = ("s", "a", "r", "s_next", "traj", "t")
 _KEYS = ("s", "a", "r", "sp", "traj", "t")    # the columns' keys in a file
+_NOT_AN_ACTION = "action is not a non-negative integer"
 
 
 class BatchError(ValueError):
@@ -95,7 +97,7 @@ def _checked(rows: list, action_count, reward_bound) -> Batch:
     # element types first: arrays lose bool and str
     for values, kinds, message in (
             (s + s_next, (list, tuple), "state is not a sequence"),
-            (a, int, "action is not a non-negative integer"),
+            (a, int, _NOT_AN_ACTION),
             (r, (int, float), "non-numeric reward"),
             (traj + t, int, "traj/t must be integers")):
         if not _only(values, kinds):
@@ -107,8 +109,14 @@ def _checked(rows: list, action_count, reward_bound) -> Batch:
         raise BatchError(f"dimension mismatch (expected {dim})")
     if not _only(chain.from_iterable(s + s_next), (int, float)):
         raise BatchError("non-numeric coordinate")
+    return _array_checked(columns, action_count, reward_bound)
+
+
+def _array_checked(columns, action_count, reward_bound) -> Batch:
+    """Columns of numbers as a Batch, or BatchError naming the first array
+    rule they break."""
     try:
-        s, a, r, s_next, traj, t = map(np.array, columns, (
+        s, a, r, s_next, traj, t = map(np.asarray, columns, (
             float, np.int64, float, float, np.int64, np.int64))
     except OverflowError as exc:
         raise BatchError(f"number out of range ({exc})") from None
@@ -135,11 +143,12 @@ def _checked(rows: list, action_count, reward_bound) -> Batch:
     return Batch(s, a, r, s_next, traj, t, action_count, bound)
 
 
-def _validated(rows: list, action_count, reward_bound, where,
+def _validated(n: int, checked, action_count, reward_bound, where,
                declared: str) -> Batch:
-    """The batch validator: rows of (s, a, r, s_next, traj, t) to a Batch;
-    where(i) names row i, declared the source of action_count/reward_bound."""
-    if not rows:
+    """The batch validator: checked(stop) turns the first stop of n rows
+    into a Batch or raises BatchError; where(i) names row i, declared the
+    source of action_count/reward_bound."""
+    if not n:
         raise BatchError("empty batch")
     if action_count is not None and not (_only([action_count], int)
                                          and action_count >= 0):
@@ -150,15 +159,15 @@ def _validated(rows: list, action_count, reward_bound, where,
         raise BatchError(f"{declared} reward_bound {reward_bound!r} "
                          "is not a finite number")
     try:
-        return _checked(rows, action_count, reward_bound)
+        return checked(n)
     except BatchError as exc:
-        error, good, bad = exc, 0, len(rows)
+        error, good, bad = exc, 0, n
     # every rule that a prefix breaks, a longer one breaks too: search for
     # the shortest failing prefix, which ends with the first bad row
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            _checked(rows[:mid], action_count, reward_bound)
+            checked(mid)
             good = mid
         except BatchError as exc:
             error, bad = exc, mid
@@ -170,7 +179,25 @@ def make_batch(transitions, action_count: int | None = None,
     """Validate rows with the fields of Transition into a Batch."""
     rows = list(map(attrgetter("s", "a", "r", "s_next", "traj_id", "t"),
                     transitions))
-    return _validated(rows, action_count, reward_bound,
+    return _validated(
+        len(rows), lambda stop: _checked(rows[:stop], action_count,
+                                         reward_bound),
+        action_count, reward_bound, "transition {}".format, "declared")
+
+
+def batch_from_columns(s, a, r, s_next, traj, t, action_count: int,
+                       reward_bound: float) -> Batch:
+    """Validate columns into a Batch, with make_batch's rules and messages:
+    states s and s_next as (n, dim) float arrays, rewards r, trajectory ids
+    traj and step indices t as arrays, and the actions a as a list of the
+    values given, each of which must be an int."""
+    def checked(stop):
+        if not _only(a[:stop], int):
+            raise BatchError(_NOT_AN_ACTION)
+        return _array_checked(
+            (s[:stop], a[:stop], r[:stop], s_next[:stop], traj[:stop],
+             t[:stop]), action_count, reward_bound)
+    return _validated(len(a), checked, action_count, reward_bound,
                       "transition {}".format, "declared")
 
 
@@ -200,8 +227,12 @@ def load_batch(path) -> Batch:
                 raise BatchError(f"line {lineno}: missing fields {missing}")
             rows.append(record(rec))
             lines.append(lineno)
-    batch = _validated(rows, meta.get("action_count"), meta.get("reward_bound"),
-                       lambda i: f"line {lines[i]}", "line 1: meta")
+    action_count, reward_bound = meta.get("action_count"), meta.get("reward_bound")
+    batch = _validated(
+        len(rows), lambda stop: _checked(rows[:stop], action_count,
+                                         reward_bound),
+        action_count, reward_bound, lambda i: f"line {lines[i]}",
+        "line 1: meta")
     dim = meta.get("dim", batch.dim)
     if not (_only([dim], int) and dim == batch.dim):
         raise BatchError(f"line 1: meta dim {dim!r} is not the records' "
@@ -211,17 +242,27 @@ def load_batch(path) -> Batch:
 
 def save_batch(batch: Batch, path) -> None:
     """Write JSONL; round-trips through load_batch bit-exactly. The meta line
-    holds a declared action_count or reward_bound the records do not imply."""
+    holds a declared action_count or reward_bound the records do not imply.
+
+    A record is json.dumps of {"s", "a", "r", "sp", "traj", "t"}, written
+    with one %-format: json.dumps writes a finite float as float.__repr__
+    (%r) and an int as int.__repr__ (%d), and the validator admits no other
+    values."""
     max_a, max_r = int(batch.a.max()), float(batch.r.max())
+    meta = ""
+    if batch.action_count != max_a + 1 or batch.reward_bound != max(max_r, 0.0):
+        meta = json.dumps({"meta": {
+            "action_count": batch.action_count,
+            "reward_bound": batch.reward_bound,
+            "dim": batch.dim,
+        }}) + "\n"
+    state = "[" + ", ".join(["%r"] * batch.dim) + "]"
+    record = ('{"s": ' + state + ', "a": %d, "r": %r, "sp": ' + state
+              + ', "traj": %d, "t": %d}\n')
+    rows = zip(*batch.s.T.tolist(), batch.a.tolist(), batch.r.tolist(),
+               *batch.s_next.T.tolist(), batch.traj.tolist(), batch.t.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        if batch.action_count != max_a + 1 or batch.reward_bound != max(max_r, 0.0):
-            fh.write(json.dumps({"meta": {
-                "action_count": batch.action_count,
-                "reward_bound": batch.reward_bound,
-                "dim": batch.dim,
-            }}) + "\n")
-        for values in zip(*(getattr(batch, name).tolist() for name in COLUMNS)):
-            fh.write(json.dumps(dict(zip(_KEYS, values))) + "\n")
+        fh.write(meta + "".join(map(record.__mod__, rows)))
 
 
 def core_rows(batch: Batch) -> tuple[np.ndarray, np.ndarray]:

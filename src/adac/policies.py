@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .dataset import Batch, State, make_batch
+from .dataset import Batch, State, batch_from_columns
 from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 from .planner import Solution, check_artifacts, greedy_action
@@ -117,15 +117,26 @@ class EpsilonNoisyPolicy:
 def collect(config: IntersectionEnvConfig, policy, episodes: int,
             horizon: int, start: EnvState,
             rng: np.random.Generator | None = None) -> Batch:
-    """Concatenate episode rollouts into one batch.
+    """Concatenate episode rollouts into one batch, stacking their columns.
 
     The reward bound is the environment ceiling (capacity times the widest
     phase), not the observed maximum.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    transitions = []
-    for ep in range(episodes):
-        result = rollout(config, start, policy, horizon, rng=rng, traj_id=ep)
-        transitions.extend(result.transitions)
-    return make_batch(transitions, config.action_count, reward_bound(config))
+    results = [rollout(config, start, policy, horizon, rng=rng)
+               for _ in range(episodes)]
+    # each episode's horizon + 1 observations: s is all but the last, s_next
+    # all but the first
+    states = np.array([obs for result in results
+                       for obs in result.observations], dtype=float)
+    states = states.reshape(episodes, horizon + 1, -1)
+    dim = states.shape[2]
+    return batch_from_columns(
+        states[:, :-1].reshape(-1, dim),
+        [a for result in results for a in result.actions],
+        np.array([r for result in results for r in result.rewards]),
+        states[:, 1:].reshape(-1, dim),
+        np.repeat(np.arange(episodes, dtype=np.int64), horizon),
+        np.tile(np.arange(horizon, dtype=np.int64), episodes),
+        config.action_count, reward_bound(config))

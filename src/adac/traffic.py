@@ -8,6 +8,14 @@ then each flow in the chosen phase is served up to capacity. The reward is
 the number of vehicles served and the observed state is the post-service
 queue vector. Queues are unbounded; capacity is a service rate, not a
 storage bound.
+
+Poisson arrivals come from the generator passed in, and nothing else in
+the environment draws from it (policies own their generators). A rollout
+draws all its arrivals with one `rng.poisson` call over its (horizon,
+flows) rate matrix; numpy draws an array argument element by element in C
+order, so this is the stream of one scalar draw per flow per step, step
+by step and flow by flow within a step, and the generator ends in the same
+state. Episodes collected one after another continue that stream.
 """
 
 import json
@@ -76,46 +84,83 @@ class EnvState:
 
 @dataclass
 class RolloutResult:
+    """One episode as columns: the horizon + 1 observations (the start's
+    first; the policy saw all but the last), the actions as the policy
+    returned them and the rewards; `transitions` is a row view of them,
+    built on each use."""
     cumulative_reward: float
     discounted_return: float
-    transitions: list[Transition] = field(repr=False)
+    observations: list[State] = field(repr=False)
+    actions: list = field(repr=False)
+    rewards: list[float] = field(repr=False)
+    traj_id: int = 0
+
+    @property
+    def transitions(self) -> list[Transition]:
+        obs = self.observations
+        return [Transition(s, a, r, s_next, self.traj_id, j)
+                for j, (s, a, r, s_next) in enumerate(
+                    zip(obs, self.actions, self.rewards, obs[1:]))]
 
 
-def rates_at(config: IntersectionEnvConfig, t: int) -> tuple[float, ...]:
-    """Arrival rates in effect at environment step t.
+def _rates(config: IntersectionEnvConfig, t0: int,
+           steps: int) -> list[tuple[float, ...]]:
+    """Arrival rates in effect at environment steps t0, ..., t0 + steps - 1.
 
     Schedule entries cover consecutive step ranges; past the end the last
     entry's rates stay in effect.
     """
     if config.schedule is None:
-        return config.rates
-    elapsed = 0
-    for steps, seg_rates in config.schedule:
-        if t < elapsed + steps:
-            return tuple(seg_rates)
-        elapsed += steps
-    return tuple(config.schedule[-1][1])
+        return [config.rates] * steps
+    rows, elapsed = [], 0
+    for seg_steps, seg_rates in config.schedule:
+        elapsed += seg_steps
+        # rows holds steps t0, ..., t0 + len(rows) - 1 so far
+        rows += [tuple(seg_rates)] * max(
+            0, min(elapsed, t0 + steps) - t0 - len(rows))
+    return rows + [tuple(config.schedule[-1][1])] * (steps - len(rows))
 
 
-def step(config: IntersectionEnvConfig, state: EnvState, action: int,
-         rng: np.random.Generator | None = None) -> tuple[EnvState, float]:
-    """Arrive-then-serve transition; returns (next state, vehicles served)."""
+def rates_at(config: IntersectionEnvConfig, t: int) -> tuple[float, ...]:
+    """Arrival rates in effect at environment step t."""
+    return _rates(config, t, 1)[0]
+
+
+def _arrivals(config: IntersectionEnvConfig, t0: int, steps: int,
+              rng: np.random.Generator | None) -> list[list[int]]:
+    """Every flow's arrivals at environment steps t0, ..., t0 + steps - 1,
+    one row per step; Poisson arrivals are one draw over the rate matrix."""
+    rates = _rates(config, t0, steps)
+    if config.arrivals == "deterministic":
+        return [list(map(int, row)) for row in rates]
+    if rng is None:
+        raise ValueError("poisson arrivals require an rng")
+    return rng.poisson(rates).tolist()
+
+
+def _arrive_serve(config: IntersectionEnvConfig, queues: list, arrived,
+                  action: int) -> int:
+    """One step on `queues`, in place: every flow gains its arrivals, then
+    each flow in the action's phase is served up to capacity. Returns the
+    vehicles served."""
     if not 0 <= action < config.action_count:
         raise ValueError(f"invalid action {action}")
-    rates = rates_at(config, state.t)
-    queues = list(state.queues)
-    for i, rate in enumerate(rates):
-        if config.arrivals == "poisson":
-            if rng is None:
-                raise ValueError("poisson arrivals require an rng")
-            queues[i] += int(rng.poisson(rate))
-        else:
-            queues[i] += int(rate)
+    for i, n in enumerate(arrived):
+        queues[i] += n
     served = 0
     for i in config.phases[action]:
         take = min(queues[i], config.capacity)
         queues[i] -= take
         served += take
+    return served
+
+
+def step(config: IntersectionEnvConfig, state: EnvState, action: int,
+         rng: np.random.Generator | None = None) -> tuple[EnvState, float]:
+    """Arrive-then-serve transition; returns (next state, vehicles served)."""
+    queues = list(state.queues)
+    served = _arrive_serve(config, queues,
+                           _arrivals(config, state.t, 1, rng)[0], action)
     return EnvState(tuple(queues), state.t + 1), float(served)
 
 
@@ -131,19 +176,22 @@ def rollout(config: IntersectionEnvConfig, start: EnvState, policy,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    state = start
+    queues = list(start.queues)
+    obs = tuple(map(float, queues))
+    observations, actions, rewards = [obs], [], []
+    for j, arrived in enumerate(_arrivals(config, start.t, horizon, rng)):
+        action = policy.act(obs, j)
+        rewards.append(float(_arrive_serve(config, queues, arrived, action)))
+        actions.append(action)
+        obs = tuple(map(float, queues))
+        observations.append(obs)
     cumulative = 0.0
     discounted = 0.0
-    transitions = []
-    for j in range(horizon):
-        obs = state.observation()
-        action = policy.act(obs, j)
-        state, reward = step(config, state, action, rng)
-        transitions.append(Transition(obs, action, reward,
-                                      state.observation(), traj_id, j))
+    for j, reward in enumerate(rewards):
         cumulative += reward
         discounted += (gamma ** j) * reward
-    return RolloutResult(cumulative, discounted, transitions)
+    return RolloutResult(cumulative, discounted, observations, actions,
+                         rewards, traj_id)
 
 
 def optimal_green_split(rates, cycle_time: float) -> list[float]:

@@ -1,10 +1,11 @@
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from adac.dataset import Transition, make_batch
+from adac.dataset import COLUMNS, Transition, make_batch
 from adac.evaluation import worked_example_batch
 from adac.planner import EVAL_SWEEPS
 
@@ -168,3 +169,70 @@ def scale_batch(batch, c):
         for tr in batch.transitions
     ]
     return make_batch(transitions, batch.action_count, batch.reward_bound)
+
+
+def brute_force_rates_at(config, t):
+    """Reference schedule lookup: walk the segments up to env step t; past
+    the end the last segment's rates stay in effect."""
+    if config.schedule is None:
+        return config.rates
+    elapsed = 0
+    for steps, seg_rates in config.schedule:
+        if t < elapsed + steps:
+            return tuple(seg_rates)
+        elapsed += steps
+    return tuple(config.schedule[-1][1])
+
+
+def brute_force_step(config, queues, t, action, rng=None):
+    """Reference arrive-then-serve step at env step t: each flow in order
+    gains int(rng.poisson(rate)) vehicles, one scalar draw per flow (or
+    int(rate) when deterministic), then each flow of the action's phase is
+    served up to capacity. Returns (queues, vehicles served as a float)."""
+    if not 0 <= action < len(config.phases):
+        raise ValueError(f"invalid action {action}")
+    queues = list(queues)
+    for i, rate in enumerate(brute_force_rates_at(config, t)):
+        queues[i] += (int(rng.poisson(rate)) if config.arrivals == "poisson"
+                      else int(rate))
+    served = 0
+    for i in config.phases[action]:
+        take = min(queues[i], config.capacity)
+        queues[i] -= take
+        served += take
+    return queues, float(served)
+
+
+def brute_force_rollout(config, start, policy, horizon, gamma=0.99, rng=None,
+                        traj_id=0):
+    """Reference rollout, one brute_force_step per step with the env clock
+    at start.t + j. Returns (Transition rows, cumulative reward,
+    discounted return), the returns summed in step order."""
+    queues, rows = list(start.queues), []
+    cumulative = discounted = 0.0
+    for j in range(horizon):
+        obs = tuple(float(q) for q in queues)
+        action = policy.act(obs, j)
+        queues, reward = brute_force_step(config, queues, start.t + j, action,
+                                          rng)
+        rows.append(Transition(obs, action, reward,
+                               tuple(float(q) for q in queues), traj_id, j))
+        cumulative += reward
+        discounted += (gamma ** j) * reward
+    return rows, cumulative, discounted
+
+
+def brute_force_save_batch(batch, path):
+    """Reference batch writer: the meta line when the declared values are
+    not the ones the records imply, then one json.dumps per record."""
+    max_a, max_r = int(batch.a.max()), float(batch.r.max())
+    with open(path, "w", encoding="utf-8") as fh:
+        if batch.action_count != max_a + 1 or batch.reward_bound != max(max_r, 0.0):
+            fh.write(json.dumps({"meta": {
+                "action_count": batch.action_count,
+                "reward_bound": batch.reward_bound,
+                "dim": batch.dim,
+            }}) + "\n")
+        keys = ("s", "a", "r", "sp", "traj", "t")
+        for values in zip(*(getattr(batch, name).tolist() for name in COLUMNS)):
+            fh.write(json.dumps(dict(zip(keys, values))) + "\n")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from adac.dataset import (BatchError, Transition, batch_stats, concat_batches,
                           core_states, load_batch, make_batch, save_batch)
 
-from conftest import random_batch
+from conftest import brute_force_save_batch, random_batch
 
 # JSON values a malformed batch file may hold where a number belongs
 NUMBERS = st.one_of(
@@ -41,6 +41,36 @@ METAS = mostly(st.fixed_dictionaries({}, optional={
 LINES = mostly(RECORDS.map(json.dumps), st.one_of(
     st.sampled_from(["", "{", "[" * 100_000, "null"]),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)))
+
+# coordinates whose shortest repr has an exponent, a sign or a fraction
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1e300]),
+                   st.integers(0, 10**6).map(float))
+REWARDS = st.one_of(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 3.0]),
+                    st.floats(-1e6, 1e6))
+
+
+@st.composite
+def valid_batches(draw):
+    """A batch the validator accepts: dims 1-5, contiguous trajectories
+    with rising steps, ids and steps up to 2**63 - 1, and declared values
+    that the records imply (no meta line) or not (a meta line)."""
+    dim, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    state = st.tuples(*[COORDS] * dim)
+    actions = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rewards = draw(st.lists(REWARDS, min_size=n, max_size=n))
+    starts = [0] + sorted(set(draw(st.lists(st.integers(1, n), max_size=4))))
+    traj_base = draw(st.integers(0, 2**63 - 6))
+    t_base = draw(st.integers(0, 2**63 - 1 - n))
+    run = [sum(i >= s for s in starts) - 1 for i in range(n)]
+    rows = [Transition(draw(state), actions[i], rewards[i], draw(state),
+                       traj_base + run[i], t_base + i) for i in range(n)]
+    declared = draw(st.sampled_from(["implied", "action_count",
+                                     "reward_bound"]))
+    action_count = max(actions) + 1 + (declared == "action_count")
+    reward_bound = (max(max(rewards), 0.0)
+                    + 1.5 * (declared == "reward_bound"))
+    return make_batch(rows, action_count, reward_bound), declared != "implied"
+
 
 TABLE1_JSONL = """\
 {"s":[1,5],"a":1,"r":2,"sp":[3,3],"traj":0,"t":0}
@@ -291,6 +321,29 @@ class TestRoundTrip:
         assert np.array_equal(np.signbit(loaded.s_next),
                               np.signbit(batch.s_next))
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=valid_batches())
+    def test_writer_is_json_dumps_per_record(self, tmp_path_factory, drawn):
+        batch, meta = drawn
+        written = tmp_path_factory.getbasetemp() / "written.jsonl"
+        reference = tmp_path_factory.getbasetemp() / "reference.jsonl"
+        save_batch(batch, written)
+        brute_force_save_batch(batch, reference)
+        assert written.read_bytes() == reference.read_bytes()
+        assert written.read_text().startswith('{"meta"') == meta
+        loaded = load_batch(written)
+        assert loaded == batch
+        for name in ("s", "r", "s_next"):      # bit for bit, -0.0 included
+            assert np.array_equal(getattr(loaded, name).view(np.int64),
+                                  getattr(batch, name).view(np.int64))
+
+    def test_record_bytes(self, tmp_path, table1):
+        path = tmp_path / "t1.jsonl"
+        save_batch(table1, path)
+        assert path.read_text().splitlines()[0] == (
+            '{"s": [1.0, 5.0], "a": 1, "r": 2.0, "sp": [3.0, 3.0], '
+            '"traj": 0, "t": 0}')
 
     def test_worked_example(self, tmp_path, table1):
         path = tmp_path / "t1.jsonl"

@@ -28,11 +28,12 @@ def tiny_mdp(gamma=0.5):
                          mode=PenaltyMode.averagers())
 
 
-def scalar_lookup_q(mdp, solution, index, s, a):
-    """Q of one action the one-state-one-action way: the neighbors from
-    search([s], ...) at pair id a, the reward summed in neighbor order and
-    the continuation over landings in first-occurrence order."""
-    pairs, sources, norm_dist = index.search([s], mdp.k, mdp.alpha)
+def scalar_lookup_q(mdp, solution, index, table, a):
+    """Q of one action the one-state-one-action way: the neighbors at pair
+    id a of table, one state's search([s], mdp.k, mdp.alpha), the reward
+    summed in neighbor order and the continuation over landings in
+    first-occurrence order."""
+    pairs, sources, norm_dist = table
     sources, norm_dist = sources[pairs == a], norm_dist[pairs == a]
     if not len(sources):
         return 0.0
@@ -263,11 +264,13 @@ class TestLookup:
         off_data = [tuple(map(float, x)) for x in rng.integers(0, 12, (40, 3))]
         empty = 0
         for s in list(mdp.core) + off_data:
-            want = [scalar_lookup_q(mdp, sol, index, s, a) for a in range(4)]
+            table = index.search([s], mdp.k, mdp.alpha)
+            want = [scalar_lookup_q(mdp, sol, index, table, a)
+                    for a in range(4)]
             got = lookup_q(mdp, sol, index, s)
             assert got.tolist() == want         # bit for bit
             assert greedy_action(mdp, sol, index, s) == want.index(max(want))
-            empty += 0 not in index.search([s], mdp.k, mdp.alpha)[0]
+            empty += 0 not in table[0]
         assert empty > 0 or alpha == math.inf
 
     def test_empty_pair_looks_up_the_floor_not_the_table(self, table1):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from adac import policies
-from adac.dataset import load_batch, make_batch, save_batch
+from adac.dataset import BatchError, load_batch, make_batch, save_batch
 from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import build_index
 from adac.planner import greedy_action, value_iteration
@@ -191,6 +192,43 @@ class TestCollect:
         path = tmp_path / "collected.jsonl"
         save_batch(batch, path)
         assert load_batch(path) == batch
+
+    def test_criterion_8_batch_file_is_pinned(self, tmp_path):
+        """The criterion-8 batch (28 episodes of 360 steps, seed 7) as
+        save_batch writes it: a change to the order of the arrival draws or
+        to the writer's bytes shows here."""
+        flows = tuple((f"flow{i}", r)
+                      for i, r in enumerate((0.4, 0.6, 0.8, 1.0)))
+        config = IntersectionEnvConfig(
+            flows=flows, phases=((0,), (1,), (2,), (3,)), capacity=4,
+            arrivals="poisson", horizon=360)
+        batch = collect(config, CyclicPolicy(4), 28, 360,
+                        EnvState((0, 0, 0, 0)), rng=np.random.default_rng(7))
+        path = tmp_path / "criterion8.jsonl"
+        save_batch(batch, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fdd989a4b874db83ac0b877ae4609d33650632c1f939a8918efab67b43bbbf4c")
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (True, BatchError, "action is not a non-negative integer"),
+        (np.int64(1), BatchError, "action is not a non-negative integer"),
+        (1.0, TypeError, "tuple indices must be integers"),
+    ])
+    @pytest.mark.parametrize("first_bad", [0, 7])
+    def test_an_action_that_is_not_an_int(self, bad, error, message,
+                                          first_bad):
+        class Policy:
+            name = "int-then-bad"
+            calls = 0
+
+            def act(self, state, t):
+                self.calls += 1
+                return bad if self.calls > first_bad else t % 2
+
+        # a bad row is named by its place in the batch, across episodes
+        where = f"transition {first_bad}: " if error is BatchError else ""
+        with pytest.raises(error, match=where + message):
+            collect(two_flow_config(), Policy(), 2, 5, EnvState((1, 3)))
 
     def test_rewards_within_bound(self):
         config = two_flow_config()

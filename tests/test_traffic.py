@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adac.policies import CyclicPolicy, FixedCyclePolicy
 from adac.traffic import (EnvState, IntersectionEnvConfig, alternating_return,
@@ -10,7 +12,49 @@ from adac.traffic import (EnvState, IntersectionEnvConfig, alternating_return,
                           optimal_green_split, rates_at, rollout, step,
                           two_flow_config)
 
+from conftest import brute_force_rates_at, brute_force_rollout, brute_force_step
+
 NS, EW = 0, 1
+
+
+class LongestQueueFirst:
+    """Serve the phase with the most queued vehicles, ties to the lower
+    action: a policy that reads the state."""
+
+    name = "longest-queue-first"
+
+    def __init__(self, phases):
+        self.phases = phases
+
+    def act(self, state, t):
+        totals = [sum(state[i] for i in phase) for phase in self.phases]
+        return totals.index(max(totals))
+
+
+@st.composite
+def configs(draw):
+    """1-5 flows, phases that may serve several flows, zero and fractional
+    Poisson rates (some past 10, where numpy switches method) or integer
+    deterministic ones, and an optional schedule of 1-3 segments."""
+    flows = draw(st.integers(1, 5))
+    poisson = draw(st.booleans())
+    rate = (st.one_of(st.just(0.0), st.floats(0, 20)) if poisson
+            else st.integers(0, 4).map(float))
+    rates = st.tuples(*[rate] * flows)
+    phases = draw(st.lists(
+        st.sets(st.integers(0, flows - 1), min_size=1).map(sorted).map(tuple),
+        min_size=1, max_size=4))
+    schedule = draw(st.none() | st.lists(st.tuples(st.integers(1, 20), rates),
+                                         min_size=1, max_size=3).map(tuple))
+    return IntersectionEnvConfig(
+        flows=tuple((f"f{i}", r) for i, r in enumerate(draw(rates))),
+        phases=tuple(phases), capacity=draw(st.integers(1, 5)),
+        arrivals="poisson" if poisson else "deterministic", schedule=schedule)
+
+
+def queues_for(config):
+    n = len(config.flows)
+    return st.lists(st.integers(0, 8), min_size=n, max_size=n).map(tuple)
 
 
 class TestStep:
@@ -146,6 +190,49 @@ class TestRollout:
         mean = arrivals / n
         sigma = math.sqrt(rate / n)
         assert abs(mean - rate) <= 3 * sigma
+
+
+class TestAgainstThePerStepLoop:
+    # the env clock starts before, inside or past the schedule's end
+    @settings(max_examples=150, deadline=None)
+    @given(config=configs(), t0=st.integers(-10, 80),
+           horizon=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           state_reading=st.booleans(), gamma=st.sampled_from([0.0, 0.5, 0.99]),
+           data=st.data())
+    def test_rollout_is_the_per_flow_per_step_draw(self, config, t0, horizon,
+                                                   seed, state_reading, gamma,
+                                                   data):
+        start = EnvState(data.draw(queues_for(config)), t0)
+
+        def policy():
+            return (LongestQueueFirst(config.phases) if state_reading
+                    else CyclicPolicy(config.action_count))
+
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = rollout(config, start, policy(), horizon, gamma, rng=rng,
+                         traj_id=3)
+        rows, cumulative, discounted = brute_force_rollout(
+            config, start, policy(), horizon, gamma, ref_rng, traj_id=3)
+        assert result.transitions == rows
+        assert result.observations == [tr.s for tr in rows] + [rows[-1].s_next]
+        assert result.cumulative_reward.hex() == cumulative.hex()
+        assert result.discounted_return.hex() == discounted.hex()
+        # collect continues the stream across episodes
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=configs(), t=st.integers(-10, 80),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_step_is_the_per_flow_draw(self, config, t, seed, data):
+        queues = data.draw(queues_for(config))
+        action = data.draw(st.integers(0, config.action_count - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nxt, reward = step(config, EnvState(queues, t), action, rng)
+        want, want_reward = brute_force_step(config, queues, t, action, ref_rng)
+        assert nxt == EnvState(tuple(want), t + 1)
+        assert reward.hex() == want_reward.hex()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rates_at(config, t) == brute_force_rates_at(config, t)
 
 
 class TestMultiFlowPhases:

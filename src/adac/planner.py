@@ -6,11 +6,25 @@ a stacked transition matrix whose row a * n + s is the landing
 distribution of pair (s, a), written into buffers made once. The greedy
 policy of that backup is then evaluated in part: EVAL_SWEEPS sweeps of
 v <- r_pi + gamma * P_pi v, where P_pi is the policy's n rows of the
-stacked matrix. The stopping test is on full backups only: a backup whose
-change is at most tol * (1 - gamma) / gamma returns its values, Q table and
-greedy policy. That certificate holds for any starting values, so `tol`
-bounds the true sup-norm error of the values (against the optimal values
-and against the returned policy's own), not just the last change.
+stacked matrix.
+
+The stopping test is on full backups only, and on the span of their
+change. Every row of the stacked matrix sums to 1, so for any v and
+D = Tv - v the MacQueen (1966) and Porteus (1971) bounds hold:
+Tv + g min D <= v* <= Tv + g max D with g = gamma / (1 - gamma), and the
+same bounds hold for the value of a policy greedy in v (Puterman, 1994,
+section 6.6). A backup stops the solve when half the span of D,
+(max D - min D) / 2, is at most tol (1 - gamma) / gamma, that is when
+g (max D - min D) / 2 <= tol. The values then move to the midpoint of
+the bounds, v~ = Tv + g (max D + min D) / 2, and one more backup from v~
+gives the returned Q table, values (its row maxima) and policy (its
+first argmaxes). That backup changes v~ by at most
+gamma (max D - min D) / 2 <= (1 - gamma) tol, so the bounds at v~ put v*
+and the returned policy's own value within gamma * tol of the returned
+values: `tol` bounds the true sup-norm error from any starting values,
+not just the last change. The span is at most twice the sup-norm, so
+this stops no later than a test on the sup-norm of D against
+tol (1 - gamma) / gamma would.
 
 The lookup acts from any state: `lookup_q` gives every action's Q from
 one neighbor query over all actions, and `greedy_action` takes its
@@ -45,10 +59,12 @@ class Solution:
     values: np.ndarray       # (|core|,)
     q: np.ndarray            # (|core|, |actions|)
     policy: np.ndarray       # (|core|,) int
-    iterations: int          # every sweep: full backups and evaluation sweeps
-    residual: float          # max-norm change of one more full backup
+    # every sweep, full backups and evaluation sweeps, but not the final
+    # backup from the shifted values, which gives q
+    iterations: int
+    residual: float          # max-norm change of that final backup
     tol: float               # bound on the sup-norm error of values
-    deltas: tuple[float, ...] = ()   # max-norm change of each full backup
+    deltas: tuple[float, ...] = ()   # max-norm change of each counted backup
 
 
 def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
@@ -75,7 +91,7 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
     reward = np.ascontiguousarray(mdp.reward.T)
     states = np.arange(n)
     # each full backup writes into these buffers: Q, the new values and
-    # |v_new - v|; each evaluation sweep writes v in place
+    # v_new - v; each evaluation sweep writes v in place
     q, v, v_new, diff = (np.empty((actions, n)), np.zeros(n), np.empty(n),
                          np.empty(n))
 
@@ -84,23 +100,29 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         np.multiply((stacked @ v).reshape(actions, n), gamma, out=q)
         return np.add(reward, q, out=q)
 
-    def change(v_new: np.ndarray, v: np.ndarray) -> float:
+    def change(v_new: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+        """Largest and smallest entry of v_new - v (0 and 0 with no states)."""
+        if not n:
+            return 0.0, 0.0
         np.subtract(v_new, v, out=diff)
-        return float(np.abs(diff, out=diff).max())
+        return float(diff.max()), float(diff.min())
 
     threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
     deltas, sweeps = [], 0
     while sweeps < max_iters:
         sweeps += 1
         np.max(backup(v), axis=0, out=v_new)
-        delta = change(v_new, v) if n else 0.0
-        deltas.append(delta)
+        hi, lo = change(v_new, v)
+        deltas.append(max(hi, -lo))
         v, v_new = v_new, v
-        if delta <= threshold:
-            q_table = q.T.copy()
-            residual = change(np.max(backup(v), axis=0, out=v_new), v)
-            return Solution(v, q_table, q_table.argmax(axis=1), sweeps,
-                            residual, tol, tuple(deltas))
+        if (hi - lo) / 2 <= threshold:
+            # the midpoint of the bounds on v*, then one more backup from it
+            v += gamma / (1.0 - gamma) * (hi + lo) / 2
+            q_table = backup(v).T.copy()
+            values = q_table.max(axis=1)
+            hi, lo = change(values, v)
+            return Solution(values, q_table, q_table.argmax(axis=1), sweeps,
+                            max(hi, -lo), tol, tuple(deltas))
         # partial evaluation of the greedy policy: its n rows of the stacked
         # matrix, whose columns stay sorted
         rows = q.argmax(axis=0) * n + states

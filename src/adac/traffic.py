@@ -58,8 +58,9 @@ class IntersectionEnvConfig:
         # the flows' rates, then every schedule segment's
         for rates in (self.rates, *(seg for _, seg in self.schedule or ())):
             for rate in rates:
-                if rate < 0:
-                    raise ValueError("arrival rates must be non-negative")
+                if not 0 <= rate < np.inf:      # also false for nan
+                    raise ValueError(f"arrival rates must be finite and "
+                                     f"non-negative, got {rate!r}")
                 if self.arrivals == "deterministic" and rate != int(rate):
                     raise ValueError(
                         "deterministic arrivals require integer rates")

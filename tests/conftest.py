@@ -102,13 +102,16 @@ def brute_force_mdp(batch, k, alpha, mode, diam=None, dist=euclid):
 def brute_force_value_iteration(mdp, tol, max_iters=200_000):
     """Reference modified policy iteration in plain Python over the dict rows.
 
-    Each outer step is a full backup, stopped by the planner's rule; the
-    backup's greedy policy is then evaluated by up to EVAL_SWEEPS sweeps,
-    and max_iters bounds the full and the evaluation sweeps together.
-    Every row sums its terms in ascending column order. Returns (values,
-    q, policy, iterations, residual, deltas), with q as a list of
-    per-state action lists, deltas one per full backup and the policy's
-    ties going to the lowest action.
+    Each outer step is a full backup, stopped by the planner's rule: half
+    the span of its change D against tol * (1 - gamma) / gamma. The stopping
+    backup's values are shifted by gamma / (1 - gamma) * (max D + min D) / 2
+    and backed up once more, which gives q, and that last backup is not
+    counted. Otherwise the backup's greedy policy is evaluated by up to
+    EVAL_SWEEPS sweeps, and max_iters bounds the full and the evaluation
+    sweeps together. Every row sums its terms in ascending column order.
+    Returns (values, q, policy, iterations, residual, deltas), with q as a
+    list of per-state action lists, deltas the max-norm change of each
+    counted backup and the policy's ties going to the lowest action.
     """
     n, actions, gamma = mdp.num_states(), mdp.action_count, mdp.gamma
     threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
@@ -129,12 +132,19 @@ def brute_force_value_iteration(mdp, tol, max_iters=200_000):
         sweeps += 1
         q = backup(v)
         v_new = [max(qs) for qs in q]
-        deltas.append(max(abs(x - y) for x, y in zip(v_new, v)))
+        change = [x - y for x, y in zip(v_new, v)]
+        hi, lo = max(change), min(change)
+        deltas.append(max(hi, -lo))
         v = v_new
+        if (hi - lo) / 2 <= threshold:
+            shift = gamma / (1.0 - gamma) * (hi + lo) / 2
+            v = [x + shift for x in v]
+            q = backup(v)
+            values = [max(qs) for qs in q]
+            residual = max(abs(x - y) for x, y in zip(values, v))
+            policy = [qs.index(max(qs)) for qs in q]
+            return values, q, policy, sweeps, residual, deltas
         policy = [qs.index(max(qs)) for qs in q]
-        if deltas[-1] <= threshold:
-            residual = max(abs(max(qs) - x) for qs, x in zip(backup(v), v))
-            return v, q, policy, sweeps, residual, deltas
         evals = 0
         while evals < EVAL_SWEEPS and sweeps < max_iters:
             evals += 1

@@ -417,6 +417,25 @@ class TestExitCodes:
         assert code == 1
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("arrivals", ["poisson", "deterministic"])
+    @pytest.mark.parametrize("rate, shown", [("Infinity", "inf"),
+                                             ("-Infinity", "-inf"),
+                                             ("NaN", "nan")])
+    def test_non_finite_env_rate_is_rejected(self, tmp_path, capsys,
+                                             arrivals, rate, shown):
+        env = tmp_path / "env.json"
+        env.write_text(f'{{"flows": [{{"name": "a", "rate": 1}}, '
+                       f'{{"name": "b", "rate": {rate}}}], '
+                       f'"phases": [[0], [1]], "arrivals": "{arrivals}"}}')
+        code, _, err = run(capsys, "collect", "--env", str(env),
+                           "--policy", "cyclic", "--episodes", "1",
+                           "--horizon", "5", "--out",
+                           str(tmp_path / "b.jsonl"))
+        assert code == 1
+        assert f"arrival rates must be finite and non-negative, got {shown}" \
+            in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("start", ["1", "1,2,3", "1,-2"])
     def test_start_must_fit_the_env(self, capsys, start):
         # the default env has two flows

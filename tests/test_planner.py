@@ -16,6 +16,8 @@ from adac.neighbors import build_index
 from adac.planner import (EVAL_SWEEPS, ConvergenceError, greedy_action,
                           lookup_q, solution_from_json, solution_to_json,
                           value_iteration)
+from adac.policies import CyclicPolicy, collect
+from adac.traffic import EnvState, IntersectionEnvConfig
 
 from conftest import brute_force_value_iteration, random_batch
 
@@ -181,6 +183,42 @@ class TestValueIteration:
         assert np.max(np.abs(sol.values - own)) <= tol
         best = value_iteration(mdp, tol=1e-12).values
         assert np.max(np.abs(sol.values - best)) <= tol + 1e-11
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-8])
+    def test_span_stop_certifies_its_values(self, seed, gamma, tol):
+        # integer coordinates give ties, rewards from -1 to 1 give shaped
+        # rewards below 0, and k 3 with alpha 0.05 gives many empty pairs,
+        # whose zero-reward self-loops are absorbing
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=40, actions=3, coord_max=6,
+                             reward_min=-1.0, reward_max=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mdp = build_mdp(batch, k=3, alpha=0.05, gamma=gamma,
+                            mode=PenaltyMode.fixed(8))
+        assert mdp.empty_pairs and np.any(mdp.reward < 0)
+        sol = value_iteration(mdp, tol=tol)
+        # a stop on the sup-norm of the change would not have come sooner
+        assert all(delta > tol * (1 - gamma) / gamma
+                   for delta in sol.deltas[:-1])
+        slack = 1e-13 * (1 + np.max(np.abs(sol.values)))
+        assert sol.residual <= (1 - gamma) * tol + slack
+        own = policy_value_by_linear_solve(mdp, sol.policy)
+        assert np.max(np.abs(sol.values - own)) <= gamma * tol + slack
+
+    def test_criterion_8_mdp_takes_few_full_backups(self):
+        rates = (0.4, 0.6, 0.8, 1.0)
+        config = IntersectionEnvConfig(
+            flows=tuple((f"flow{i}", r) for i, r in enumerate(rates)),
+            phases=((0,), (1,), (2,), (3,)), capacity=4, arrivals="poisson")
+        batch = collect(config, CyclicPolicy(4), 28, 360,
+                        EnvState((0, 0, 0, 0)), rng=np.random.default_rng(7))
+        mdp = build_mdp(batch, k=5, alpha=0.8, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        # a stop on the sup-norm of the change took 49
+        assert len(value_iteration(mdp, tol=1e-8).deltas) <= 20
 
     def test_gamma_zero_takes_one_full_backup(self):
         batch = random_batch(np.random.default_rng(3), n=30, actions=3,

@@ -300,6 +300,24 @@ class TestConfig:
             schedule=((100, (0.2, 0.4)), (100, (0.4, 0.8))), horizon=200)
         assert config_from_json(config_to_json(config)) == config
 
+    @pytest.mark.parametrize("arrivals", ["poisson", "deterministic"])
+    @pytest.mark.parametrize("where", ["flow", "segment"])
+    @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN"])
+    def test_json_rejects_a_non_finite_rate(self, arrivals, where, rate):
+        doc = json.loads(config_to_json(IntersectionEnvConfig(
+            flows=(("n", 1.0), ("e", 2.0)), phases=((0,), (1,)),
+            arrivals=arrivals, schedule=((10, (2.0, 1.0)), (5, (3.0, 0.0))))))
+        if where == "flow":
+            doc["flows"][1]["rate"] = "RATE"
+        else:
+            doc["schedule"][1]["rates"][0] = "RATE"
+        # json reads the bare words Infinity, -Infinity and NaN as floats
+        text = json.dumps(doc).replace('"RATE"', rate)
+        with pytest.raises(ValueError, match=r"finite and non-negative, got "
+                           + {"Infinity": "inf", "-Infinity": "-inf",
+                              "NaN": "nan"}[rate]):
+            config_from_json(text)
+
     @pytest.mark.parametrize("key, value", [
         ("capacity", 2.7), ("capacity", True), ("capacity", "4"),
         ("steps", 2.9), ("steps", True), ("horizon", 2.9), ("horizon", True),
@@ -334,6 +352,8 @@ class TestConfig:
         # the flows' rates and every schedule segment's pass the same checks
         for flow, segment, message in [(-1.0, 1.0, "non-negative"),
                                        (1.0, -1.0, "non-negative"),
+                                       (math.inf, 1.0, "finite"),
+                                       (1.0, math.nan, "finite"),
                                        (1.0, 0.5, "integer rates")]:
             with pytest.raises(ValueError, match=message):
                 IntersectionEnvConfig(flows=(("a", flow),), phases=((0,),),

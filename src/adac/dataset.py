@@ -7,6 +7,10 @@ a row view of them, built on first use. Rows (`make_batch`), columns
 (`batch_from_columns`) and JSON Lines files (`load_batch`: one transition
 per line, after an optional meta record declaring action_count /
 reward_bound) pass one validator.
+
+The reading rule of the JSON artifacts lives here too: `only` is the one
+test of a JSON number, `read_json` the one decoder of an MDP, solution or
+env config, and `number_array` the one reader of their arrays.
 """
 
 import json
@@ -84,10 +88,46 @@ class BatchStats:
     dim: int
 
 
-def _only(values, kinds) -> bool:
-    """Whether every value is an instance of kinds and none is a bool."""
+def only(values, kinds) -> bool:
+    """Whether every value is an instance of kinds and none is a bool (json
+    reads true and false as bools, which pass for 1 and 0)."""
     return all(issubclass(kind, kinds) and kind is not bool
                for kind in set(map(type, values)))
+
+
+def read_json(text: str, what: str, build):
+    """build(doc) of the JSON object in text. ValueError, "malformed {what}
+    JSON: " and the fault, unless text is an object that build takes."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("not an object")
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"malformed {what} JSON: no {exc}") from None
+    except (RecursionError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from None
+
+
+def number_array(value, name: str, ndim: int,
+                 integers: bool = False) -> np.ndarray:
+    """value as a finite ndim-dimensional float array of JSON numbers, or
+    int array of integers; ValueError naming it unless it is one."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:      # ragged nesting
+        arr = np.asarray(None)
+    # bools pass here, to be named below
+    kinds, what = ("biu", "integers") if integers else ("biuf", "numbers")
+    if (arr.dtype.kind not in kinds or arr.ndim != ndim
+            or not np.all(np.isfinite(arr))):
+        raise ValueError(f"{name!r} is not a finite {ndim}-D array of {what}")
+    leaves = value
+    for _ in range(ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not only(leaves, (int, float)):
+        raise ValueError(f"a boolean in {name!r}")
+    return arr.astype(int if integers else float, copy=False)
 
 
 def _checked(rows: list, action_count, reward_bound) -> Batch:
@@ -100,14 +140,14 @@ def _checked(rows: list, action_count, reward_bound) -> Batch:
             (a, int, _NOT_AN_ACTION),
             (r, (int, float), "non-numeric reward"),
             (traj + t, int, "traj/t must be integers")):
-        if not _only(values, kinds):
+        if not only(values, kinds):
             raise BatchError(message)
     dim = len(s[0])
     if dim == 0:
         raise BatchError("empty state vector")
     if set(map(len, s + s_next)) != {dim}:
         raise BatchError(f"dimension mismatch (expected {dim})")
-    if not _only(chain.from_iterable(s + s_next), (int, float)):
+    if not only(chain.from_iterable(s + s_next), (int, float)):
         raise BatchError("non-numeric coordinate")
     return _array_checked(columns, action_count, reward_bound)
 
@@ -150,11 +190,11 @@ def _validated(n: int, checked, action_count, reward_bound, where,
     source of action_count/reward_bound."""
     if not n:
         raise BatchError("empty batch")
-    if action_count is not None and not (_only([action_count], int)
+    if action_count is not None and not (only([action_count], int)
                                          and action_count >= 0):
         raise BatchError(f"{declared} action_count {action_count!r} "
                          "is not a non-negative integer")
-    if reward_bound is not None and not (_only([reward_bound], (int, float))
+    if reward_bound is not None and not (only([reward_bound], (int, float))
                                          and abs(reward_bound) <= sys.float_info.max):
         raise BatchError(f"{declared} reward_bound {reward_bound!r} "
                          "is not a finite number")
@@ -192,7 +232,7 @@ def batch_from_columns(s, a, r, s_next, traj, t, action_count: int,
     traj and step indices t as arrays, and the actions a as a list of the
     values given, each of which must be an int."""
     def checked(stop):
-        if not _only(a[:stop], int):
+        if not only(a[:stop], int):
             raise BatchError(_NOT_AN_ACTION)
         return _array_checked(
             (s[:stop], a[:stop], r[:stop], s_next[:stop], traj[:stop],
@@ -234,7 +274,7 @@ def load_batch(path) -> Batch:
         action_count, reward_bound, lambda i: f"line {lines[i]}",
         "line 1: meta")
     dim = meta.get("dim", batch.dim)
-    if not (_only([dim], int) and dim == batch.dim):
+    if not (only([dim], int) and dim == batch.dim):
         raise BatchError(f"line 1: meta dim {dim!r} is not the records' "
                          f"dimension {batch.dim}")
     return batch

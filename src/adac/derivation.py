@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import Batch, State
+from .dataset import Batch, State, number_array, only, read_json
 from .neighbors import NORMS, NeighborIndex, build_index, row_sums
 
 
@@ -45,9 +45,9 @@ class PenaltyMode:
     def __post_init__(self):
         if self.kind not in ("averagers", "fixed", "adaptive"):
             raise ValueError(f"unknown penalty mode {self.kind!r}")
-        if not 0 <= self.c < math.inf:
+        if not (only([self.c], (int, float)) and 0 <= self.c < math.inf):
             raise ValueError(f"cost parameter must be finite and >= 0, "
-                             f"got {self.c!r}")
+                             f"got penalty cost {self.c!r}")
 
     @staticmethod
     def averagers() -> "PenaltyMode":
@@ -106,12 +106,12 @@ class DerivedMdp:
 
 def check_params(k: int, alpha: float, gamma: float) -> None:
     """ValueError unless k, alpha and gamma can parameterize a derivation."""
-    if not 0 <= gamma < 1:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0 or inf, got {alpha!r}")
+    if not (only([gamma], (int, float)) and 0 <= gamma < 1):
+        raise ValueError(f"gamma must lie in [0, 1), got gamma {gamma!r}")
+    if not (only([k], int) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got k {k!r}")
+    if not (only([alpha], (int, float)) and alpha >= 0):
+        raise ValueError(f"alpha must be >= 0 or inf, got alpha {alpha!r}")
 
 
 def build_mdp(batch: Batch, k: int = 5, alpha: float = 0.8,
@@ -204,79 +204,70 @@ def mdp_to_json(mdp: DerivedMdp) -> str:
 
 def mdp_from_json(text: str) -> DerivedMdp:
     """Parse an MDP written by mdp_to_json; ValueError unless it is one."""
-    doc = json.loads(text)
-    try:
-        _reject_booleans(doc)
-        alpha = doc["alpha"]
-        mdp = DerivedMdp(
-            core=tuple(tuple(float(c) for c in s) for s in doc["core"]),
-            action_count=doc["action_count"],
-            reward=np.asarray(doc["reward"], dtype=float),
-            transition=[
-                [{int(i): float(p) for i, p in row} for row in per_state]
-                for per_state in doc["transition"]
-            ],
-            gamma=doc["gamma"],
-            mode=PenaltyMode(doc["penalty"]["kind"], doc["penalty"]["c"]),
-            k=doc["k"],
-            alpha=math.inf if alpha == "inf" else float(alpha),
-            diameter=doc["diameter"],
-            norm=doc["norm"],
-            empty_pairs=[(int(i), int(a)) for i, a in doc["empty_pairs"]],
-        )
-        _check_mdp(mdp)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed MDP JSON ({type(exc).__name__}: {exc})") from exc
+    return read_json(text, "MDP", _mdp_from_doc)
+
+
+def _mdp_from_doc(doc: dict) -> DerivedMdp:
+    transition = [[dict(row) for row in per_state]
+                  for per_state in doc["transition"]]
+    rows = list(chain.from_iterable(transition))
+    # every cell's index, then every cell's share: one list at a time
+    number_array(list(chain.from_iterable(rows)), "transition", 1,
+                 integers=True)
+    number_array(list(chain.from_iterable(map(dict.values, rows))),
+                 "transition", 1)
+    if sum(map(len, rows)) != sum(map(len, chain.from_iterable(
+            doc["transition"]))):
+        raise ValueError("a transition row names a core state twice")
+    alpha, pairs = doc["alpha"], doc["empty_pairs"]
+    number_array(doc["core"], "core", 2)
+    if pairs != []:     # [] has no second axis to check
+        number_array(pairs, "empty_pairs", 2, integers=True)
+    mdp = DerivedMdp(
+        # the document's own numbers: copies would double them at the peak
+        core=tuple(map(tuple, doc["core"])),
+        action_count=doc["action_count"],
+        reward=number_array(doc["reward"], "reward", 2),
+        transition=transition,
+        gamma=doc["gamma"],
+        mode=PenaltyMode(doc["penalty"]["kind"], doc["penalty"]["c"]),
+        k=doc["k"],
+        alpha=math.inf if alpha == "inf" else alpha,
+        diameter=doc["diameter"],
+        norm=doc["norm"],
+        empty_pairs=list(map(tuple, pairs)),
+    )
+    _check_mdp(mdp)
     return mdp
-
-
-def _reject_booleans(doc: dict) -> None:
-    """ValueError if a JSON true or false stands where the MDP has numbers:
-    json reads them as bools, which Python and numpy take for 1 and 0."""
-    # core, reward and empty_pairs are lists of rows of numbers; transition
-    # holds, per state and action, a list of [index, probability] pairs
-    for key, levels in (("core", 1), ("reward", 1), ("transition", 3),
-                        ("empty_pairs", 1)):
-        leaves = doc[key]
-        for _ in range(levels):
-            leaves = chain.from_iterable(leaves)
-        if bool in set(map(type, leaves)):
-            raise ValueError(f"malformed MDP JSON: a boolean in {key!r}")
-    for key, value in (("gamma", doc["gamma"]), ("alpha", doc["alpha"]),
-                       ("diameter", doc["diameter"]),
-                       ("penalty cost", doc["penalty"]["c"])):
-        if type(value) is bool:
-            raise ValueError(f"malformed MDP JSON: {key} {value!r} is not a "
-                             f"number")
 
 
 def _check_mdp(mdp: DerivedMdp) -> None:
     """Reject anything the solver cannot treat as a discounted MDP."""
     n, actions = mdp.num_states(), mdp.action_count
-    if not 0 <= mdp.gamma < 1:
-        raise ValueError(f"MDP gamma {mdp.gamma} outside [0, 1)")
-    if type(actions) is not int:
-        raise ValueError(f"MDP action_count {actions!r} is not an integer")
-    if type(mdp.k) is not int or mdp.k < 1:
-        raise ValueError(f"MDP k {mdp.k!r} is not an integer >= 1")
-    if not mdp.alpha >= 0:
-        raise ValueError(f"MDP alpha {mdp.alpha} is not a threshold >= 0")
-    if not 0 < mdp.diameter < math.inf:
-        raise ValueError(f"MDP diameter {mdp.diameter!r} is not a finite "
+    check_params(mdp.k, mdp.alpha, mdp.gamma)
+    if not (only([actions], int) and actions >= 1):
+        raise ValueError(f"action_count {actions!r} is not an integer >= 1")
+    if not (only([mdp.diameter], (int, float))
+            and 0 < mdp.diameter < math.inf):
+        raise ValueError(f"diameter {mdp.diameter!r} is not a finite "
                          f"number > 0")
     if mdp.norm not in NORMS:
-        raise ValueError(f"MDP norm {mdp.norm!r} unknown")
-    if mdp.reward.shape != (n, actions) or not np.all(np.isfinite(mdp.reward)):
-        raise ValueError(f"MDP reward must be finite with shape {(n, actions)}, "
-                         f"got shape {mdp.reward.shape}")
+        raise ValueError(f"norm {mdp.norm!r} unknown")
+    if mdp.reward.shape != (n, actions):
+        raise ValueError(f"reward must have shape {(n, actions)}, got shape "
+                         f"{mdp.reward.shape}")
     if len(mdp.transition) != n or any(len(per_state) != actions
                                        for per_state in mdp.transition):
-        raise ValueError(f"MDP transition must have {n} x {actions} rows")
+        raise ValueError(f"transition must have {n} x {actions} rows")
+    if not all(len(p) == 2 and 0 <= p[0] < n and 0 <= p[1] < actions
+               for p in mdp.empty_pairs):
+        raise ValueError(f"empty_pairs {mdp.empty_pairs[:8]} are not all "
+                         f"(state, action) pairs of the MDP")
     for si, per_state in enumerate(mdp.transition):
         for a, row in enumerate(per_state):
             if (not row or not all(0 <= j < n for j in row)
                     or not all(p >= 0 for p in row.values())
                     or abs(math.fsum(row.values()) - 1.0) > 1e-12):
                 raise ValueError(
-                    f"MDP transition row ({si}, {a}) is not a distribution "
+                    f"transition row ({si}, {a}) is not a distribution "
                     f"over the {n} core states: {sorted(row.items())[:8]}")

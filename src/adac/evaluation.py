@@ -194,7 +194,6 @@ _REFERENCE = {
         (0.0, 5.0): (0.14, 1.65),
     },
 }
-KNOWN_REFERENCE_SLIPS = (((2.0, 3.0), "NS", "adaptive"),)
 
 
 def worked_example_batch() -> Batch:
@@ -221,11 +220,11 @@ class Table2Cell:
     match: bool | None
 
 
-def reproduce_table2(tolerance: float = 0.01) -> list[Table2Cell]:
+def reproduce_table2() -> list[Table2Cell]:
     """Recompute the worked example's shaped-reward table under all modes.
 
-    Cells with a reference value carry a match flag at the given absolute
-    tolerance; the fixed-cost C=2 column is computed-only.
+    Cells with a reference value carry a match flag at an absolute
+    tolerance of 0.01; the fixed-cost C=2 column is computed-only.
     """
     batch = worked_example_batch()
     index = build_index(batch)
@@ -243,7 +242,7 @@ def reproduce_table2(tolerance: float = 0.01) -> list[Table2Cell]:
                 printed = match = None
                 if reference is not None:
                     printed = reference[s][a]
-                    match = abs(computed - printed) <= tolerance
+                    match = abs(computed - printed) <= 0.01
                 cells.append(Table2Cell(s, aname, mode.label(),
                                         computed, printed, match))
     return cells
@@ -272,14 +271,14 @@ def reconstruction_batch(collect_horizon: int = 10) -> Batch:
     return concat_batches([lead_ns, lead_ew])
 
 
-def two_flow_demo(collect_horizon: int = 10, horizon: int = 100,
-                  k: int = 3, gamma: float = 0.99) -> dict:
-    """Derive, solve, and roll out the two-flow experiment end to end."""
+def two_flow_demo(collect_horizon: int = 10, horizon: int = 100) -> dict:
+    """Derive (k 3, gamma 0.99), solve, and roll out the two-flow experiment
+    end to end."""
     config = two_flow_config()
     start = EnvState((1, 3))
     batch = reconstruction_batch(collect_horizon)
     index = build_index(batch)
-    greedy = _greedy_policy(build_mdp(batch, k, math.inf, gamma,
+    greedy = _greedy_policy(build_mdp(batch, 3, math.inf, 0.99,
                                       PenaltyMode.adaptive(), index=index),
                             index, tol=1e-9)
     out = {}
@@ -288,7 +287,7 @@ def two_flow_demo(collect_horizon: int = 10, horizon: int = 100,
         ("adac", greedy),
         ("fixed_ew_ew_ns_ew", FixedCyclePolicy([EW, EW, NS, EW])),
     ]:
-        result = rollout(config, start, policy, horizon, gamma=gamma)
+        result = rollout(config, start, policy, horizon, gamma=0.99)
         out[name] = result.cumulative_reward
     out["improvement"] = out["adac"] / out["cyclic"]
     out["batch_size"] = len(batch)

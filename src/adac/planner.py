@@ -36,12 +36,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
 
-from .dataset import State
+from .dataset import State, number_array, only, read_json
 from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 
@@ -192,59 +191,34 @@ def solution_to_json(solution: Solution) -> str:
 
 def solution_from_json(text: str) -> Solution:
     """Parse a solution written by solution_to_json; ValueError unless it is one."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("malformed solution JSON: not an object")
-    values = _finite_array(doc, "values", 1).astype(float)
-    q = _finite_array(doc, "q", 2).astype(float)
-    policy = _finite_array(doc, "policy", 1, integers=True).astype(int)
+    return read_json(text, "solution", _solution_from_doc)
+
+
+def _solution_from_doc(doc: dict) -> Solution:
+    values = number_array(doc["values"], "values", 1)
+    q = number_array(doc["q"], "q", 2)
+    policy = number_array(doc["policy"], "policy", 1, integers=True)
     if len(q) != len(values) or len(policy) != len(values):
-        raise ValueError(f"malformed solution JSON: {len(values)} values but "
-                         f"{len(q)} q rows and {len(policy)} policy entries")
+        raise ValueError(f"{len(values)} values but {len(q)} q rows and "
+                         f"{len(policy)} policy entries")
     if np.any((policy < 0) | (policy >= q.shape[1])):
-        raise ValueError(f"malformed solution JSON: a policy action outside "
-                         f"the {q.shape[1]} columns of q")
+        raise ValueError(f"a policy action outside the {q.shape[1]} columns "
+                         f"of q")
     # the solver's values and policy are q's row maxima and argmaxes, and
     # JSON floats round-trip, so a real file keeps both exactly
     if not np.array_equal(values, q.max(axis=1)):
-        raise ValueError("malformed solution JSON: 'values' are not the row "
-                         "maxima of 'q'")
+        raise ValueError("'values' are not the row maxima of 'q'")
     if not np.array_equal(policy, q.argmax(axis=1)):
-        raise ValueError("malformed solution JSON: 'policy' is not the first "
-                         "argmax of each row of 'q'")
+        raise ValueError("'policy' is not the first argmax of each row of 'q'")
     iterations, residual, tol = (doc.get(key) for key in
                                  ("iterations", "residual", "tol"))
-    if type(iterations) is not int or iterations < 0:
-        raise ValueError(f"malformed solution JSON: iterations {iterations!r}")
-    if type(residual) not in (int, float) or not 0 <= residual < math.inf:
-        raise ValueError(f"malformed solution JSON: residual {residual!r} is "
-                         f"not a finite number >= 0")
-    if type(tol) not in (int, float) or not 0 < tol < math.inf:
-        raise ValueError(f"malformed solution JSON: tol {tol!r} is not a "
-                         f"finite positive number")
+    if not (only([iterations], int) and iterations >= 0):
+        raise ValueError(f"iterations {iterations!r} is not an integer >= 0")
+    if not (only([residual], (int, float)) and 0 <= residual < math.inf):
+        raise ValueError(f"residual {residual!r} is not a finite number >= 0")
+    if not (only([tol], (int, float)) and 0 < tol < math.inf):
+        raise ValueError(f"tol {tol!r} is not a finite positive number")
     return Solution(values, q, policy, iterations, residual, tol)
-
-
-def _finite_array(doc: dict, key: str, ndim: int,
-                  integers: bool = False) -> np.ndarray:
-    """doc[key] as a finite ndim-dimensional array of numbers (or integers)."""
-    try:
-        arr = np.asarray(doc[key])
-    except KeyError:
-        raise ValueError(f"malformed solution JSON: no {key!r}") from None
-    except ValueError:      # ragged nesting
-        arr = np.asarray(None)
-    kinds, what = ("iu", "integers") if integers else ("iuf", "numbers")
-    if (arr.dtype.kind not in kinds or arr.ndim != ndim
-            or not np.all(np.isfinite(arr))):
-        raise ValueError(f"malformed solution JSON: {key!r} is not a finite "
-                         f"{ndim}-D array of {what}")
-    # json reads true and false as bools, which numpy takes for 1 and 0
-    # beside numbers
-    leaves = doc[key] if ndim == 1 else chain.from_iterable(doc[key])
-    if bool in set(map(type, leaves)):
-        raise ValueError(f"malformed solution JSON: a boolean in {key!r}")
-    return arr
 
 
 def check_artifacts(index: NeighborIndex, mdp: DerivedMdp,

@@ -19,11 +19,12 @@ state. Episodes collected one after another continue that stream.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import State, Transition
+from .dataset import State, Transition, only, read_json
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,31 @@ class IntersectionEnvConfig:
             if not phase:
                 raise ValueError("empty phase")
             for i in phase:
-                if not 0 <= i < len(self.flows):
-                    raise ValueError(f"phase references unknown flow {i}")
-        if self.capacity < 1:
-            raise ValueError("capacity must be a positive integer")
+                if not (only([i], int) and 0 <= i < len(self.flows)):
+                    raise ValueError(f"phase references unknown flow {i!r}, "
+                                     f"not an integer in [0, {len(self.flows)})")
+            if len(set(phase)) != len(phase):
+                raise ValueError(f"phase {phase!r} names a flow twice")
+        for name, count in (("capacity", self.capacity),
+                            ("horizon", self.horizon)):
+            if not (only([count], int) and count >= 1):
+                raise ValueError(f"{name} {count!r} is not an integer >= 1")
         if self.arrivals not in ("deterministic", "poisson"):
             raise ValueError(f"unknown arrival model {self.arrivals!r}")
+        if self.schedule is not None and not self.schedule:
+            raise ValueError("empty schedule")
         for steps, seg_rates in self.schedule or ():
-            if steps < 1:
-                raise ValueError("schedule entries need positive durations")
+            if not (only([steps], int) and steps >= 1):
+                raise ValueError(f"schedule entries need positive durations: "
+                                 f"steps {steps!r} is not an integer >= 1")
             if len(seg_rates) != len(self.flows):
                 raise ValueError("schedule rate vector length mismatch")
         # the flows' rates, then every schedule segment's
         for rates in (self.rates, *(seg for _, seg in self.schedule or ())):
             for rate in rates:
-                if not 0 <= rate < np.inf:      # also false for nan
+                # also false for nan, and for an int beyond float range
+                if not (only([rate], (int, float))
+                        and 0 <= rate <= sys.float_info.max):
                     raise ValueError(f"arrival rates must be finite and "
                                      f"non-negative, got {rate!r}")
                 if self.arrivals == "deterministic" and rate != int(rate):
@@ -252,28 +263,12 @@ def config_to_json(config: IntersectionEnvConfig) -> str:
 
 def config_from_json(text: str) -> IntersectionEnvConfig:
     """Parse a config written by config_to_json; ValueError unless it is one."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("malformed env config JSON: not an object")
-    schedule = doc.get("schedule")
-
-    def integer(x, key: str) -> int:
-        if type(x) is not int:
-            raise ValueError(f"malformed env config JSON: {key} {x!r} is "
-                             "not an integer")
-        return x
-
-    try:
-        return IntersectionEnvConfig(
-            flows=tuple((f["name"], float(f["rate"])) for f in doc["flows"]),
-            phases=tuple(tuple(p) for p in doc["phases"]),
-            capacity=integer(doc.get("capacity", 4), "capacity"),
-            arrivals=doc.get("arrivals", "deterministic"),
-            schedule=None if schedule is None else tuple(
-                (integer(e["steps"], "steps"),
-                 tuple(float(x) for x in e["rates"])) for e in schedule),
-            horizon=integer(doc.get("horizon", 360), "horizon"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed env config JSON "
-                         f"({type(exc).__name__}: {exc})") from exc
+    return read_json(text, "env config", lambda doc: IntersectionEnvConfig(
+        flows=tuple((f["name"], f["rate"]) for f in doc["flows"]),
+        phases=tuple(map(tuple, doc["phases"])),
+        capacity=doc.get("capacity", 4),
+        arrivals=doc.get("arrivals", "deterministic"),
+        schedule=None if doc.get("schedule") is None else tuple(
+            (e["steps"], tuple(e["rates"])) for e in doc["schedule"]),
+        horizon=doc.get("horizon", 360),
+    ))

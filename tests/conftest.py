@@ -4,10 +4,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from adac.dataset import COLUMNS, Transition, make_batch
 from adac.evaluation import worked_example_batch
 from adac.planner import EVAL_SWEEPS
+
+# any JSON document, the fuzz input of every artifact reader
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+# a document nested past the recursion limit of the json decoder
+DEEP_JSON = "[" * 200_000
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ from adac.cli import main
 from adac.planner import EVAL_SWEEPS
 from adac.traffic import IntersectionEnvConfig, config_to_json
 
+from conftest import DEEP_JSON
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -215,8 +217,12 @@ class TestExitCodes:
         assert code == 1
         assert "--diameter-mode" in err
 
-    @pytest.mark.parametrize("edit, message", [("halve_row", "not a distribution"),
-                                               ("gamma", "gamma")])
+    @pytest.mark.parametrize("edit, message", [
+        ("halve_row", "not a distribution"),
+        ("gamma", "gamma"),
+        # its integer part would read as a valid MDP
+        ("index 1.5", "'transition' is not a finite 1-D array of integers"),
+        ("deep", "malformed MDP JSON: maximum recursion depth")])
     def test_solve_rejects_a_malformed_mdp(self, tmp_path, capsys, pipeline,
                                            edit, message):
         _, mdp, _ = pipeline
@@ -224,10 +230,12 @@ class TestExitCodes:
         if edit == "halve_row":
             row = doc["transition"][0][0]
             doc["transition"][0][0] = [[j, p / 2] for j, p in row]
+        elif edit == "index 1.5":
+            doc["transition"][0][0][0][0] += 0.5
         else:
             doc["gamma"] = 1.5
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(DEEP_JSON if edit == "deep" else json.dumps(doc))
         code, _, err = run(capsys, "solve", "--mdp", str(bad),
                            "--out", str(tmp_path / "s.json"))
         assert code == 1
@@ -315,14 +323,16 @@ class TestExitCodes:
         # json reads true and false as bools, which numpy takes for 1 and 0
         (lambda d: d["policy"].__setitem__(0, bool(d["policy"][0])),
          "boolean in 'policy'"),
+        # an edit that returns text replaces the whole file
+        (lambda d: DEEP_JSON, "malformed solution JSON: maximum recursion"),
     ])
     def test_solution_that_no_solve_writes_is_rejected(
             self, tmp_path, capsys, pipeline, command, edit, message):
         batch, mdp, solution = pipeline
         doc = json.loads(solution.read_text())
-        edit(doc)
+        text = edit(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc) if text is None else text)
         code, _, err = command(capsys, mdp, bad, batch)
         assert code == 1
         assert message in err and "Traceback" not in err
@@ -407,11 +417,19 @@ class TestExitCodes:
           "schedule": [{"rates": [1]}]}, "'steps'"),
         ({"flows": [{"name": "a", "rate": 1}], "phases": [[0]],
           "schedule": [{"steps": 5}]}, "'rates'"),
+        # numbers are JSON numbers, and phase flows integers
+        ({"flows": [{"name": "a", "rate": "3"}], "phases": [[0]]}, "got '3'"),
+        ({"flows": [{"name": "a", "rate": True}], "phases": [[0]]},
+         "got True"),
+        ({"flows": [{"name": "a", "rate": 1}], "phases": [[0.0]]},
+         "unknown flow 0.0"),
+        pytest.param(DEEP_JSON, "malformed env config JSON: maximum "
+                     "recursion", id="deep-nesting"),
     ])
     def test_malformed_env_config_is_rejected(self, tmp_path, capsys, doc,
                                               message):
         env = tmp_path / "env.json"
-        env.write_text(json.dumps(doc))
+        env.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, _, err = run(capsys, "eval", "--env", str(env),
                            "--episodes", "1", "--horizon", "5")
         assert code == 1

@@ -5,16 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adac.dataset import Transition, make_batch
 from adac import neighbors
 from adac.derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
+from adac.evaluation import worked_example_mdp
 from adac.neighbors import NORMS, build_index
 
-from conftest import (brute_force_knn, brute_force_mdp, euclid, manhattan,
-                      random_batch, scale_batch)
+from conftest import (DEEP_JSON, brute_force_knn, brute_force_mdp, euclid,
+                      json_values, manhattan, random_batch, scale_batch)
 
 SQRT52 = math.sqrt(52)
 
@@ -157,7 +158,8 @@ class TestBuildMdp:
         with pytest.raises(ValueError):
             derive(table1, PenaltyMode.adaptive(), k=0)
 
-    @pytest.mark.parametrize("alpha", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0, -math.inf, "0.5",
+                                       True])
     def test_alpha_must_be_a_threshold(self, table1, alpha):
         # at NaN or below 0 every pair would be empty
         with pytest.raises(ValueError, match="alpha"):
@@ -283,6 +285,25 @@ class TestOracleAgreement:
                                                               abs=1e-12)
 
 
+_MDP_DOC = mdp_to_json(worked_example_mdp())
+
+
+@st.composite
+def _mdp_docs(draw):
+    """The worked example's MDP document, up to three of whose fields and
+    the entries of whose first transition cell are then replaced by
+    arbitrary JSON or by small numbers and lists of them."""
+    doc = json.loads(_MDP_DOC)
+    values = st.one_of(json_values, st.integers(-1, 5), st.floats(-2, 2),
+                       st.lists(st.integers(-1, 5), max_size=3))
+    cell = doc["transition"][0][0][0]
+    for i in draw(st.lists(st.integers(0, 1), max_size=2)):
+        cell[i] = draw(values)
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
+        doc[key] = draw(values)
+    return doc
+
+
 class TestSerialization:
     def test_round_trip(self, table1):
         mdp = derive(table1, PenaltyMode.adaptive())
@@ -337,6 +358,21 @@ class TestSerialization:
         ("diameter", 0.0, "diameter 0.0"),
         ("alpha", True, "alpha True"),
         ("penalty", {"kind": "fixed", "c": True}, "penalty cost True"),
+        # an integer part of each would read as a valid MDP
+        ("transition", "index 1.5",
+         "'transition' is not a finite 1-D array of integers"),
+        ("empty_pairs", [[0.7, 1.2]],
+         "'empty_pairs' is not a finite 2-D array of integers"),
+        ("transition", "repeated index", "names a core state twice"),
+        # numbers are JSON numbers, never strings
+        ("core", "string", "'core' is not a finite 2-D array of numbers"),
+        ("reward", "string", "'reward' is not a finite 2-D array of numbers"),
+        ("transition", "string index", "'transition' is not a finite 1-D"),
+        ("transition", "string share", "'transition' is not a finite 1-D"),
+        ("alpha", "0.5", "alpha '0.5'"),
+        ("core", "ragged", "'core' is not a finite 2-D array"),
+        ("empty_pairs", [[99, 7]], r"empty_pairs \[\(99, 7\)\] are not"),
+        ("core", "deep", "malformed MDP JSON: maximum recursion depth"),
     ])
     def test_load_rejects_a_malformed_mdp(self, table1, field, value, message):
         doc = json.loads(mdp_to_json(derive(table1, PenaltyMode.adaptive())))
@@ -352,10 +388,40 @@ class TestSerialization:
             doc["transition"][0][0] = [[True, 1.0]]
         elif value == "true":
             doc[field][0][0] = True
-        else:
+        elif value == "index 1.5":
+            row[0][0] += 0.5
+        elif value == "repeated index":
+            doc["transition"][0][0] = [[0, 0.5], [0, 0.5], [1, 0.5]]
+        elif value == "string":
+            doc[field][0][0] = str(doc[field][0][0])
+        elif value == "string index":
+            row[0][0] = str(row[0][0])
+        elif value == "string share":
+            row[0][1] = str(row[0][1])
+        elif value == "ragged":
+            doc["core"][0] = doc["core"][0][:1]
+        elif value != "deep":
             doc[field] = value
         with pytest.raises(ValueError, match=message):
-            mdp_from_json(json.dumps(doc))
+            mdp_from_json(DEEP_JSON if value == "deep" else json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(max_size=40),
+        json_values.map(json.dumps),
+        _mdp_docs().map(json.dumps)))
+    @example(text=DEEP_JSON)
+    def test_load_of_arbitrary_json_raises_only_value_error(self, text):
+        try:
+            mdp = mdp_from_json(text)
+        except ValueError:
+            return
+        n = mdp.num_states()
+        assert mdp.reward.shape == (n, mdp.action_count)
+        for per_state in mdp.transition:
+            for row in per_state:
+                assert all(type(j) is int and 0 <= j < n for j in row)
+                assert math.fsum(row.values()) == pytest.approx(1.0)
 
     def test_penalty_parse(self):
         assert PenaltyMode.parse("none") == PenaltyMode.averagers()

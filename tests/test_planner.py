@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adac.dataset import Transition, make_batch
@@ -19,7 +19,8 @@ from adac.planner import (EVAL_SWEEPS, ConvergenceError, greedy_action,
 from adac.policies import CyclicPolicy, collect
 from adac.traffic import EnvState, IntersectionEnvConfig
 
-from conftest import brute_force_value_iteration, random_batch
+from conftest import (DEEP_JSON, brute_force_value_iteration, json_values,
+                      random_batch)
 
 
 def tiny_mdp(gamma=0.5):
@@ -394,11 +395,6 @@ class TestLookup:
         assert greedy_action(mdp, sol, index, (100.0, 100.0)) == 0
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
-    max_leaves=12)
 _numbers = st.integers(-2, 2) | st.floats(-2, 2)
 
 
@@ -413,7 +409,7 @@ def _solution_docs(draw):
            "policy": [row.index(max(row)) for row in q],
            "iterations": draw(st.integers(0, 10)),
            "residual": draw(_numbers), "tol": draw(_numbers)}
-    fields = st.one_of(_json_values, _numbers, st.lists(_numbers, max_size=3),
+    fields = st.one_of(json_values, _numbers, st.lists(_numbers, max_size=3),
                        st.lists(st.lists(_numbers, max_size=3), max_size=3))
     for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
         doc[key] = draw(fields)
@@ -481,8 +477,9 @@ class TestSolutionSerialization:
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(
         st.text(max_size=40),
-        _json_values.map(json.dumps),
+        json_values.map(json.dumps),
         _solution_docs().map(json.dumps)))
+    @example(text=DEEP_JSON)
     def test_load_of_arbitrary_json_raises_only_value_error(self, text):
         try:
             sol = solution_from_json(text)

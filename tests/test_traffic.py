@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adac.policies import CyclicPolicy, FixedCyclePolicy
@@ -12,7 +12,8 @@ from adac.traffic import (EnvState, IntersectionEnvConfig, alternating_return,
                           optimal_green_split, rates_at, rollout, step,
                           two_flow_config)
 
-from conftest import brute_force_rates_at, brute_force_rollout, brute_force_step
+from conftest import (DEEP_JSON, brute_force_rates_at, brute_force_rollout,
+                      brute_force_step, json_values)
 
 NS, EW = 0, 1
 
@@ -292,6 +293,27 @@ class TestAlternatingReturn:
             alternating_return(1.0, 1.0, 1.0)
 
 
+_CONFIG_DOC = config_to_json(IntersectionEnvConfig(
+    flows=(("n", 1.0), ("e", 2.0)), phases=((0,), (1,), (0, 1)),
+    arrivals="poisson", schedule=((10, (2.0, 1.0)), (5, (3.0, 0.0)))))
+
+
+@st.composite
+def _config_docs(draw):
+    """A config document, up to three of whose fields, or entries of its
+    first flow, last phase and first schedule entry, are then replaced by
+    arbitrary JSON or by small numbers and lists of them."""
+    doc = json.loads(_CONFIG_DOC)
+    values = st.one_of(json_values, st.integers(-1, 3), st.floats(-1, 3),
+                       st.lists(st.integers(-1, 3), max_size=3))
+    places = [(doc, key) for key in sorted(doc)] + [
+        (doc["flows"][0], "rate"), (doc["phases"][2], 1),
+        (doc["schedule"][0], "steps"), (doc["schedule"][0], "rates")]
+    for part, key in draw(st.lists(st.sampled_from(places), max_size=3)):
+        part[key] = draw(values)
+    return doc
+
+
 class TestConfig:
     def test_json_round_trip(self):
         config = IntersectionEnvConfig(
@@ -302,7 +324,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("arrivals", ["poisson", "deterministic"])
     @pytest.mark.parametrize("where", ["flow", "segment"])
-    @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN"])
+    # numbers are JSON numbers, never strings or booleans
+    @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN", '"3"',
+                                      "true"])
     def test_json_rejects_a_non_finite_rate(self, arrivals, where, rate):
         doc = json.loads(config_to_json(IntersectionEnvConfig(
             flows=(("n", 1.0), ("e", 2.0)), phases=((0,), (1,)),
@@ -315,22 +339,44 @@ class TestConfig:
         text = json.dumps(doc).replace('"RATE"', rate)
         with pytest.raises(ValueError, match=r"finite and non-negative, got "
                            + {"Infinity": "inf", "-Infinity": "-inf",
-                              "NaN": "nan"}[rate]):
+                              "NaN": "nan", '"3"': "'3'",
+                              "true": "True"}[rate]):
             config_from_json(text)
 
     @pytest.mark.parametrize("key, value", [
         ("capacity", 2.7), ("capacity", True), ("capacity", "4"),
         ("steps", 2.9), ("steps", True), ("horizon", 2.9), ("horizon", True),
+        # a flow index of a phase, which would index the queues
+        ("phase", 0.0), ("phase", True), ("phase", "0"),
     ])
     def test_json_rejects_a_non_integer_count(self, key, value):
         doc = json.loads(config_to_json(IntersectionEnvConfig(
             flows=(("n", 1.0),), phases=((0,),), schedule=((10, (2.0,)),))))
         if key == "steps":
             doc["schedule"][0]["steps"] = value
+        elif key == "phase":
+            doc["phases"][0] = [value]
         else:
             doc[key] = value
         with pytest.raises(ValueError, match=f"{key} .* not an integer"):
             config_from_json(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(max_size=40),
+        json_values.map(json.dumps),
+        _config_docs().map(json.dumps)))
+    @example(text=DEEP_JSON)
+    def test_load_of_arbitrary_json_raises_only_value_error(self, text):
+        try:
+            config = config_from_json(text)
+        except ValueError:
+            return
+        flows = range(len(config.flows))
+        for phase in config.phases:
+            assert all(type(i) is int and i in flows for i in phase)
+            assert len(set(phase)) == len(phase)
+        assert type(config.capacity) is int and config.capacity >= 1
 
     def test_schedule_lookup(self):
         config = IntersectionEnvConfig(
@@ -361,5 +407,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive durations"):
             IntersectionEnvConfig(flows=(("a", 1.0),), phases=((0,),),
                                   schedule=((0, (1.0,)),))
+        # a config built in Python passes the checks of one read from JSON
+        for change, message in [
+                ({"capacity": 2.5}, "capacity 2.5 is not an integer"),
+                ({"horizon": True}, "horizon True is not an integer"),
+                ({"phases": ((0.0,),)}, "unknown flow 0.0"),
+                ({"flows": (("a", "3"),)}, "got '3'"),
+                ({"flows": (("a", True),)}, "got True"),
+                ({"schedule": ((2.5, (1.0,)),)}, "steps 2.5"),
+                ({"schedule": ()}, "empty schedule"),
+                # phases are sets of flows: (0, 0) would serve flow 0 twice
+                ({"flows": (("a", 1.0), ("b", 1.0)),
+                  "phases": ((0, 0), (1,))}, r"phase \(0, 0\) names a flow "
+                                            "twice")]:
+            with pytest.raises(ValueError, match=message):
+                IntersectionEnvConfig(**{"flows": (("a", 1.0),),
+                                         "phases": ((0,),), **change})
         IntersectionEnvConfig(flows=(("a", 0.5),), phases=((0,),),
                               arrivals="poisson", schedule=((5, (0.5,)),))

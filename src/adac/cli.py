@@ -118,10 +118,15 @@ def _add_policy_args(p):
 
 def _add_eval_args(p):
     p.add_argument("--episodes", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=100)
+    p.add_argument("--horizon", type=int,
+                   help="steps per episode (default: the env's horizon)")
     p.add_argument("--gamma", type=float, default=0.99)
     p.add_argument("--seeds", help="comma-separated, one per episode")
     p.add_argument("--start", help="comma-separated start queues, e.g. 1,3")
+
+
+def _horizon(args, config) -> int:
+    return config.horizon if args.horizon is None else args.horizon
 
 
 def _start_state(args, config) -> EnvState:
@@ -165,11 +170,12 @@ def cmd_collect(args):
     seed = args.seed
     policy = _build_policy(args, config, seed)
     rng = np.random.default_rng(seed) if config.arrivals == "poisson" else None
-    batch = collect(config, policy, args.episodes, args.horizon,
+    horizon = _horizon(args, config)
+    batch = collect(config, policy, args.episodes, horizon,
                     _start_state(args, config), rng=rng)
     save_batch(batch, args.out)
     print(f"wrote {len(batch)} transitions "
-          f"({args.episodes} episodes x {args.horizon} steps) to {args.out}")
+          f"({args.episodes} episodes x {horizon} steps) to {args.out}")
 
 
 def cmd_derive(args):
@@ -204,9 +210,9 @@ def cmd_eval(args):
     policy = _build_policy(args, config, seed)
     seeds = (_episode_seeds(args, args.episodes, seed)
              if config.arrivals == "poisson" else None)
-    report = evaluation.evaluate(config, policy, args.episodes, args.horizon,
-                                 args.gamma, seeds=seeds,
-                                 start=_start_state(args, config))
+    report = evaluation.evaluate(config, policy, args.episodes,
+                                 _horizon(args, config), args.gamma,
+                                 seeds=seeds, start=_start_state(args, config))
     _print_json(dataclasses.asdict(report), args.out)
 
 
@@ -218,7 +224,8 @@ def cmd_sweep_c(args):
     rows = evaluation.sweep_c(
         batch, _parse_numbers(args.c_values, "--c-values", float), args.k,
         _number(args.alpha, "--alpha"), args.gamma, config, args.episodes,
-        args.horizon, seeds=seeds, start=_start_state(args, config),
+        _horizon(args, config), seeds=seeds,
+        start=_start_state(args, config),
         norm=args.norm, snapshot_dir=args.snapshot_dir)
     _write_csv(args.out, ["c", "mean_return"], rows)
 
@@ -231,7 +238,8 @@ def cmd_sweep_k(args):
     rows = evaluation.sweep_k(
         batch, _parse_numbers(args.k_values, "--k-values"),
         _number(args.alpha, "--alpha"), args.gamma, config, args.episodes,
-        args.horizon, seeds=seeds, start=_start_state(args, config),
+        _horizon(args, config), seeds=seeds,
+        start=_start_state(args, config),
         norm=args.norm)
     _write_csv(args.out, ["k", "mean_return"], rows)
 

@@ -24,14 +24,18 @@ sum in neighbor order (`shaped_reward`). The core states and the landing
 core states come from the index, the rewards from its batch. `build_mdp`
 is the search at k followed by the reduction; the C and k sweeps reduce a
 shared table with the same functions.
+
+The transitions have one layout, the stacked rows a * n + s of pair (s, a)
+(`stacked_transitions`): `landing_rows` builds their arrays, the MDP file
+holds them and the solver solves them; `DerivedMdp.transition` views them.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
+from scipy import sparse
 
 from .dataset import Batch, State, number_array, only, read_json
 from .neighbors import NORMS, NeighborIndex, build_index, row_sums
@@ -166,31 +170,58 @@ def landing_rows(index: NeighborIndex, table: tuple) -> tuple[list, list]:
     for each pair without neighbors, and the sorted list of those pairs."""
     n, actions = len(index.core), index.action_count
     pairs, sources, _ = table
-    counts = np.bincount(pairs, minlength=n * actions)
-    targets = list(range(n))    # int objects shared by all the rows' keys
-    # one cell per (pair, landing core state), sorted by both
-    keys, hits = np.unique(pairs * n + index.landing[sources],
+    rows = pairs % actions * n + pairs // actions     # (s, a): row a * n + s
+    counts = np.bincount(rows, minlength=n * actions)
+    empty = np.flatnonzero(counts == 0)
+    # one cell per (row, landing core state), sorted by both, and for each
+    # empty row a self-loop: one hit over a count taken as 1
+    keys, hits = np.unique(np.concatenate((rows * n + index.landing[sources],
+                                           empty * n + empty % n)),
                            return_counts=True)
-    pair_of = keys // n
-    # two lists, not one list of (key, share) tuples: fewer objects at once
-    landed = [targets[j] for j in (keys % n).tolist()]
-    shares = (hits / counts[pair_of]).tolist()
-    ends = np.searchsorted(pair_of, np.arange(n * actions + 1)).tolist()
-    rows = [dict(zip(landed[lo:hi], shares[lo:hi])) if lo < hi else
-            {p // actions: 1.0} for p, (lo, hi) in enumerate(zip(ends, ends[1:]))]
-    return ([rows[i:i + actions] for i in range(0, len(rows), actions)],
-            [divmod(p, actions) for p in np.flatnonzero(counts == 0).tolist()])
+    row_of = keys // n
+    targets = list(range(n))    # int objects shared by all the rows' keys
+    transition = transition_rows(
+        np.searchsorted(row_of, np.arange(n * actions + 1)).tolist(),
+        [targets[j] for j in (keys % n).tolist()],
+        (hits / np.maximum(counts, 1)[row_of]).tolist(), n)
+    return transition, sorted((r % n, r // n) for r in empty.tolist())
+
+
+def stacked_transitions(mdp: DerivedMdp) -> sparse.csr_matrix:
+    """The (A * n, n) matrix whose row a * n + s is the landing distribution
+    of pair (s, a), with sorted columns: they fix the order in which every
+    row's sum accumulates."""
+    n, actions = mdp.num_states(), mdp.action_count
+    indptr, indices, data = [0], [], []
+    for a in range(actions):
+        for per_state in mdp.transition:
+            row = per_state[a]
+            indices.extend(row)
+            data.extend(row.values())
+            indptr.append(len(indices))
+    stacked = sparse.csr_matrix((data, indices, indptr), shape=(actions * n, n))
+    stacked.sort_indices()
+    return stacked
+
+
+def transition_rows(indptr: list, indices: list, data: list,
+                    n: int) -> list[list[dict[int, float]]]:
+    """[state][action] -> {core index: p} rows of the stacked arrays of n
+    core states, whose row a * n + s is pair (s, a)."""
+    rows = [dict(zip(indices[lo:hi], data[lo:hi]))
+            for lo, hi in zip(indptr, indptr[1:])]
+    return [rows[s::n] for s in range(n)]
 
 
 def mdp_to_json(mdp: DerivedMdp) -> str:
+    stacked = stacked_transitions(mdp)
     doc = {
         "core": [list(s) for s in mdp.core],
         "action_count": mdp.action_count,
         "reward": mdp.reward.tolist(),
-        "transition": [
-            [sorted(row.items()) for row in per_state]
-            for per_state in mdp.transition
-        ],
+        "transition": {"indptr": stacked.indptr.tolist(),
+                       "indices": stacked.indices.tolist(),
+                       "data": stacked.data.tolist()},
         "gamma": mdp.gamma,
         "penalty": {"kind": mdp.mode.kind, "c": mdp.mode.c},
         "k": mdp.k,
@@ -208,17 +239,6 @@ def mdp_from_json(text: str) -> DerivedMdp:
 
 
 def _mdp_from_doc(doc: dict) -> DerivedMdp:
-    transition = [[dict(row) for row in per_state]
-                  for per_state in doc["transition"]]
-    rows = list(chain.from_iterable(transition))
-    # every cell's index, then every cell's share: one list at a time
-    number_array(list(chain.from_iterable(rows)), "transition", 1,
-                 integers=True)
-    number_array(list(chain.from_iterable(map(dict.values, rows))),
-                 "transition", 1)
-    if sum(map(len, rows)) != sum(map(len, chain.from_iterable(
-            doc["transition"]))):
-        raise ValueError("a transition row names a core state twice")
     alpha, pairs = doc["alpha"], doc["empty_pairs"]
     number_array(doc["core"], "core", 2)
     if pairs != []:     # [] has no second axis to check
@@ -228,7 +248,7 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
         core=tuple(map(tuple, doc["core"])),
         action_count=doc["action_count"],
         reward=number_array(doc["reward"], "reward", 2),
-        transition=transition,
+        transition=[],
         gamma=doc["gamma"],
         mode=PenaltyMode(doc["penalty"]["kind"], doc["penalty"]["c"]),
         k=doc["k"],
@@ -238,7 +258,42 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
         empty_pairs=list(map(tuple, pairs)),
     )
     _check_mdp(mdp)
+    mdp.transition = _read_rows(doc["transition"], mdp.num_states(),
+                                mdp.action_count)
     return mdp
+
+
+def _read_rows(stacked: dict, n: int, actions: int) -> list:
+    """The rows of a document's stacked arrays; ValueError unless they are
+    n * actions distributions over the n core states, indices increasing."""
+    if isinstance(stacked, list):
+        raise ValueError("'transition' holds the nested rows of an older MDP "
+                         "file: derive the MDP again from its batch")
+    indptr, indices, data = (stacked[key] for key in ("indptr", "indices",
+                                                      "data"))
+    ptr = number_array(indptr, "transition", 1, integers=True)
+    cols = number_array(indices, "transition", 1, integers=True)
+    shares = number_array(data, "transition", 1)
+    size = n * actions
+    if not (len(ptr) == size + 1 and ptr[0] == 0 and np.all(np.diff(ptr) >= 0)
+            and ptr[-1] == len(cols) == len(shares)):
+        raise ValueError(f"'transition' indptr is not {size + 1} offsets "
+                         f"rising from 0 to {len(cols)} indices and "
+                         f"{len(shares)} shares")
+    rows = np.repeat(np.arange(size), np.diff(ptr))
+    outside = np.bincount(rows, (cols < 0) | (cols >= n) | (shares < 0), size)
+    # an empty row sums to 0
+    bad = (outside > 0) | (abs(np.bincount(rows, shares, size) - 1) > 1e-12)
+    if bad.any():
+        r = int(np.argmax(bad))
+        lo, hi = indptr[r], indptr[r + 1]
+        raise ValueError(f"transition row ({r % n}, {r // n}) is not a "
+                         f"distribution over the {n} core states: "
+                         f"{list(zip(indices[lo:hi], data[lo:hi]))[:8]}")
+    if not np.all(np.diff(rows * n + cols) > 0):
+        raise ValueError("a transition row names a core state twice or out "
+                         "of order")
+    return transition_rows(indptr, indices, data, n)
 
 
 def _check_mdp(mdp: DerivedMdp) -> None:
@@ -256,18 +311,7 @@ def _check_mdp(mdp: DerivedMdp) -> None:
     if mdp.reward.shape != (n, actions):
         raise ValueError(f"reward must have shape {(n, actions)}, got shape "
                          f"{mdp.reward.shape}")
-    if len(mdp.transition) != n or any(len(per_state) != actions
-                                       for per_state in mdp.transition):
-        raise ValueError(f"transition must have {n} x {actions} rows")
     if not all(len(p) == 2 and 0 <= p[0] < n and 0 <= p[1] < actions
                for p in mdp.empty_pairs):
         raise ValueError(f"empty_pairs {mdp.empty_pairs[:8]} are not all "
                          f"(state, action) pairs of the MDP")
-    for si, per_state in enumerate(mdp.transition):
-        for a, row in enumerate(per_state):
-            if (not row or not all(0 <= j < n for j in row)
-                    or not all(p >= 0 for p in row.values())
-                    or abs(math.fsum(row.values()) - 1.0) > 1e-12):
-                raise ValueError(
-                    f"transition row ({si}, {a}) is not a distribution "
-                    f"over the {n} core states: {sorted(row.items())[:8]}")

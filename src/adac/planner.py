@@ -2,8 +2,7 @@
 
 The solver is modified policy iteration (Puterman and Shin, 1978). Each
 outer step is one full backup, a sparse product of the value vector with
-a stacked transition matrix whose row a * n + s is the landing
-distribution of pair (s, a), written into buffers made once. The greedy
+the MDP's `stacked_transitions`, written into buffers made once. The greedy
 policy of that backup is then evaluated in part: EVAL_SWEEPS sweeps of
 v <- r_pi + gamma * P_pi v, where P_pi is the policy's n rows of the
 stacked matrix.
@@ -38,10 +37,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .dataset import State, number_array, only, read_json
-from .derivation import DerivedMdp
+from .derivation import DerivedMdp, stacked_transitions
 from .neighbors import NeighborIndex
 
 
@@ -76,17 +74,7 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     gamma = mdp.gamma
     n, actions = mdp.num_states(), mdp.action_count
-    # row a * n + s holds the landing distribution of pair (s, a); sorted
-    # columns fix the order in which every row's sum accumulates
-    indptr, indices, data = [0], [], []
-    for a in range(actions):
-        for per_state in mdp.transition:
-            row = per_state[a]
-            indices.extend(row)
-            data.extend(row.values())
-            indptr.append(len(indices))
-    stacked = sparse.csr_matrix((data, indices, indptr), shape=(actions * n, n))
-    stacked.sort_indices()
+    stacked = stacked_transitions(mdp)
     reward = np.ascontiguousarray(mdp.reward.T)
     states = np.arange(n)
     # each full backup writes into these buffers: Q, the new values and

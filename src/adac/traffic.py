@@ -26,6 +26,10 @@ import numpy as np
 
 from .dataset import State, Transition, only, read_json
 
+# numpy's largest Poisson rate: the int64 maximum less ten of its square roots
+POISSON_MAX = float(np.iinfo(np.int64).max
+                    - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 @dataclass(frozen=True)
 class IntersectionEnvConfig:
@@ -72,6 +76,9 @@ class IntersectionEnvConfig:
                         and 0 <= rate <= sys.float_info.max):
                     raise ValueError(f"arrival rates must be finite and "
                                      f"non-negative, got {rate!r}")
+                if self.arrivals == "poisson" and rate > POISSON_MAX:
+                    raise ValueError(f"Poisson arrival rates must be at most "
+                                     f"numpy's {POISSON_MAX!r}, got {rate!r}")
                 if self.arrivals == "deterministic" and rate != int(rate):
                     raise ValueError(
                         "deterministic arrivals require integer rates")

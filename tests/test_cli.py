@@ -222,16 +222,23 @@ class TestExitCodes:
         ("gamma", "gamma"),
         # its integer part would read as a valid MDP
         ("index 1.5", "'transition' is not a finite 1-D array of integers"),
+        ("indptr falls", "'transition' indptr is not"),
+        ("nested rows", "derive the MDP again from its batch"),
         ("deep", "malformed MDP JSON: maximum recursion depth")])
     def test_solve_rejects_a_malformed_mdp(self, tmp_path, capsys, pipeline,
                                            edit, message):
         _, mdp, _ = pipeline
         doc = json.loads(mdp.read_text())
+        stacked = doc["transition"]
         if edit == "halve_row":
-            row = doc["transition"][0][0]
-            doc["transition"][0][0] = [[j, p / 2] for j, p in row]
+            end = stacked["indptr"][1]
+            stacked["data"][:end] = [p / 2 for p in stacked["data"][:end]]
         elif edit == "index 1.5":
-            doc["transition"][0][0][0][0] += 0.5
+            stacked["indices"][0] += 0.5
+        elif edit == "indptr falls":
+            stacked["indptr"][1] = stacked["indptr"][2] + 1
+        elif edit == "nested rows":
+            doc["transition"] = [[[[0, 1.0]]]]
         else:
             doc["gamma"] = 1.5
         bad = tmp_path / "bad.json"
@@ -260,8 +267,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["reward"][0].__setitem__(0, True), "boolean in 'reward'"),
-        # core state 1 exists, so the row still reads as a distribution
-        (lambda d: d["transition"][0].__setitem__(0, [[True, 1.0]]),
+        # True reads as a core state, an integer index
+        (lambda d: d["transition"]["indices"].__setitem__(0, True),
          "boolean in 'transition'"),
         (lambda d: d["core"][0].__setitem__(0, True), "boolean in 'core'"),
         (lambda d: d.update(gamma=False), "gamma False"),
@@ -423,6 +430,9 @@ class TestExitCodes:
          "got True"),
         ({"flows": [{"name": "a", "rate": 1}], "phases": [[0.0]]},
          "unknown flow 0.0"),
+        # beyond numpy's Poisson limit
+        ({"flows": [{"name": "a", "rate": 1e300}], "phases": [[0]],
+          "arrivals": "poisson"}, "numpy's 9.223372006484771e+18, got 1e+300"),
         pytest.param(DEEP_JSON, "malformed env config JSON: maximum "
                      "recursion", id="deep-nesting"),
     ])
@@ -634,6 +644,31 @@ class TestEnvConfigFile:
                            "--out", str(batch_path))
         assert code == 0
         assert "100 transitions" in out
+
+    def test_config_horizon_is_the_default_horizon(self, tmp_path, capsys):
+        """One flow of two vehicles a step through a capacity of one: a
+        return of 1 per step, so the returns count the steps each command
+        ran."""
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"flows": [{"name": "a", "rate": 2}],
+                                   "phases": [[0]], "capacity": 1,
+                                   "horizon": 360}))
+        batch = tmp_path / "b.jsonl"
+        code, out, _ = run(capsys, "collect", "--env", str(env),
+                           "--out", str(batch))
+        assert code == 0 and "(1 episodes x 360 steps)" in out
+        for argv, horizon in ((["eval"], 360), (["eval", "--horizon", "50"], 50),
+                              (["sweep-c", "--batch", str(batch),
+                                "--c-values", "1"], 360),
+                              (["sweep-k", "--batch", str(batch),
+                                "--k-values", "1"], 360)):
+            code, out, err = run(capsys, *argv, "--env", str(env))
+            assert code == 0, err
+            if argv[0] == "eval":
+                assert json.loads(out)["mean_return"] == horizon
+            else:
+                assert all(float(row["mean_return"]) == horizon
+                           for row in csv.DictReader(out.splitlines()))
 
     def test_adac_seed_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAC_SEED", "42")

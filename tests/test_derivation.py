@@ -290,18 +290,28 @@ _MDP_DOC = mdp_to_json(worked_example_mdp())
 
 @st.composite
 def _mdp_docs(draw):
-    """The worked example's MDP document, up to three of whose fields and
-    the entries of whose first transition cell are then replaced by
+    """The worked example's MDP document, up to three entries of whose
+    transition arrays and then up to three of whose fields are replaced by
     arbitrary JSON or by small numbers and lists of them."""
     doc = json.loads(_MDP_DOC)
     values = st.one_of(json_values, st.integers(-1, 5), st.floats(-2, 2),
                        st.lists(st.integers(-1, 5), max_size=3))
-    cell = doc["transition"][0][0][0]
-    for i in draw(st.lists(st.integers(0, 1), max_size=2)):
-        cell[i] = draw(values)
+    stacked = doc["transition"]
+    for key in draw(st.lists(st.sampled_from(sorted(stacked)), max_size=3)):
+        column = stacked[key]
+        column[draw(st.integers(0, len(column) - 1))] = draw(values)
     for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
         doc[key] = draw(values)
     return doc
+
+
+def _set_row(stacked, r, indices, data):
+    """Replace row r of an MDP document's stacked transition arrays."""
+    lo, hi = stacked["indptr"][r], stacked["indptr"][r + 1]
+    stacked["indices"][lo:hi] = indices
+    stacked["data"][lo:hi] = data
+    stacked["indptr"][r + 1:] = [p + len(indices) - (hi - lo)
+                                 for p in stacked["indptr"][r + 1:]]
 
 
 class TestSerialization:
@@ -373,31 +383,68 @@ class TestSerialization:
         ("core", "ragged", "'core' is not a finite 2-D array"),
         ("empty_pairs", [[99, 7]], r"empty_pairs \[\(99, 7\)\] are not"),
         ("core", "deep", "malformed MDP JSON: maximum recursion depth"),
+        # the stacked arrays: each row a distribution with increasing
+        # indices, and indptr n * actions + 1 offsets rising from 0 to the
+        # entries
+        ("transition", "negative share", "not a distribution"),
+        ("transition", "false offset", "boolean in 'transition'"),
+        ("transition", "row out of order", "out of order"),
+        ("transition", "indptr too long", "'transition' indptr is not 11"),
+        ("transition", "indptr from 1", "'transition' indptr is not 11"),
+        ("transition", "indptr short of the end",
+         "'transition' indptr is not 11"),
+        ("transition", "indptr falls", "'transition' indptr is not 11"),
+        ("transition", "share missing", "'transition' indptr is not 11"),
+        ("transition", "nested rows",
+         "older MDP file: derive the MDP again from its batch"),
     ])
     def test_load_rejects_a_malformed_mdp(self, table1, field, value, message):
-        doc = json.loads(mdp_to_json(derive(table1, PenaltyMode.adaptive())))
-        row = doc["transition"][0][0]
+        mdp = derive(table1, PenaltyMode.adaptive())
+        doc = json.loads(mdp_to_json(mdp))
+        stacked = doc["transition"]
+        indptr, indices, data = (stacked[key] for key in ("indptr", "indices",
+                                                          "data"))
         if value == "empty row":
-            doc["transition"][0][0] = []
+            _set_row(stacked, 0, [], [])
         elif value == "index out of range":
-            row[0][0] = len(doc["core"])
+            indices[0] = len(doc["core"])
         elif value == "half a row":
-            doc["transition"][0][0] = [[j, p / 2] for j, p in row]
+            data[:indptr[1]] = [p / 2 for p in data[:indptr[1]]]
+        elif value == "negative share":
+            _set_row(stacked, 0, [0, 1], [-0.5, 1.5])
         elif value == "true index":
-            # core state 1 exists, so the row still reads as a distribution
-            doc["transition"][0][0] = [[True, 1.0]]
+            # True reads as core state 1, so the row still reads as a
+            # distribution
+            _set_row(stacked, 0, [True], [1.0])
+        elif value == "false offset":
+            indptr[0] = False
         elif value == "true":
             doc[field][0][0] = True
         elif value == "index 1.5":
-            row[0][0] += 0.5
+            indices[0] += 0.5
         elif value == "repeated index":
-            doc["transition"][0][0] = [[0, 0.5], [0, 0.5], [1, 0.5]]
+            _set_row(stacked, 0, [0, 0], [0.5, 0.5])
+        elif value == "row out of order":
+            _set_row(stacked, 0, [1, 0], [0.5, 0.5])
+        elif value == "indptr too long":
+            indptr.append(indptr[-1])
+        elif value == "indptr from 1":
+            indptr[0] = 1
+        elif value == "indptr short of the end":
+            indptr[-1] -= 1
+        elif value == "indptr falls":
+            indptr[1] = indptr[2] + 1
+        elif value == "share missing":
+            data.pop()
+        elif value == "nested rows":
+            doc["transition"] = [[sorted(row.items()) for row in per_state]
+                                 for per_state in mdp.transition]
         elif value == "string":
             doc[field][0][0] = str(doc[field][0][0])
         elif value == "string index":
-            row[0][0] = str(row[0][0])
+            indices[0] = str(indices[0])
         elif value == "string share":
-            row[0][1] = str(row[0][1])
+            data[0] = str(data[0])
         elif value == "ragged":
             doc["core"][0] = doc["core"][0][:1]
         elif value != "deep":
@@ -418,7 +465,9 @@ class TestSerialization:
             return
         n = mdp.num_states()
         assert mdp.reward.shape == (n, mdp.action_count)
+        assert len(mdp.transition) == n
         for per_state in mdp.transition:
+            assert len(per_state) == mdp.action_count
             for row in per_state:
                 assert all(type(j) is int and 0 <= j < n for j in row)
                 assert math.fsum(row.values()) == pytest.approx(1.0)

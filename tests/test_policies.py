@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 from collections import Counter
 
@@ -8,7 +9,8 @@ import pytest
 
 from adac import policies
 from adac.dataset import BatchError, load_batch, make_batch, save_batch
-from adac.derivation import PenaltyMode, build_mdp
+from adac.derivation import (PenaltyMode, build_mdp, mdp_to_json,
+                             stacked_transitions)
 from adac.neighbors import build_index
 from adac.planner import greedy_action, value_iteration
 from adac.policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,
@@ -193,21 +195,37 @@ class TestCollect:
         save_batch(batch, path)
         assert load_batch(path) == batch
 
-    def test_criterion_8_batch_file_is_pinned(self, tmp_path):
-        """The criterion-8 batch (28 episodes of 360 steps, seed 7) as
-        save_batch writes it: a change to the order of the arrival draws or
-        to the writer's bytes shows here."""
+    @staticmethod
+    def criterion_8_batch():
+        """The criterion-8 batch: 28 cyclic episodes of 360 steps, seed 7."""
         flows = tuple((f"flow{i}", r)
                       for i, r in enumerate((0.4, 0.6, 0.8, 1.0)))
         config = IntersectionEnvConfig(
             flows=flows, phases=((0,), (1,), (2,), (3,)), capacity=4,
             arrivals="poisson", horizon=360)
-        batch = collect(config, CyclicPolicy(4), 28, 360,
-                        EnvState((0, 0, 0, 0)), rng=np.random.default_rng(7))
+        return collect(config, CyclicPolicy(4), 28, 360,
+                       EnvState((0, 0, 0, 0)), rng=np.random.default_rng(7))
+
+    def test_criterion_8_batch_file_is_pinned(self, tmp_path):
+        """The criterion-8 batch as save_batch writes it: a change to the
+        order of the arrival draws or to the writer's bytes shows here."""
         path = tmp_path / "criterion8.jsonl"
-        save_batch(batch, path)
+        save_batch(self.criterion_8_batch(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "fdd989a4b874db83ac0b877ae4609d33650632c1f939a8918efab67b43bbbf4c")
+
+    def test_criterion_8_mdp_file_is_pinned(self):
+        """The MDP derived from the criterion-8 batch (k 5, alpha 0.8, gamma
+        0.99, adaptive) as mdp_to_json writes it, and its transition arrays
+        are the stacked matrix that value_iteration solves."""
+        mdp = build_mdp(self.criterion_8_batch(), 5, 0.8, 0.99,
+                        PenaltyMode.adaptive())
+        text = mdp_to_json(mdp)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0762ab6184435cbf500f8540fb96d050d1b50946bd0bc43bcc3870370b66afc1")
+        stacked, written = stacked_transitions(mdp), json.loads(text)
+        for key in ("indptr", "indices", "data"):
+            assert written["transition"][key] == getattr(stacked, key).tolist()
 
     @pytest.mark.parametrize("bad, error, message", [
         (True, BatchError, "action is not a non-negative integer"),

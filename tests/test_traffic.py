@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adac.policies import CyclicPolicy, FixedCyclePolicy
-from adac.traffic import (EnvState, IntersectionEnvConfig, alternating_return,
-                          config_from_json, config_to_json,
+from adac.traffic import (POISSON_MAX, EnvState, IntersectionEnvConfig,
+                          alternating_return, config_from_json, config_to_json,
                           optimal_green_split, rates_at, rollout, step,
                           two_flow_config)
 
@@ -324,9 +324,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("arrivals", ["poisson", "deterministic"])
     @pytest.mark.parametrize("where", ["flow", "segment"])
-    # numbers are JSON numbers, never strings or booleans
+    # numbers are JSON numbers, never strings or booleans; a Poisson rate
+    # stays within numpy's limit
     @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN", '"3"',
-                                      "true"])
+                                      "true", "1e300"])
     def test_json_rejects_a_non_finite_rate(self, arrivals, where, rate):
         doc = json.loads(config_to_json(IntersectionEnvConfig(
             flows=(("n", 1.0), ("e", 2.0)), phases=((0,), (1,)),
@@ -337,11 +338,34 @@ class TestConfig:
             doc["schedule"][1]["rates"][0] = "RATE"
         # json reads the bare words Infinity, -Infinity and NaN as floats
         text = json.dumps(doc).replace('"RATE"', rate)
-        with pytest.raises(ValueError, match=r"finite and non-negative, got "
-                           + {"Infinity": "inf", "-Infinity": "-inf",
-                              "NaN": "nan", '"3"': "'3'",
-                              "true": "True"}[rate]):
+        if rate == "1e300" and arrivals == "deterministic":
+            config_from_json(text)      # a whole number of vehicles a step
+            return
+        with pytest.raises(ValueError, match={
+                "Infinity": "finite and non-negative, got inf",
+                "-Infinity": "finite and non-negative, got -inf",
+                "NaN": "finite and non-negative, got nan",
+                '"3"': "finite and non-negative, got '3'",
+                "true": "finite and non-negative, got True",
+                "1e300": r"at most numpy's 9.223372006484771e\+18, got "
+                         r"1e\+300"}[rate]):
             config_from_json(text)
+
+    def test_a_poisson_rate_at_numpy_limit_draws(self):
+        config = IntersectionEnvConfig(flows=(("a", POISSON_MAX),),
+                                       phases=((0,),), arrivals="poisson")
+        result = rollout(config, EnvState((0,)), CyclicPolicy(1), 1,
+                         rng=np.random.default_rng(0))
+        # about POISSON_MAX vehicles arrived, and the capacity of 4 left
+        assert result.cumulative_reward == 4.0
+        assert result.observations[1][0] > 0.99 * POISSON_MAX
+        # the next float is beyond numpy's limit, and the config's
+        above = math.nextafter(POISSON_MAX, math.inf)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(above)
+        with pytest.raises(ValueError, match="at most numpy's"):
+            IntersectionEnvConfig(flows=(("a", above),), phases=((0,),),
+                                  arrivals="poisson")
 
     @pytest.mark.parametrize("key, value", [
         ("capacity", 2.7), ("capacity", True), ("capacity", "4"),

@@ -6,7 +6,7 @@ rewards `r`, trajectory ids `traj` and step indices `t`; `transitions` is
 a row view of them, built on first use. Rows (`make_batch`), columns
 (`batch_from_columns`) and JSON Lines files (`load_batch`: one transition
 per line, after an optional meta record declaring action_count /
-reward_bound) pass one validator.
+reward_bound, read CHUNK lines at a time into columns) pass one validator.
 
 The reading rule of the JSON artifacts lives here too: `only` is the one
 test of a JSON number, `read_json` the one decoder of an MDP, solution or
@@ -15,9 +15,10 @@ env config, and `number_array` the one reader of their arrays.
 
 import json
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -26,7 +27,10 @@ State = tuple[float, ...]
 
 COLUMNS = ("s", "a", "r", "s_next", "traj", "t")
 _KEYS = ("s", "a", "r", "sp", "traj", "t")    # the columns' keys in a file
+_DTYPES = (float, np.int64, float, float, np.int64, np.int64)
 _NOT_AN_ACTION = "action is not a non-negative integer"
+# record lines that load_batch parses before it turns them into columns
+CHUNK = 2048
 
 
 class BatchError(ValueError):
@@ -130,10 +134,11 @@ def number_array(value, name: str, ndim: int,
     return arr.astype(int if integers else float, copy=False)
 
 
-def _checked(rows: list, action_count, reward_bound) -> Batch:
-    """The rows as a Batch, or BatchError naming the first rule they break
-    and the last row's values (on the shortest failing prefix, the bad row)."""
-    s, a, r, s_next, traj, t = columns = list(zip(*rows))
+def _element_columns(rows, dim: int | None = None) -> list[np.ndarray]:
+    """The rows' columns as arrays, or BatchError naming the first element
+    rule they break: the types, then the dimension (dim, by default the
+    first row's)."""
+    s, a, r, s_next, traj, t = list(zip(*rows))
     # element types first: arrays lose bool and str
     for values, kinds, message in (
             (s + s_next, (list, tuple), "state is not a sequence"),
@@ -142,24 +147,30 @@ def _checked(rows: list, action_count, reward_bound) -> Batch:
             (traj + t, int, "traj/t must be integers")):
         if not only(values, kinds):
             raise BatchError(message)
-    dim = len(s[0])
-    if dim == 0:
-        raise BatchError("empty state vector")
+    if dim is None:
+        dim = len(s[0])
+        if dim == 0:
+            raise BatchError("empty state vector")
     if set(map(len, s + s_next)) != {dim}:
         raise BatchError(f"dimension mismatch (expected {dim})")
     if not only(chain.from_iterable(s + s_next), (int, float)):
         raise BatchError("non-numeric coordinate")
-    return _array_checked(columns, action_count, reward_bound)
+    return _arrays((s, a, r, s_next, traj, t))
+
+
+def _arrays(columns) -> list[np.ndarray]:
+    """Columns of numbers as arrays of their dtypes; BatchError if a
+    number does not fit."""
+    try:
+        return list(map(np.asarray, columns, _DTYPES))
+    except OverflowError as exc:
+        raise BatchError(f"number out of range ({exc})") from None
 
 
 def _array_checked(columns, action_count, reward_bound) -> Batch:
     """Columns of numbers as a Batch, or BatchError naming the first array
     rule they break."""
-    try:
-        s, a, r, s_next, traj, t = map(np.asarray, columns, (
-            float, np.int64, float, float, np.int64, np.int64))
-    except OverflowError as exc:
-        raise BatchError(f"number out of range ({exc})") from None
+    s, a, r, s_next, traj, t = _arrays(columns)
     if action_count is None:
         action_count = int(a.max()) + 1
     max_r = float(r.max())
@@ -220,8 +231,8 @@ def make_batch(transitions, action_count: int | None = None,
     rows = list(map(attrgetter("s", "a", "r", "s_next", "traj_id", "t"),
                     transitions))
     return _validated(
-        len(rows), lambda stop: _checked(rows[:stop], action_count,
-                                         reward_bound),
+        len(rows), lambda stop: _array_checked(_element_columns(rows[:stop]),
+                                               action_count, reward_bound),
         action_count, reward_bound, "transition {}".format, "declared")
 
 
@@ -241,38 +252,70 @@ def batch_from_columns(s, a, r, s_next, traj, t, action_count: int,
                       "transition {}".format, "declared")
 
 
+def _records(fh, meta: dict):
+    """(line number, fields) of each record line of a batch file, after
+    putting the fields of a meta record on line 1 into meta; BatchError
+    naming the first line that is not a record."""
+    fields = itemgetter(*_KEYS)
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            # each line decoded alone, so that bad UTF-8 names its line
+            rec = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise BatchError(f"line {lineno}: malformed JSON "
+                             f"({getattr(exc, 'msg', exc)})") from None
+        if not isinstance(rec, dict):
+            raise BatchError(f"line {lineno}: record is not an object")
+        if lineno == 1 and "meta" in rec:
+            if not isinstance(rec["meta"], dict):
+                raise BatchError("line 1: meta record is not an object")
+            meta.update(rec["meta"])
+            continue
+        missing = [k for k in _KEYS if k not in rec]
+        if missing:
+            raise BatchError(f"line {lineno}: missing fields {missing}")
+        yield lineno, fields(rec)
+
+
 def load_batch(path) -> Batch:
-    """Load a JSONL batch file; every malformed line reports its line number."""
-    record = itemgetter(*_KEYS)
-    rows, lines, meta = [], [], {}
+    """Load a JSONL batch file; every malformed line reports its line number.
+
+    The records are read CHUNK lines at a time, and each chunk that keeps
+    the element rules becomes column arrays before the next is read. The
+    first chunk that breaks one is kept as rows, and past it the lines are
+    only parsed, since a line fault anywhere is named first. The validator
+    then runs on the columns and those rows, in the file's order."""
+    meta, parts, pending, lines, dim = {}, [], (), array("q"), None
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+        records = _records(fh, meta)
+        while chunk := list(islice(records, CHUNK)):
+            if pending:
                 continue
+            numbers, rows = zip(*chunk)
+            lines.extend(numbers)
             try:
-                # each line decoded alone, so that bad UTF-8 names its line
-                rec = json.loads(line.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:
-                raise BatchError(f"line {lineno}: malformed JSON "
-                                 f"({getattr(exc, 'msg', exc)})") from None
-            if not isinstance(rec, dict):
-                raise BatchError(f"line {lineno}: record is not an object")
-            if lineno == 1 and "meta" in rec:
-                meta = rec["meta"]
-                if not isinstance(meta, dict):
-                    raise BatchError("line 1: meta record is not an object")
+                part = _element_columns(rows, dim)
+            except BatchError:
+                pending = rows
                 continue
-            missing = [k for k in _KEYS if k not in rec]
-            if missing:
-                raise BatchError(f"line {lineno}: missing fields {missing}")
-            rows.append(record(rec))
-            lines.append(lineno)
+            parts.append(part)
+            dim = part[0].shape[1]      # the first record's, in every chunk
     action_count, reward_bound = meta.get("action_count"), meta.get("reward_bound")
-    batch = _validated(
-        len(rows), lambda stop: _checked(rows[:stop], action_count,
-                                         reward_bound),
-        action_count, reward_bound, lambda i: f"line {lines[i]}",
-        "line 1: meta")
+    done = sum(len(part[1]) for part in parts)
+
+    def checked(stop):
+        # the columns of the first stop records: the chunks read as
+        # columns, then a prefix of the pending rows
+        tail = ([_element_columns(pending[:stop - done], dim)]
+                if stop > done else [])
+        return _array_checked([np.concatenate(column)[:stop]
+                               for column in zip(*parts, *tail)],
+                              action_count, reward_bound)
+    batch = _validated(done + len(pending), checked, action_count,
+                       reward_bound, lambda i: f"line {lines[i]}",
+                       "line 1: meta")
     dim = meta.get("dim", batch.dim)
     if not (only([dim], int) and dim == batch.dim):
         raise BatchError(f"line 1: meta dim {dim!r} is not the records' "

@@ -25,9 +25,11 @@ core states come from the index, the rewards from its batch. `build_mdp`
 is the search at k followed by the reduction; the C and k sweeps reduce a
 shared table with the same functions.
 
-The transitions have one layout, the stacked rows a * n + s of pair (s, a)
-(`stacked_transitions`): `landing_rows` builds their arrays, the MDP file
-holds them and the solver solves them; `DerivedMdp.transition` views them.
+The transitions have one layout and one store, `DerivedMdp.stacked`: the
+CSR matrix whose row a * n + s is pair (s, a)'s landing distribution, with
+sorted columns. `landing_rows` builds it, the MDP file holds its three
+arrays, the reader builds it from them and the solver solves it;
+`DerivedMdp.transition` views it as [state][action] -> {core index: p}.
 """
 
 import json
@@ -95,7 +97,9 @@ class DerivedMdp:
     core: tuple[State, ...]
     action_count: int
     reward: np.ndarray                       # (|core|, |actions|)
-    transition: list[list[dict[int, float]]]  # [state][action] -> {core idx: p}
+    # (|actions| * |core|, |core|): row a * n + s is the landing
+    # distribution of pair (s, a), with sorted columns
+    stacked: sparse.csr_matrix
     gamma: float
     mode: PenaltyMode
     k: int
@@ -106,6 +110,64 @@ class DerivedMdp:
 
     def num_states(self) -> int:
         return len(self.core)
+
+    @property
+    def transition(self) -> "TransitionView":
+        """The stacked rows as [state][action] -> {core index: p}."""
+        return TransitionView(self)
+
+
+class TransitionView:
+    """mdp.transition[s][a]: pair (s, a)'s row of the stacked matrix as a
+    {core index: p} dict of Python ints and floats, built on each read.
+    mdp.transition[s][a] = row writes the row into the matrix. A view
+    compares equal to another view or to nested lists of dicts with the
+    same rows."""
+
+    def __init__(self, mdp: DerivedMdp, s: int | None = None):
+        self._mdp, self._s = mdp, s
+
+    def __len__(self) -> int:
+        return (self._mdp.num_states() if self._s is None
+                else self._mdp.action_count)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        if self._s is None:
+            return TransitionView(self._mdp, i)
+        stacked, r = self._mdp.stacked, i * self._mdp.num_states() + self._s
+        lo, hi = stacked.indptr[r:r + 2]
+        return dict(zip(stacked.indices[lo:hi].tolist(),
+                        stacked.data[lo:hi].tolist()))
+
+    def __setitem__(self, a: int, row: dict) -> None:
+        if self._s is None:
+            raise TypeError("assign a row as mdp.transition[s][a] = row")
+        n, stacked = self._mdp.num_states(), self._mdp.stacked
+        r = range(len(self))[a] * n + self._s
+        lo, hi = stacked.indptr[r:r + 2]
+        cols = sorted(row)
+        if not (only(cols, int) and all(0 <= j < n for j in cols)):
+            raise ValueError(f"row {row!r} lands outside the {n} core states")
+        indptr = stacked.indptr.copy()
+        indptr[r + 1:] += len(cols) - (hi - lo)
+        self._mdp.stacked = sparse.csr_matrix(
+            (np.concatenate((stacked.data[:lo], [row[j] for j in cols],
+                             stacked.data[hi:])),
+             np.concatenate((stacked.indices[:lo], cols,
+                             stacked.indices[hi:])), indptr),
+            shape=stacked.shape)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TransitionView, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None
 
 
 def check_params(k: int, alpha: float, gamma: float) -> None:
@@ -138,9 +200,9 @@ def mdp_from_table(index: NeighborIndex, table: tuple, k: int, alpha: float,
     """The MDP whose pairs have the neighbors of the core states' table
     (searched at k and alpha over the index): their landing rows, then
     their shaped rewards."""
-    transition, empty_pairs = landing_rows(index, table)
+    stacked, empty_pairs = landing_rows(index, table)
     return DerivedMdp(index.core, index.action_count,
-                      shaped_reward(index, table, mode), transition, gamma,
+                      shaped_reward(index, table, mode), stacked, gamma,
                       mode, k, alpha, index.diameter, index.norm, empty_pairs)
 
 
@@ -164,10 +226,12 @@ def shaped_reward(index: NeighborIndex, table: tuple,
     return reward.reshape(len(index.core), index.action_count)
 
 
-def landing_rows(index: NeighborIndex, table: tuple) -> tuple[list, list]:
-    """Transition rows of the core states' table, [state][action] -> {core
-    index: share of the pair's neighbors landing there}, with a self-loop
-    for each pair without neighbors, and the sorted list of those pairs."""
+def landing_rows(index: NeighborIndex,
+                 table: tuple) -> tuple[sparse.csr_matrix, list]:
+    """The stacked transition matrix of the core states' table: row a * n +
+    s holds the share of pair (s, a)'s neighbors landing on each core
+    state, or a self-loop for a pair without neighbors; and the sorted list
+    of those pairs."""
     n, actions = len(index.core), index.action_count
     pairs, sources, _ = table
     rows = pairs % actions * n + pairs // actions     # (s, a): row a * n + s
@@ -179,42 +243,15 @@ def landing_rows(index: NeighborIndex, table: tuple) -> tuple[list, list]:
                                            empty * n + empty % n)),
                            return_counts=True)
     row_of = keys // n
-    targets = list(range(n))    # int objects shared by all the rows' keys
-    transition = transition_rows(
-        np.searchsorted(row_of, np.arange(n * actions + 1)).tolist(),
-        [targets[j] for j in (keys % n).tolist()],
-        (hits / np.maximum(counts, 1)[row_of]).tolist(), n)
-    return transition, sorted((r % n, r // n) for r in empty.tolist())
-
-
-def stacked_transitions(mdp: DerivedMdp) -> sparse.csr_matrix:
-    """The (A * n, n) matrix whose row a * n + s is the landing distribution
-    of pair (s, a), with sorted columns: they fix the order in which every
-    row's sum accumulates."""
-    n, actions = mdp.num_states(), mdp.action_count
-    indptr, indices, data = [0], [], []
-    for a in range(actions):
-        for per_state in mdp.transition:
-            row = per_state[a]
-            indices.extend(row)
-            data.extend(row.values())
-            indptr.append(len(indices))
-    stacked = sparse.csr_matrix((data, indices, indptr), shape=(actions * n, n))
-    stacked.sort_indices()
-    return stacked
-
-
-def transition_rows(indptr: list, indices: list, data: list,
-                    n: int) -> list[list[dict[int, float]]]:
-    """[state][action] -> {core index: p} rows of the stacked arrays of n
-    core states, whose row a * n + s is pair (s, a)."""
-    rows = [dict(zip(indices[lo:hi], data[lo:hi]))
-            for lo, hi in zip(indptr, indptr[1:])]
-    return [rows[s::n] for s in range(n)]
+    stacked = sparse.csr_matrix(
+        (hits / np.maximum(counts, 1)[row_of], keys % n,
+         np.searchsorted(row_of, np.arange(n * actions + 1))),
+        shape=(n * actions, n))
+    return stacked, sorted((r % n, r // n) for r in empty.tolist())
 
 
 def mdp_to_json(mdp: DerivedMdp) -> str:
-    stacked = stacked_transitions(mdp)
+    stacked = mdp.stacked
     doc = {
         "core": [list(s) for s in mdp.core],
         "action_count": mdp.action_count,
@@ -248,7 +285,7 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
         core=tuple(map(tuple, doc["core"])),
         action_count=doc["action_count"],
         reward=number_array(doc["reward"], "reward", 2),
-        transition=[],
+        stacked=None,
         gamma=doc["gamma"],
         mode=PenaltyMode(doc["penalty"]["kind"], doc["penalty"]["c"]),
         k=doc["k"],
@@ -258,13 +295,13 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
         empty_pairs=list(map(tuple, pairs)),
     )
     _check_mdp(mdp)
-    mdp.transition = _read_rows(doc["transition"], mdp.num_states(),
-                                mdp.action_count)
+    mdp.stacked = _read_rows(doc["transition"], mdp.num_states(),
+                             mdp.action_count)
     return mdp
 
 
-def _read_rows(stacked: dict, n: int, actions: int) -> list:
-    """The rows of a document's stacked arrays; ValueError unless they are
+def _read_rows(stacked: dict, n: int, actions: int) -> sparse.csr_matrix:
+    """The matrix of a document's stacked arrays; ValueError unless they are
     n * actions distributions over the n core states, indices increasing."""
     if isinstance(stacked, list):
         raise ValueError("'transition' holds the nested rows of an older MDP "
@@ -293,7 +330,7 @@ def _read_rows(stacked: dict, n: int, actions: int) -> list:
     if not np.all(np.diff(rows * n + cols) > 0):
         raise ValueError("a transition row names a core state twice or out "
                          "of order")
-    return transition_rows(indptr, indices, data, n)
+    return sparse.csr_matrix((shares, cols, ptr), shape=(size, n))
 
 
 def _check_mdp(mdp: DerivedMdp) -> None:

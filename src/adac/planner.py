@@ -2,7 +2,8 @@
 
 The solver is modified policy iteration (Puterman and Shin, 1978). Each
 outer step is one full backup, a sparse product of the value vector with
-the MDP's `stacked_transitions`, written into buffers made once. The greedy
+the MDP's stacked transition matrix `DerivedMdp.stacked`, written into
+buffers made once. The greedy
 policy of that backup is then evaluated in part: EVAL_SWEEPS sweeps of
 v <- r_pi + gamma * P_pi v, where P_pi is the policy's n rows of the
 stacked matrix.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import State, number_array, only, read_json
-from .derivation import DerivedMdp, stacked_transitions
+from .derivation import DerivedMdp
 from .neighbors import NeighborIndex
 
 
@@ -74,7 +75,7 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     gamma = mdp.gamma
     n, actions = mdp.num_states(), mdp.action_count
-    stacked = stacked_transitions(mdp)
+    stacked = mdp.stacked
     reward = np.ascontiguousarray(mdp.reward.T)
     states = np.arange(n)
     # each full backup writes into these buffers: Q, the new values and

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adac.dataset import (BatchError, Transition, batch_stats, concat_batches,
-                          core_states, load_batch, make_batch, save_batch)
+from adac import dataset
+from adac.dataset import (COLUMNS, BatchError, Transition, batch_stats,
+                          concat_batches, core_states, load_batch, make_batch,
+                          save_batch)
 
 from conftest import brute_force_save_batch, random_batch
 
@@ -88,6 +90,34 @@ def write(tmp_path, text, name="batch.jsonl"):
     return path
 
 
+def load_chunked(path):
+    """load_batch(path), after checking that a CHUNK of 1, 3 or 7 lines
+    reads the same columns, bit for bit, or raises the same BatchError."""
+    def outcome():
+        try:
+            batch = load_batch(path)
+        except BatchError as exc:
+            return str(exc)
+        return ([getattr(batch, name).tobytes() for name in COLUMNS],
+                batch.action_count, batch.reward_bound)
+    want = outcome()
+    for chunk in (1, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "CHUNK", chunk)
+            assert outcome() == want, f"CHUNK {chunk}"
+    return load_batch(path)
+
+
+def jsonl(records):
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+def steps(traj, ts, dim=2, **fields):
+    """Records of trajectory traj at steps ts, with the given fields."""
+    return [{"s": [1] * dim, "a": 0, "r": 1, "sp": [1] * dim, "traj": traj,
+             "t": t, **fields} for t in ts]
+
+
 class TestLoadBatch:
     def test_worked_example_file(self, tmp_path, table1):
         batch = load_batch(write(tmp_path, TABLE1_JSONL))
@@ -157,7 +187,7 @@ class TestLoadBatch:
         lines += [{**rec, "traj": 1, "t": t, field: value} for t in (2, 3)]
         text = "\n".join("" if r is None else json.dumps(r) for r in lines)
         with pytest.raises(BatchError, match=f"^line 5: {message}"):
-            load_batch(write(tmp_path, text + "\n"))
+            load_chunked(write(tmp_path, text + "\n"))
 
     @settings(max_examples=300, deadline=None)
     @given(meta=st.none() | METAS, lines=st.lists(LINES, max_size=6))
@@ -168,12 +198,52 @@ class TestLoadBatch:
         path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
-            batch = load_batch(path)
+            batch = load_chunked(path)
         except BatchError:
             return
         assert np.all(np.isfinite(batch.s)) and np.all(batch.s >= 0)
         assert 0 <= batch.a.min() <= batch.a.max() < batch.action_count
         assert batch.r.max() <= batch.reward_bound < math.inf
+
+    def test_an_early_array_fault_is_named_before_a_later_element_fault(
+            self, tmp_path):
+        # line 101 returns to trajectory 0, line 5,001 holds a boolean
+        # action: at any CHUNK the chunk of line 5,001 breaks an element
+        # rule, and the columns before it break the contiguity rule first
+        records = (steps(0, range(50)) + steps(1, range(50)) + steps(0, [50])
+                   + steps(2, range(4899)) + steps(2, [4899], a=True))
+        path = write(tmp_path, jsonl(records))
+        for chunk in (64, dataset.CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dataset, "CHUNK", chunk)
+                with pytest.raises(BatchError, match="^line 101: trajectory "
+                                   "0 is not contiguous"):
+                    load_chunked(path)
+
+    def test_a_trajectory_across_chunks(self, tmp_path):
+        # with CHUNK 3, lines 1-3 and 4-6 are two chunks of one trajectory
+        path = write(tmp_path, jsonl(steps(0, range(8))))
+        batch = load_chunked(path)
+        assert batch.traj.tolist() == [0] * 8
+        assert batch.t.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("line", [3, 4, 8])
+    def test_a_falling_step_is_named_across_chunks(self, tmp_path, line):
+        # with CHUNK 3 the repeated step starts, ends or follows a chunk
+        ts = list(range(9))
+        ts[line - 1] = ts[line - 2]
+        path = write(tmp_path, jsonl(steps(0, ts)))
+        with pytest.raises(BatchError, match=f"^line {line}: step index not "
+                           "strictly increasing within trajectory 0"):
+            load_chunked(path)
+
+    def test_a_dimension_change_in_a_later_chunk(self, tmp_path):
+        # line 10 is in the fourth chunk of three lines, the second of seven
+        records = steps(0, range(9), dim=4) + steps(0, [9], dim=3)
+        path = write(tmp_path, jsonl(records + steps(0, [10], dim=4)))
+        with pytest.raises(BatchError, match=r"^line 10: dimension mismatch "
+                           r"\(expected 4\)"):
+            load_chunked(path)
 
 
 class TestValidation:
@@ -314,7 +384,7 @@ class TestRoundTrip:
         first = tmp_path_factory.getbasetemp() / "first.jsonl"
         second = tmp_path_factory.getbasetemp() / "second.jsonl"
         save_batch(batch, first)
-        loaded = load_batch(first)
+        loaded = load_chunked(first)
         save_batch(loaded, second)
         assert loaded == batch
         assert np.array_equal(np.signbit(loaded.s), np.signbit(batch.s))
@@ -332,7 +402,7 @@ class TestRoundTrip:
         brute_force_save_batch(batch, reference)
         assert written.read_bytes() == reference.read_bytes()
         assert written.read_text().startswith('{"meta"') == meta
-        loaded = load_batch(written)
+        loaded = load_chunked(written)
         assert loaded == batch
         for name in ("s", "r", "s_next"):      # bit for bit, -0.0 included
             assert np.array_equal(getattr(loaded, name).view(np.int64),
@@ -386,7 +456,7 @@ class TestRoundTrip:
                                  integer_coords=bool(i % 2))
             path = tmp_path / f"r{i}.jsonl"
             save_batch(batch, path)
-            assert load_batch(path) == batch
+            assert load_chunked(path) == batch
 
 
 class TestConcat:

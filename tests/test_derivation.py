@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -13,9 +14,11 @@ from adac import neighbors
 from adac.derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
 from adac.evaluation import worked_example_mdp
 from adac.neighbors import NORMS, build_index
+from adac.planner import value_iteration
 
-from conftest import (DEEP_JSON, brute_force_knn, brute_force_mdp, euclid,
-                      json_values, manhattan, random_batch, scale_batch)
+from conftest import (DEEP_JSON, brute_force_knn, brute_force_mdp,
+                      brute_force_value_iteration, euclid, json_values,
+                      manhattan, random_batch, scale_batch)
 
 SQRT52 = math.sqrt(52)
 
@@ -283,6 +286,72 @@ class TestOracleAgreement:
                                in zip(nn, rewards)) / len(nn)
                 assert mdp.reward[pos[s], a] == pytest.approx(expected,
                                                               abs=1e-12)
+
+
+class TestTransitionView:
+    def test_reads_are_dicts_of_python_numbers(self, table1):
+        mdp = derive(table1, PenaltyMode.adaptive())
+        assert len(mdp.transition) == mdp.num_states()
+        for per_state in mdp.transition:
+            assert len(per_state) == mdp.action_count
+            for row in per_state:
+                assert type(row) is dict and row
+                assert all(type(j) is int and type(p) is float
+                           for j, p in row.items())
+        last = mdp.num_states() - 1
+        assert mdp.transition[-1][-1] == mdp.transition[last][1]
+        with pytest.raises(IndexError):
+            mdp.transition[0][mdp.action_count]
+
+    def test_a_written_row_is_solved_and_read_back(self):
+        rng = np.random.default_rng(41)
+        # alpha 0.3 leaves some pairs empty, with self-loops
+        mdp = derive(random_batch(rng, n=40, actions=3), PenaltyMode.adaptive(),
+                     alpha=0.3)
+        n, keys = mdp.num_states(), ("indptr", "indices", "data")
+        before = [getattr(mdp.stacked, key).copy() for key in keys]
+        si, a = n // 2, 1
+        edited = copy.deepcopy(mdp)
+        # two landings, given out of order, where the row had some other
+        # number of them
+        row = {n - 1: 0.25, 0: 0.75}
+        assert len(mdp.transition[si][a]) != 2
+        edited.transition[si][a] = row
+        assert list(edited.transition[si][a].items()) == [(0, 0.75),
+                                                          (n - 1, 0.25)]
+        for key, want in zip(keys, before):
+            got = getattr(mdp.stacked, key)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+        def bits(m, s, b):
+            return [(j, p.hex()) for j, p in m.transition[s][b].items()]
+        for s in range(n):
+            for b in range(mdp.action_count):
+                if (s, b) != (si, a):
+                    assert bits(edited, s, b) == bits(mdp, s, b)
+        # the solver solves the edit, as the plain solver does over the view
+        sol = value_iteration(edited, tol=1e-9)
+        values, q, policy, iterations, _, _ = brute_force_value_iteration(
+            edited, tol=1e-9)
+        assert sol.values.tolist() == values
+        assert sol.q.tolist() == q
+        assert sol.policy.tolist() == policy
+        assert sol.iterations == iterations
+        assert sol.q.tolist() != value_iteration(mdp, tol=1e-9).q.tolist()
+        text = mdp_to_json(edited)
+        back = mdp_from_json(text)
+        assert back.transition == edited.transition
+        assert back.transition != mdp.transition
+        assert mdp_to_json(back) == text
+
+    def test_a_row_must_land_on_core_states(self, table1):
+        mdp = derive(table1, PenaltyMode.adaptive())
+        n = mdp.num_states()
+        for row in ({n: 1.0}, {-1: 1.0}, {0.0: 1.0}):
+            with pytest.raises(ValueError, match="lands outside the"):
+                mdp.transition[0][0] = row
+        with pytest.raises(TypeError):
+            mdp.transition[0] = [{0: 1.0}, {0: 1.0}]
 
 
 _MDP_DOC = mdp_to_json(worked_example_mdp())

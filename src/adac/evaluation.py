@@ -3,12 +3,10 @@ bundled worked example.
 
 The sweeps check their whole grid (every k, C, alpha, gamma, the episode
 seeds and the snapshot directory) before deriving anything, then search
-the core states' neighbors once, for every action. The C sweep reduces one
-table at k: its rows share the landing rows, and each recomputes only its
-shaped reward. The k sweep searches at the largest k, and each row keeps
-the first k neighbors of every pair, which is the search at that k.
-Every row is bit for bit the row of its own `build_mdp`, solved with the
-module's `value_iteration`.
+the core states' neighbors once, for every action, at the grid's largest
+k. Each row derives its MDP from the first k neighbors of every pair,
+which is the search at that k, so every row is bit for bit the row of its
+own `build_mdp`, solved with the module's `value_iteration`.
 
 The worked example is a six-transition two-flow dataset small enough to
 check every derived quantity by hand; reproduce_table2 recomputes its
@@ -23,13 +21,13 @@ computed values only.
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Batch, Transition, concat_batches, make_batch
 from .derivation import (DerivedMdp, PenaltyMode, build_mdp, check_params,
-                         mdp_from_table, mdp_to_json, shaped_reward)
+                         mdp_from_table, mdp_to_json)
 from .neighbors import build_index, prefix
 from .planner import value_iteration
 from .policies import (CyclicPolicy, FixedCyclePolicy, GreedyDerivedPolicy,
@@ -94,6 +92,21 @@ def _greedy_policy(mdp: DerivedMdp, index, tol: float = 1e-8):
     return GreedyDerivedPolicy(mdp, value_iteration(mdp, tol=tol), index)
 
 
+def _sweep_rows(batch: Batch, norm: str, grid, alpha: float, gamma: float,
+                config: IntersectionEnvConfig, episodes: int, horizon: int,
+                seeds, start: EnvState | None):
+    """Derive, solve and evaluate the MDP of each (k, mode) of the grid, all
+    from one core-state neighbor search at the grid's largest k; yields
+    each MDP and its mean return in grid order."""
+    index = build_index(batch, norm)
+    table = index.search(index.core, max(k for k, _ in grid), alpha)
+    for k, mode in grid:
+        mdp = mdp_from_table(index, prefix(table, k), k, alpha, gamma, mode)
+        report = evaluate(config, _greedy_policy(mdp, index), episodes,
+                          horizon, gamma, seeds=seeds, start=start)
+        yield mdp, report.mean_return
+
+
 def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
             config: IntersectionEnvConfig, episodes: int, horizon: int,
             seeds=None, start: EnvState | None = None,
@@ -103,8 +116,7 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
     Returns one row per C value and a final row labeled "A-DAC"; when
     snapshot_dir is set, each derived MDP is written there as JSON so the
     rows can be reproduced from the snapshots alone. Every row's MDP comes
-    from one core-state neighbor search: the rows share its landing rows,
-    and only the shaped reward differs.
+    from one core-state neighbor search.
     """
     modes = [(f"{c:g}", PenaltyMode.fixed(c)) for c in c_values]
     if not modes:
@@ -114,20 +126,15 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
     _check_episodes(config, episodes, seeds)
     if snapshot_dir is not None and not os.path.isdir(snapshot_dir):
         raise ValueError(f"snapshot directory {snapshot_dir!r} does not exist")
-    index = build_index(batch, norm)
-    table = index.search(index.core, k, alpha)
-    shared = mdp_from_table(index, table, k, alpha, gamma, modes[-1][1])
+    runs = _sweep_rows(batch, norm, [(k, mode) for _, mode in modes],
+                       alpha, gamma, config, episodes, horizon, seeds, start)
     rows = []
-    for label, mode in modes:
-        mdp = replace(shared, mode=mode,
-                      reward=shaped_reward(index, table, mode))
-        report = evaluate(config, _greedy_policy(mdp, index), episodes,
-                          horizon, gamma, seeds=seeds, start=start)
+    for (label, _), (mdp, mean_return) in zip(modes, runs):
         if snapshot_dir is not None:
             path = f"{snapshot_dir}/mdp_c_{label.replace(':', '_')}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(mdp_to_json(mdp))
-        rows.append({"c": label, "mean_return": report.mean_return})
+        rows.append({"c": label, "mean_return": mean_return})
     return rows
 
 
@@ -144,16 +151,11 @@ def sweep_k(batch: Batch, k_values, alpha: float, gamma: float,
     for k in k_values:
         check_params(k, alpha, gamma)
     _check_episodes(config, episodes, seeds)
-    index = build_index(batch, norm)
-    table = index.search(index.core, max(k_values), alpha)
-    rows = []
-    for k in k_values:
-        mdp = mdp_from_table(index, prefix(table, k), k, alpha, gamma,
-                             PenaltyMode.adaptive())
-        report = evaluate(config, _greedy_policy(mdp, index), episodes,
-                          horizon, gamma, seeds=seeds, start=start)
-        rows.append({"k": k, "mean_return": report.mean_return})
-    return rows
+    runs = _sweep_rows(batch, norm,
+                       [(k, PenaltyMode.adaptive()) for k in k_values],
+                       alpha, gamma, config, episodes, horizon, seeds, start)
+    return [{"k": k, "mean_return": mean_return}
+            for k, (_, mean_return) in zip(k_values, runs)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ index.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,15 +54,22 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class Solution:
-    values: np.ndarray       # (|core|,)
+    """A solve's Q table and how it stopped. The values and the policy are
+    q's row maxima and first argmaxes, set from q here and stored nowhere
+    else."""
     q: np.ndarray            # (|core|, |actions|)
-    policy: np.ndarray       # (|core|,) int
     # every sweep, full backups and evaluation sweeps, but not the final
     # backup from the shifted values, which gives q
     iterations: int
     residual: float          # max-norm change of that final backup
     tol: float               # bound on the sup-norm error of values
     deltas: tuple[float, ...] = ()   # max-norm change of each counted backup
+    values: np.ndarray = field(init=False)   # (|core|,)
+    policy: np.ndarray = field(init=False)   # (|core|,) int
+
+    def __post_init__(self):
+        self.values = self.q.max(axis=1)
+        self.policy = self.q.argmax(axis=1)
 
 
 def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
@@ -106,11 +113,11 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         if (hi - lo) / 2 <= threshold:
             # the midpoint of the bounds on v*, then one more backup from it
             v += gamma / (1.0 - gamma) * (hi + lo) / 2
-            q_table = backup(v).T.copy()
-            values = q_table.max(axis=1)
-            hi, lo = change(values, v)
-            return Solution(values, q_table, q_table.argmax(axis=1), sweeps,
-                            max(hi, -lo), tol, tuple(deltas))
+            solution = Solution(backup(v).T.copy(), sweeps, 0.0, tol,
+                                tuple(deltas))
+            hi, lo = change(solution.values, v)
+            solution.residual = max(hi, -lo)
+            return solution
         # partial evaluation of the greedy policy: its n rows of the stacked
         # matrix, whose columns stay sorted
         rows = q.argmax(axis=0) * n + states
@@ -169,9 +176,7 @@ def greedy_action(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
 
 def solution_to_json(solution: Solution) -> str:
     return json.dumps({
-        "values": solution.values.tolist(),
         "q": solution.q.tolist(),
-        "policy": solution.policy.tolist(),
         "iterations": solution.iterations,
         "residual": solution.residual,
         "tol": solution.tol,
@@ -184,21 +189,12 @@ def solution_from_json(text: str) -> Solution:
 
 
 def _solution_from_doc(doc: dict) -> Solution:
-    values = number_array(doc["values"], "values", 1)
+    if "values" in doc or "policy" in doc:
+        raise ValueError("an older solution file, holding 'values' and "
+                         "'policy': solve the MDP again")
     q = number_array(doc["q"], "q", 2)
-    policy = number_array(doc["policy"], "policy", 1, integers=True)
-    if len(q) != len(values) or len(policy) != len(values):
-        raise ValueError(f"{len(values)} values but {len(q)} q rows and "
-                         f"{len(policy)} policy entries")
-    if np.any((policy < 0) | (policy >= q.shape[1])):
-        raise ValueError(f"a policy action outside the {q.shape[1]} columns "
-                         f"of q")
-    # the solver's values and policy are q's row maxima and argmaxes, and
-    # JSON floats round-trip, so a real file keeps both exactly
-    if not np.array_equal(values, q.max(axis=1)):
-        raise ValueError("'values' are not the row maxima of 'q'")
-    if not np.array_equal(policy, q.argmax(axis=1)):
-        raise ValueError("'policy' is not the first argmax of each row of 'q'")
+    if not q.shape[1]:
+        raise ValueError("'q' has no action columns")
     iterations, residual, tol = (doc.get(key) for key in
                                  ("iterations", "residual", "tol"))
     if not (only([iterations], int) and iterations >= 0):
@@ -207,7 +203,7 @@ def _solution_from_doc(doc: dict) -> Solution:
         raise ValueError(f"residual {residual!r} is not a finite number >= 0")
     if not (only([tol], (int, float)) and 0 < tol < math.inf):
         raise ValueError(f"tol {tol!r} is not a finite positive number")
-    return Solution(values, q, policy, iterations, residual, tol)
+    return Solution(q, iterations, residual, tol)
 
 
 def check_artifacts(index: NeighborIndex, mdp: DerivedMdp,
@@ -222,9 +218,7 @@ def check_artifacts(index: NeighborIndex, mdp: DerivedMdp,
         raise ValueError(f"index norm {index.norm} and diameter {index.diameter!r}"
                          f" differ from the MDP's {mdp.norm} and {mdp.diameter!r}")
     n, actions = mdp.num_states(), mdp.action_count
-    if (solution.values.shape != (n,) or solution.q.shape != (n, actions)
-            or solution.policy.shape != (n,)):
+    if solution.q.shape != (n, actions):
         raise ValueError(
-            f"solution of values shape {solution.values.shape} and q shape "
-            f"{solution.q.shape} does not fit an MDP of {n} core states and "
-            f"{actions} actions")
+            f"solution of q shape {solution.q.shape} does not fit an MDP of "
+            f"{n} core states and {actions} actions")

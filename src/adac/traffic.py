@@ -97,9 +97,6 @@ class EnvState:
     queues: tuple[int, ...]
     t: int = 0
 
-    def observation(self) -> State:
-        return tuple(float(q) for q in self.queues)
-
 
 @dataclass
 class RolloutResult:

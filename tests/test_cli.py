@@ -324,12 +324,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.update(tol=-1, residual=-5), "residual"),
         (lambda d: d.update(tol=0), "tol"),
-        (lambda d: d["values"].__setitem__(0, d["values"][0] - 1.0),
-         "row maxima"),
-        (lambda d: d["policy"].__setitem__(0, 1 - d["policy"][0]), "argmax"),
         # json reads true and false as bools, which numpy takes for 1 and 0
-        (lambda d: d["policy"].__setitem__(0, bool(d["policy"][0])),
-         "boolean in 'policy'"),
+        (lambda d: d["q"][0].__setitem__(0, True), "boolean in 'q'"),
+        # a file that also stores q's row maxima and argmaxes
+        (lambda d: d.update(values=[max(row) for row in d["q"]],
+                            policy=[row.index(max(row)) for row in d["q"]]),
+         "older solution file, holding 'values' and 'policy': solve the MDP "
+         "again"),
         # an edit that returns text replaces the whole file
         (lambda d: DEEP_JSON, "malformed solution JSON: maximum recursion"),
     ])
@@ -352,14 +353,15 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         code, _, err = greedy_eval(capsys, mdp, bad, batch)
         assert code == 1
-        assert "q rows" in err and "Traceback" not in err
+        assert "q shape (3, 2) does not fit an MDP" in err
+        assert "Traceback" not in err
 
     def test_bounds_rejects_another_mdps_solution(self, capsys, pipeline,
                                                   other_pipeline):
         batch, mdp, solution = pipeline
         other_solution = other_pipeline[2]
-        n = len(json.loads(solution.read_text())["values"])
-        assert len(json.loads(other_solution.read_text())["values"]) != n
+        n = len(json.loads(solution.read_text())["q"])
+        assert len(json.loads(other_solution.read_text())["q"]) != n
         code, _, err = bounds(capsys, mdp, other_solution, batch)
         assert code == 1
         assert f"MDP of {n} core states" in err and "Traceback" not in err

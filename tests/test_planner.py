@@ -333,7 +333,7 @@ class TestLookup:
         mdp = build_mdp(batch, k=6, alpha=0.15, gamma=0.9, mode=mode,
                         index=index)
         sol = value_iteration(mdp, tol=1e-9)
-        sol = dataclasses.replace(sol, values=np.zeros_like(sol.values))
+        sol = dataclasses.replace(sol, q=np.zeros_like(sol.q))
         empty = set(mdp.empty_pairs)
         assert empty and len(empty) < mdp.num_states() * mdp.action_count
         for si, s in enumerate(mdp.core):
@@ -401,17 +401,17 @@ _numbers = st.integers(-2, 2) | st.floats(-2, 2)
 @st.composite
 def _solution_docs(draw):
     """A document a solve could write, up to three of whose fields are then
-    replaced by arbitrary JSON or by numbers and arrays of numbers."""
+    replaced by arbitrary JSON or by numbers and arrays of numbers, or
+    joined by an older file's 'values' or 'policy'."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     q = draw(st.lists(st.lists(_numbers, min_size=m, max_size=m),
                       min_size=n, max_size=n))
-    doc = {"values": [max(row) for row in q], "q": q,
-           "policy": [row.index(max(row)) for row in q],
-           "iterations": draw(st.integers(0, 10)),
+    doc = {"q": q, "iterations": draw(st.integers(0, 10)),
            "residual": draw(_numbers), "tol": draw(_numbers)}
     fields = st.one_of(json_values, _numbers, st.lists(_numbers, max_size=3),
                        st.lists(st.lists(_numbers, max_size=3), max_size=3))
-    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
+    keys = st.sampled_from(sorted(doc) + ["policy", "values"])
+    for key in draw(st.lists(keys, max_size=3)):
         doc[key] = draw(fields)
     return doc
 
@@ -421,7 +421,10 @@ class TestSolutionSerialization:
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
                         mode=PenaltyMode.adaptive())
         sol = value_iteration(mdp, tol=1e-9)
-        back = solution_from_json(solution_to_json(sol))
+        text = solution_to_json(sol)
+        assert sorted(json.loads(text)) == ["iterations", "q", "residual",
+                                            "tol"]
+        back = solution_from_json(text)
         assert np.array_equal(back.values, sol.values)
         assert np.array_equal(back.q, sol.q)
         assert np.array_equal(back.policy, sol.policy)
@@ -430,21 +433,23 @@ class TestSolutionSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("q"), "no 'q'"),
-        (lambda d: d.update(values="1.0"), "'values'"),
-        (lambda d: d["values"].__setitem__(0, math.nan), "'values'"),
+        (lambda d: d.update(q="1.0"), "'q' is not a finite 2-D"),
+        (lambda d: d["q"][0].__setitem__(0, math.nan),
+         "'q' is not a finite 2-D array of numbers"),
         (lambda d: d["q"][1].__setitem__(0, math.inf), "'q'"),
-        (lambda d: d.update(q=d["q"][:3]), "q rows"),
-        (lambda d: d.update(policy=d["policy"][1:]), "policy entries"),
-        (lambda d: d.update(policy=[0.0] * len(d["policy"])), "'policy'"),
-        (lambda d: d.update(policy=[2] * len(d["policy"])), "policy action"),
+        (lambda d: d.update(q=[[]]), "'q' has no action columns"),
         (lambda d: d.update(iterations="12"), "iterations"),
         (lambda d: d.update(residual=None), "residual"),
         # json reads true and false as bools, which pass for 1 and 0
-        (lambda d: d.update(values=[1.0, 2.0], q=[[1.0, 0.5], [2.0, True]],
-                            policy=[0, False]), "boolean in 'q'"),
-        (lambda d: d.update(values=[1.0, 2.0], q=[[1.0, 0.5], [2.0, 1.0]],
-                            policy=[0, False]), "boolean in 'policy'"),
-        (lambda d: d["values"].__setitem__(0, True), "boolean in 'values'"),
+        (lambda d: d.update(q=[[1.0, 0.5], [2.0, True]]), "boolean in 'q'"),
+        # a file that still stores q's row maxima or argmaxes is older
+        (lambda d: d.update(values=[max(row) for row in d["q"]]),
+         "'values' and 'policy': solve the MDP again"),
+        (lambda d: d.update(policy=[row.index(max(row)) for row in d["q"]]),
+         "'policy': solve the MDP again"),
+        (lambda d: d.update(values=[max(row) for row in d["q"]],
+                            policy=[row.index(max(row)) for row in d["q"]]),
+         "an older solution file, holding 'values' and 'policy'"),
     ])
     def test_load_rejects_a_malformed_solution(self, table1, edit, message):
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
@@ -460,11 +465,6 @@ class TestSolutionSerialization:
         (lambda d: d.update(tol=0.0), "tol"),
         (lambda d: d.update(tol=-1e-9), "tol"),
         (lambda d: d.update(tol=math.inf), "tol"),
-        (lambda d: d["values"].__setitem__(2, d["values"][2] + 1e-9),
-         "row maxima"),
-        (lambda d: d.update(values=[2.0], q=[[1, 2]], policy=[0]), "argmax"),
-        # ties go to the lowest action
-        (lambda d: d.update(values=[1.0], q=[[1, 1]], policy=[1]), "argmax"),
     ])
     def test_load_rejects_what_no_solve_writes(self, table1, edit, message):
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
@@ -473,6 +473,16 @@ class TestSolutionSerialization:
         edit(doc)
         with pytest.raises(ValueError, match=message):
             solution_from_json(json.dumps(doc))
+
+    def test_values_and_policy_are_derived_from_q(self):
+        doc = {"q": [[1, 1], [2.5, 3], [-1, -2]], "iterations": 0,
+               "residual": 0, "tol": 1}
+        sol = solution_from_json(json.dumps(doc))
+        assert sol.values.tolist() == [1.0, 3.0, -1.0]
+        assert sol.policy.tolist() == [0, 1, 0]     # ties to the lowest
+        zeros = dataclasses.replace(sol, q=np.zeros((2, 3)))
+        assert zeros.values.tolist() == [0.0, 0.0]
+        assert zeros.policy.tolist() == [0, 0]
 
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(

@@ -13,7 +13,7 @@ from adac.dataset import (COLUMNS, BatchError, load_batch, make_batch,
                           save_batch)
 from adac.derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
 from adac.neighbors import build_index
-from adac.planner import greedy_action, value_iteration
+from adac.planner import greedy_action, solution_to_json, value_iteration
 from adac.policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,
                            GreedyDerivedPolicy, ProportionalPolicy,
                            RandomPolicy, collect)
@@ -102,7 +102,7 @@ class TestGreedyDerived:
                                        table1.reward_bound))
         with pytest.raises(ValueError, match="derived from"):
             GreedyDerivedPolicy(mdp, sol, other)
-        short = dataclasses.replace(sol, values=sol.values[:-1])
+        short = dataclasses.replace(sol, q=sol.q[:-1])
         with pytest.raises(ValueError, match="solution"):
             GreedyDerivedPolicy(mdp, short, index)
         narrow = dataclasses.replace(sol, q=sol.q[:, :1])
@@ -227,6 +227,17 @@ class TestCollect:
         stacked, written = mdp.stacked, json.loads(text)
         for key in ("indptr", "indices", "data"):
             assert written["transition"][key] == getattr(stacked, key).tolist()
+
+    def test_criterion_8_solution_file_is_pinned(self):
+        """That MDP's solution (tol 1e-8) as solution_to_json writes it: the
+        Q table and how the solve stopped, and nothing derived from q."""
+        mdp = build_mdp(self.criterion_8_batch(), 5, 0.8, 0.99,
+                        PenaltyMode.adaptive())
+        text = solution_to_json(value_iteration(mdp, tol=1e-8))
+        assert sorted(json.loads(text)) == ["iterations", "q", "residual",
+                                            "tol"]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "51db568a1bdcccde07c1bb6ebdeddc3e8523e2dbff8c560f1e7173ec306b54df")
 
     def test_criterion_8_batch_loads_in_chunks(self, tmp_path):
         """load_batch holds one chunk of parsed records at a time: its traced

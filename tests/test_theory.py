@@ -237,7 +237,7 @@ class TestPacBound:
                            table1.action_count, table1.reward_bound)
         with pytest.raises(ValueError, match="derived from"):
             pac_bound(other, mdp, sol, 0.1)
-        short = dataclasses.replace(sol, values=sol.values[:-1])
+        short = dataclasses.replace(sol, q=sol.q[:-1])
         with pytest.raises(ValueError, match="solution"):
             pac_bound(table1, mdp, short, 0.1)
 

@@ -239,6 +239,29 @@ class TestCollect:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "51db568a1bdcccde07c1bb6ebdeddc3e8523e2dbff8c560f1e7173ec306b54df")
 
+    def test_criterion_8_greedy_decisions_are_pinned(self):
+        """The greedy policy of that MDP and solution over criterion 8's
+        evaluation episodes (five of 360 steps, seeds 101-105, the clock of
+        episode i at 360 i through light, base and peak rates): a change to
+        the lookup that flips a decision or moves a return shows here."""
+        rates = (0.4, 0.6, 0.8, 1.0)
+        light, peak = (tuple(r * f for r in rates) for f in (0.5, 1.25))
+        config = IntersectionEnvConfig(
+            flows=tuple((f"flow{i}", r) for i, r in enumerate(rates)),
+            phases=((0,), (1,), (2,), (3,)), capacity=4, arrivals="poisson",
+            horizon=360, schedule=((360, light), (360, light), (360, rates),
+                                   (360, peak), (360, peak)))
+        batch = self.criterion_8_batch()
+        mdp = build_mdp(batch, 5, 0.8, 0.99, PenaltyMode.adaptive())
+        policy = GreedyDerivedPolicy(mdp, value_iteration(mdp, tol=1e-8),
+                                     build_index(batch))
+        episodes = [rollout(config, EnvState((0, 0, 0, 0), 360 * ep), policy,
+                            360, rng=np.random.default_rng(seed))
+                    for ep, seed in enumerate(range(101, 106))]
+        text = json.dumps([[e.actions, e.cumulative_reward] for e in episodes])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9a7d64c769136345dfe5fd72f06b2fb593df441ad925ca5edb974399328d5e07")
+
     def test_criterion_8_batch_loads_in_chunks(self, tmp_path):
         """load_batch holds one chunk of parsed records at a time: its traced
         peak stays within a few times the bytes of the batch's columns (7.5

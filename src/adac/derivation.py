@@ -19,11 +19,13 @@ A derivation is two steps. One `NeighborIndex.search` finds the core
 states' neighbors for every action, as one table keyed by the pair id
 si * action_count + a, and `mdp_from_table` reduces it over the pairs:
 neighbor counts and landing rows from unique (pair, landing core state)
-keys (`landing_rows`), then the per-pair r_max and the shaped reward as a
-sum in neighbor order (`shaped_reward`). The core states and the landing
-core states come from the index, the rewards from its batch. `build_mdp`
-is the search at k followed by the reduction; the C and k sweeps reduce a
-shared table with the same functions.
+keys (`landing_rows`), then the shaped reward (`shaped_reward`), each
+pair's coefficient from `PenaltyMode.coefficients` and its mean from
+`neighbors.row_means`, summed in neighbor order. The core states and the
+landing core states come from the index, the rewards from its batch.
+`build_mdp` is the search at k followed by the reduction; the C and k
+sweeps reduce a shared table with the same functions, and the one-step
+lookup (`planner.lookup_q`) reduces one state's query with the same two.
 
 The transitions have one layout and one store, `DerivedMdp.stacked`: the
 CSR matrix whose row a * n + s is pair (s, a)'s landing distribution, with
@@ -40,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from .dataset import Batch, State, number_array, only, read_json
-from .neighbors import NORMS, NeighborIndex, build_index, row_sums
+from .neighbors import NORMS, NeighborIndex, build_index, row_means
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,17 @@ class PenaltyMode:
             return PenaltyMode.fixed(float(text.split(":", 1)[1]))
         raise ValueError(f"cannot parse penalty mode {text!r}")
 
-    def coefficient(self, rewards) -> float:
-        """Penalty per unit of normalized distance, given the rewards."""
-        if self.kind == "averagers":
-            return 0.0
-        if self.kind == "fixed":
-            return self.c
-        return max(rewards)
+    def coefficients(self, groups: np.ndarray, rewards: np.ndarray,
+                     n: int) -> np.ndarray:
+        """Penalty per unit of normalized distance of each of n groups of
+        neighbors, given each neighbor's group and reward: the group's
+        largest reward under the adaptive mode (-inf for a group with
+        none), C under a fixed cost and 0 for averagers."""
+        if self.kind != "adaptive":
+            return np.full(n, self.c if self.kind == "fixed" else 0.0)
+        coef = np.full(n, -np.inf)
+        np.maximum.at(coef, groups, rewards)
+        return coef
 
     def label(self) -> str:
         if self.kind == "fixed":
@@ -209,21 +215,14 @@ def mdp_from_table(index: NeighborIndex, table: tuple, k: int, alpha: float,
 def shaped_reward(index: NeighborIndex, table: tuple,
                   mode: PenaltyMode) -> np.ndarray:
     """(|core|, |actions|) shaped rewards of the core states' table: each
-    pair's sum of r_i - coef * d'_i in neighbor order over its neighbor
-    count, 0 for a pair with none."""
+    pair's mean of r_i - coef * d'_i, summed in neighbor order, 0 for a
+    pair with no neighbors."""
     size = len(index.core) * index.action_count
     pairs, sources, norm_dist = table
-    counts = np.bincount(pairs, minlength=size)
     r = index.batch.r[sources]
-    if mode.kind == "adaptive":     # r_max: the largest reward of each pair
-        coef = np.full(size, -np.inf)
-        np.maximum.at(coef, pairs, r)
-    else:
-        coef = np.full(size, mode.coefficient(r))
-    total = row_sums(pairs, r - coef[pairs] * norm_dist, size)
-    reward = np.zeros(size)
-    np.divide(total, counts, out=reward, where=counts > 0)
-    return reward.reshape(len(index.core), index.action_count)
+    coef = mode.coefficients(pairs, r, size)
+    return row_means(pairs, r - coef[pairs] * norm_dist, size).reshape(
+        len(index.core), index.action_count)
 
 
 def landing_rows(index: NeighborIndex,

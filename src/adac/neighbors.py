@@ -332,16 +332,15 @@ def prefix(table: tuple[np.ndarray, np.ndarray, np.ndarray], k: int
     return pairs[keep], sources[keep], norm_dist[keep]
 
 
-def row_sums(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Per row of a row-major table of n rows, the sum of its values, added
-    one rank at a time so that each row sums in table order, bit for bit
-    the sequential sum; empty rows sum to 0."""
-    rank = group_rank(rows)
-    total = np.zeros(n)
-    for r in range(int(rank.max(initial=-1)) + 1):
-        at = rank == r
-        total[rows[at]] += values[at]
-    return total
+def row_means(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per row of a table of n rows, the mean of its values: their sum in
+    table order over the row's count, 0 for an empty row. `np.bincount`
+    adds the weights one entry at a time in input order, so each sum is bit
+    for bit the sequential sum, where numpy's pairwise sum reorders at 8 or
+    more terms."""
+    counts = np.bincount(rows, minlength=n)
+    return np.divide(np.bincount(rows, values, n), counts, out=np.zeros(n),
+                     where=counts > 0)
 
 
 def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:

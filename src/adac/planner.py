@@ -27,21 +27,22 @@ this stops no later than a test on the sup-norm of D against
 tol (1 - gamma) / gamma would.
 
 The lookup acts from any state: `lookup_q` gives every action's Q from
-one neighbor query over all actions, and `greedy_action` takes its
-argmax. Ties in action selection always resolve to the lowest action
-index.
+one neighbor query over all actions, reduced as the derivation reduces
+its table (`PenaltyMode.coefficients`, then `neighbors.row_means` of
+each neighbor's shaped reward plus its discounted landing value), and
+`greedy_action` takes its argmax. Ties in action selection always
+resolve to the lowest action index.
 """
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import State, number_array, only, read_json
 from .derivation import DerivedMdp
-from .neighbors import NeighborIndex
+from .neighbors import NeighborIndex, row_means
 
 
 # evaluation sweeps of the greedy policy after each full backup
@@ -134,38 +135,30 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
 
 def lookup_q(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
              s: State) -> np.ndarray:
-    """Q-values of an arbitrary state, one per action, from its neighbors'
-    shaped reward plus the discounted solved values of their landing core
-    states.
+    """Q-values of an arbitrary state, one per action: over its neighbors,
+    the mean of the shaped reward r_i - coef * d'_i plus the discounted
+    solved value of the neighbor's landing core state.
 
     The neighbors are the derivation's: the MDP's k, alpha and penalty
     mode over the index it was derived with, found for all actions in one
-    `NeighborIndex.query`. An action with no neighbors looks up 0, the
-    pessimistic floor used throughout the derivation. At a core state the
-    shaped reward is the MDP's reward bit for bit, but the lookup is not
-    the solved Q table: it uses the final values once, and an empty pair
-    looks up 0 where the table holds gamma times the state's value.
+    `NeighborIndex.query` and reduced with the derivation's own
+    coefficient rule and per-pair mean, one sum per action in neighbor
+    order. An action with no neighbors looks up 0, the pessimistic floor
+    used throughout the derivation. At a core state with all values 0 the
+    lookup is the MDP's reward bit for bit; with the solved values it is
+    the MDP's reward plus gamma times the expected value of the landing
+    distribution up to rounding, as the continuation joins the same sum.
+    It is not the solved Q table: it uses the final values once, and an
+    empty pair looks up 0 where the table holds gamma times the state's
+    value.
     """
     actions, sources, norm_dist = index.query(s, mdp.k, mdp.alpha)
-    q = np.zeros(mdp.action_count)
-    rewards = index.batch.r[sources].tolist()
-    landing = index.landing[sources].tolist()
-    ends = np.searchsorted(actions, np.arange(mdp.action_count + 1)).tolist()
-    norm_dist = norm_dist.tolist()
-    for a, (lo, hi) in enumerate(zip(ends, ends[1:])):
-        if lo == hi:
-            continue
-        own = rewards[lo:hi]
-        coef = mdp.mode.coefficient(own)
-        total = 0.0
-        for r, d in zip(own, norm_dist[lo:hi]):
-            total += r - coef * d
-        # the continuation sums over landings in first-occurrence order
-        landings = Counter(landing[lo:hi])
-        cont = sum(hits / len(own) * solution.values[j]
-                   for j, hits in landings.items())
-        q[a] = total / len(own) + mdp.gamma * cont
-    return q
+    r = index.batch.r[sources]
+    coef = mdp.mode.coefficients(actions, r, mdp.action_count)
+    # the continuation stays inside the one sum per action
+    return row_means(actions, r - coef[actions] * norm_dist + mdp.gamma
+                     * solution.values[index.landing[sources]],
+                     mdp.action_count)
 
 
 def greedy_action(mdp: DerivedMdp, solution: Solution, index: NeighborIndex,
@@ -208,17 +201,22 @@ def _solution_from_doc(doc: dict) -> Solution:
 
 def check_artifacts(index: NeighborIndex, mdp: DerivedMdp,
                     solution: Solution) -> None:
-    """ValueError unless the MDP was derived with the index (its batch's
-    core states, its norm and its diameter) and the solution has the
-    MDP's shape."""
+    """ValueError unless the MDP was derived with the index and the
+    solution has the MDP's shape."""
+    check_index(index, mdp)
+    n, actions = mdp.num_states(), mdp.action_count
+    if solution.q.shape != (n, actions):
+        raise ValueError(
+            f"solution of q shape {solution.q.shape} does not fit an MDP of "
+            f"{n} core states and {actions} actions")
+
+
+def check_index(index: NeighborIndex, mdp: DerivedMdp) -> None:
+    """ValueError unless the MDP was derived with the index: its batch's
+    core states, its norm and its diameter."""
     if index.core != mdp.core:
         raise ValueError("the source batch's core states differ from the "
                          "MDP's: not the batch it was derived from")
     if (index.norm, index.diameter) != (mdp.norm, mdp.diameter):
         raise ValueError(f"index norm {index.norm} and diameter {index.diameter!r}"
                          f" differ from the MDP's {mdp.norm} and {mdp.diameter!r}")
-    n, actions = mdp.num_states(), mdp.action_count
-    if solution.q.shape != (n, actions):
-        raise ValueError(
-            f"solution of q shape {solution.q.shape} does not fit an MDP of "
-            f"{n} core states and {actions} actions")

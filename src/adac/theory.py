@@ -21,8 +21,8 @@ import numpy as np
 
 from .dataset import Batch
 from .derivation import DerivedMdp, PenaltyMode
-from .neighbors import NeighborIndex, build_index, distances, row_sums
-from .planner import Solution, check_artifacts
+from .neighbors import NeighborIndex, build_index, distances, row_means
+from .planner import Solution, check_artifacts, check_index
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,13 @@ def value_gap(epsilon_s: float, d_bar: float, r_max: float,
 
 
 def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
-    """Worst-case mean normalized neighbor distance over derivation queries."""
+    """Worst-case mean normalized neighbor distance over derivation queries,
+    with the index the MDP was derived with (ValueError otherwise)."""
+    check_index(index, mdp)
     pairs, _, norm_dist = index.search(index.core, mdp.k, mdp.alpha)
-    size = mdp.num_states() * index.action_count
     # an empty pair's mean reads 0, which never raises the maximum
-    counts = np.maximum(np.bincount(pairs, minlength=size), 1)
-    return float(np.max(row_sums(pairs, norm_dist, size) / counts,
-                        initial=0.0))
+    return float(np.max(row_means(pairs, norm_dist, mdp.num_states()
+                                  * index.action_count), initial=0.0))
 
 
 def pac_bound(batch: Batch, mdp: DerivedMdp, solution: Solution,
@@ -161,6 +161,8 @@ def canonical_shaping(k: int, r_max: float, d_near: float, d_far: float,
             and 0 <= d_far < math.inf):
         raise ValueError("r_max must be finite and >= 1 and the distances "
                          f"finite and >= 0, got {(r_max, d_near, d_far)}")
-    coef = mode.coefficient((1.0, r_max))
+    # one group holding both rewards
+    coef = float(mode.coefficients(np.zeros(2, dtype=int),
+                                   np.array([1.0, r_max]), 1)[0])
     total = (k - 1) * (1.0 - coef * d_near) + (r_max - coef * d_far)
     return total / k

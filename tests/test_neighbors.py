@@ -538,20 +538,26 @@ class TestDiameter:
         assert d == best
 
 
-class TestRowSums:
-    def test_rows_sum_in_table_order(self):
-        # magnitudes far apart, so any other summation order rounds differently
+class TestRowMeans:
+    def test_rows_average_in_table_order(self):
+        # magnitudes far apart, so any other summation order rounds
+        # differently; rows of 8 or more terms, where numpy's pairwise sum
+        # would reorder, and empty rows, the last two past the table's end
         rng = np.random.default_rng(26)
         lengths = rng.integers(0, 20, size=50)
+        assert (lengths == 0).any() and (lengths >= 8).sum() > 20
         rows = np.repeat(np.arange(50), lengths)
         values = (rng.standard_normal(len(rows))
                   * 10.0 ** rng.integers(-8, 9, size=len(rows)))
-        got = neighbors.row_sums(rows, values, 52)
+        got = neighbors.row_means(rows, values, 52)
         for row in range(52):
+            terms = values[rows == row].tolist()
             total = 0.0
-            for x in values[rows == row].tolist():
+            for x in terms:
                 total += x
-            assert got[row] == total
+            assert got[row] == (total / len(terms) if terms else 0.0)
+        empty = neighbors.row_means(rows[:0], values[:0], 3)
+        assert empty.tolist() == [0.0] * 3
 
 
 class TestScaling:

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,22 +32,21 @@ def tiny_mdp(gamma=0.5):
 
 def scalar_lookup_q(mdp, solution, index, table, a):
     """Q of one action the one-state-one-action way: the neighbors at pair
-    id a of table, one state's search([s], mdp.k, mdp.alpha), the reward
-    summed in neighbor order and the continuation over landings in
-    first-occurrence order."""
+    id a of table, one state's search([s], mdp.k, mdp.alpha), with their
+    own coefficient rule, and the sum of r - coef * d' + gamma * V(landing)
+    in neighbor order over their count."""
     pairs, sources, norm_dist = table
     sources, norm_dist = sources[pairs == a], norm_dist[pairs == a]
     if not len(sources):
         return 0.0
     transitions = [index.batch.transitions[i] for i in sources.tolist()]
-    coef = mdp.mode.coefficient([tr.r for tr in transitions])
+    coef = {"averagers": 0.0, "fixed": mdp.mode.c,
+            "adaptive": max(tr.r for tr in transitions)}[mdp.mode.kind]
     total = 0.0
     for tr, d in zip(transitions, norm_dist.tolist()):
-        total += tr.r - coef * d
-    landings = Counter(mdp.core.index(tr.s_next) for tr in transitions)
-    cont = sum(hits / len(sources) * solution.values[j]
-               for j, hits in landings.items())
-    return total / len(sources) + mdp.gamma * cont
+        total += (tr.r - coef * d
+                  + mdp.gamma * solution.values[mdp.core.index(tr.s_next)])
+    return total / len(sources)
 
 
 def policy_value_by_linear_solve(mdp, policy):

@@ -7,6 +7,7 @@ import pytest
 
 from adac.dataset import Transition, make_batch
 from adac.derivation import PenaltyMode, build_mdp
+from adac.evaluation import reconstruction_batch
 from adac.neighbors import build_index
 from adac.planner import value_iteration
 from adac.theory import (canonical_shaping, covering_number, d_bar_max,
@@ -174,6 +175,17 @@ class TestDBarMax:
         mdp = build_mdp(batch, k=3, alpha=math.inf, gamma=0.9,
                         mode=PenaltyMode.adaptive(), index=index)
         assert d_bar_max(mdp, index) == 0.0
+
+    @pytest.mark.parametrize("other", ["more core states", "fewer"])
+    def test_rejects_an_index_of_another_batch(self, table1, other):
+        mdp, _ = self.adaptive_mdp(table1)
+        batch = (reconstruction_batch() if other == "more core states"
+                 else make_batch(list(table1.transitions[:-1]),
+                                 table1.action_count, table1.reward_bound))
+        index = build_index(batch)
+        assert (len(index.core) > mdp.num_states()) == (other != "fewer")
+        with pytest.raises(ValueError, match="not the batch it was derived"):
+            d_bar_max(mdp, index)
 
     def test_bounded_by_alpha(self):
         rng = np.random.default_rng(52)

@@ -239,6 +239,20 @@ class TestCollect:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "51db568a1bdcccde07c1bb6ebdeddc3e8523e2dbff8c560f1e7173ec306b54df")
 
+    @pytest.mark.parametrize("k, digest", [
+        (10, "8dcf64e2d019ffc4dba3f2fd2538b6c5e20556d36feceaeeef371f69aa16cc7a"),
+        (2, "0429c0018923e411e43bad830c3fc15e13cad2288eae27ddb284ed9baef47a6c"),
+    ])
+    def test_criterion_8_solution_files_at_other_k_are_pinned(self, k, digest):
+        """The criterion-8 solution (alpha 0.8, gamma 0.99, adaptive, tol
+        1e-8) at k 10 and k 2. At k 5 no row holds more than 5 landings; at
+        k 10 rows hold up to 10, so a product that sums 8 or more terms out
+        of column order changes these bytes."""
+        mdp = build_mdp(self.criterion_8_batch(), k, 0.8, 0.99,
+                        PenaltyMode.adaptive())
+        text = solution_to_json(value_iteration(mdp, tol=1e-8))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_criterion_8_greedy_decisions_are_pinned(self):
         """The greedy policy of that MDP and solution over criterion 8's
         evaluation episodes (five of 360 steps, seeds 101-105, the clock of

@@ -28,10 +28,11 @@ sweeps reduce a shared table with the same functions, and the one-step
 lookup (`planner.lookup_q`) reduces one state's query with the same two.
 
 The transitions have one layout and one store, `DerivedMdp.stacked`: the
-CSR matrix whose row a * n + s is pair (s, a)'s landing distribution, with
-sorted columns. `landing_rows` builds it, the MDP file holds its three
-arrays, the reader builds it from them and the solver solves it;
-`DerivedMdp.transition` views it as [state][action] -> {core index: p}.
+rows of the (A * n, n) stacked matrix as three arrays (`StackedRows`, the
+compressed sparse row form), whose row a * n + s is pair (s, a)'s landing
+distribution, with increasing columns. `landing_rows` builds them, the MDP
+file holds them, the reader checks them and the solver solves them;
+`DerivedMdp.transition` views them as [state][action] -> {core index: p}.
 """
 
 import json
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .dataset import Batch, State, number_array, only, read_json
 from .neighbors import NORMS, NeighborIndex, build_index, row_means
@@ -98,6 +98,16 @@ class PenaltyMode:
         return "none" if self.kind == "averagers" else "adaptive"
 
 
+@dataclass(eq=False)
+class StackedRows:
+    """The stacked transition matrix in compressed sparse row form: row r
+    holds the shares data[indptr[r]:indptr[r + 1]] of landing on the core
+    states indices[indptr[r]:indptr[r + 1]], increasing."""
+    indptr: np.ndarray       # (|actions| * |core| + 1,) int offsets
+    indices: np.ndarray      # (entries,) int core rows
+    data: np.ndarray         # (entries,) float shares
+
+
 @dataclass
 class DerivedMdp:
     core: tuple[State, ...]
@@ -105,7 +115,7 @@ class DerivedMdp:
     reward: np.ndarray                       # (|core|, |actions|)
     # (|actions| * |core|, |core|): row a * n + s is the landing
     # distribution of pair (s, a), with sorted columns
-    stacked: sparse.csr_matrix
+    stacked: StackedRows
     gamma: float
     mode: PenaltyMode
     k: int
@@ -157,12 +167,13 @@ class TransitionView:
             raise ValueError(f"row {row!r} lands outside the {n} core states")
         indptr = stacked.indptr.copy()
         indptr[r + 1:] += len(cols) - (hi - lo)
-        self._mdp.stacked = sparse.csr_matrix(
-            (np.concatenate((stacked.data[:lo], [row[j] for j in cols],
-                             stacked.data[hi:])),
-             np.concatenate((stacked.indices[:lo], cols,
-                             stacked.indices[hi:])), indptr),
-            shape=stacked.shape)
+        self._mdp.stacked = StackedRows(
+            indptr,
+            np.concatenate((stacked.indices[:lo], np.array(cols, dtype=int),
+                            stacked.indices[hi:])),
+            np.concatenate((stacked.data[:lo],
+                            np.array([row[j] for j in cols], dtype=float),
+                            stacked.data[hi:])))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -226,7 +237,7 @@ def shaped_reward(index: NeighborIndex, table: tuple,
 
 
 def landing_rows(index: NeighborIndex,
-                 table: tuple) -> tuple[sparse.csr_matrix, list]:
+                 table: tuple) -> tuple[StackedRows, list]:
     """The stacked transition matrix of the core states' table: row a * n +
     s holds the share of pair (s, a)'s neighbors landing on each core
     state, or a self-loop for a pair without neighbors; and the sorted list
@@ -242,10 +253,8 @@ def landing_rows(index: NeighborIndex,
                                            empty * n + empty % n)),
                            return_counts=True)
     row_of = keys // n
-    stacked = sparse.csr_matrix(
-        (hits / np.maximum(counts, 1)[row_of], keys % n,
-         np.searchsorted(row_of, np.arange(n * actions + 1))),
-        shape=(n * actions, n))
+    stacked = StackedRows(np.searchsorted(row_of, np.arange(n * actions + 1)),
+                          keys % n, hits / np.maximum(counts, 1)[row_of])
     return stacked, sorted((r % n, r // n) for r in empty.tolist())
 
 
@@ -299,8 +308,8 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
     return mdp
 
 
-def _read_rows(stacked: dict, n: int, actions: int) -> sparse.csr_matrix:
-    """The matrix of a document's stacked arrays; ValueError unless they are
+def _read_rows(stacked: dict, n: int, actions: int) -> StackedRows:
+    """A document's stacked arrays; ValueError unless they are
     n * actions distributions over the n core states, indices increasing."""
     if isinstance(stacked, list):
         raise ValueError("'transition' holds the nested rows of an older MDP "
@@ -329,7 +338,7 @@ def _read_rows(stacked: dict, n: int, actions: int) -> sparse.csr_matrix:
     if not np.all(np.diff(rows * n + cols) > 0):
         raise ValueError("a transition row names a core state twice or out "
                          "of order")
-    return sparse.csr_matrix((shares, cols, ptr), shape=(size, n))
+    return StackedRows(ptr, cols, shares)
 
 
 def _check_mdp(mdp: DerivedMdp) -> None:

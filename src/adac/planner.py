@@ -1,12 +1,20 @@
 """Exact tabular solution of a derived MDP and the one-step state lookup.
 
 The solver is modified policy iteration (Puterman and Shin, 1978). Each
-outer step is one full backup, a sparse product of the value vector with
-the MDP's stacked transition matrix `DerivedMdp.stacked`, written into
-buffers made once. The greedy
-policy of that backup is then evaluated in part: EVAL_SWEEPS sweeps of
-v <- r_pi + gamma * P_pi v, where P_pi is the policy's n rows of the
-stacked matrix.
+outer step is one full backup, the product of the MDP's stacked transition
+rows `DerivedMdp.stacked` with the value vector, written into buffers made
+once. The greedy policy of that backup is then evaluated in part:
+EVAL_SWEEPS sweeps of v <- r_pi + gamma * P_pi v, where P_pi is the
+policy's n rows of the stacked matrix.
+
+Both products are a `RowProduct`: each row is summed as 0.0 plus each
+share times the value of its landing, in column order, so Q keeps the bits
+of that sequential sum. numpy's reductions are not sequential sums at 8
+terms or more, so the product lays its rows out by decreasing entry count,
+once per solve and again whenever the greedy policy changes: entry j of
+every row is then one contiguous block, and a product is one gather, one
+multiply and the blocks added in order, each into the rows that have that
+entry.
 
 The stopping test is on full backups only, and on the span of their
 change. Every row of the stacked matrix sums to 1, so for any v and
@@ -41,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import State, number_array, only, read_json
-from .derivation import DerivedMdp
+from .derivation import DerivedMdp, StackedRows
 from .neighbors import NeighborIndex, row_means
 
 
@@ -73,6 +81,61 @@ class Solution:
         self.policy = self.q.argmax(axis=1)
 
 
+class RowProduct:
+    """P v for some rows of a stacked matrix (by default all of them), each
+    row summed as 0.0 + data[lo] * v[indices[lo]] + ... in column order.
+
+    `rows` holds those rows laid out by decreasing entry count (ties in the
+    given order), and a call returns their products in that layout, in a
+    buffer that the next call overwrites. With `in_layout`, the rows are
+    one per core state and v holds the values in their layout too: v[i] is
+    the value of the state of rows[i]. The rows' indices must lie within v,
+    as the MDP's constructors and reader check."""
+
+    def __init__(self, stacked: StackedRows, rows: np.ndarray | None = None,
+                 in_layout: bool = False):
+        indptr = stacked.indptr
+        if rows is None:
+            rows = np.arange(len(indptr) - 1)
+        counts = indptr[rows + 1] - indptr[rows]
+        self.rows = rows[np.argsort(-counts, kind="stable")]
+        starts = indptr[self.rows]
+        # ends[j]: how many rows have an entry j, the first ends[j] of them
+        ends = len(rows) - np.cumsum(np.bincount(counts, minlength=1))[:-1]
+        positions = np.empty(int(ends.sum()), dtype=np.intp)
+        # a row without entries keeps its 0.0
+        self._out, self._buf = np.zeros(len(rows)), np.empty(len(positions))
+        # (sum so far, its rows, entry j of each): the sum starts at 0.0
+        self._blocks, lo = [], 0
+        for j, end in enumerate(ends.tolist()):
+            positions[lo:lo + end] = starts[:end] + j
+            head = self._out[:end]
+            self._blocks.append((head if j else 0.0, head,
+                                 self._buf[lo:lo + end]))
+            lo += end
+        indices = stacked.indices[positions]
+        if in_layout:
+            indices = _inverse(self.rows % len(rows))[indices]
+        self._indices = indices.astype(np.intp, copy=False)
+        self._data = stacked.data[positions]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        buf = self._buf
+        # the indices are checked, so clipping never acts; it is the fast mode
+        v.take(self._indices, None, buf, "clip")
+        np.multiply(buf, self._data, buf)
+        for total, head, block in self._blocks:
+            np.add(total, block, head)
+        return self._out
+
+
+def _inverse(permutation: np.ndarray) -> np.ndarray:
+    """The permutation that undoes the given one."""
+    inverse = np.empty_like(permutation)
+    inverse[permutation] = np.arange(len(permutation))
+    return inverse
+
+
 def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
                     max_iters: int = 200_000) -> Solution:
     """Solve the MDP to within tol; ConvergenceError if max_iters sweeps,
@@ -83,7 +146,8 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     gamma = mdp.gamma
     n, actions = mdp.num_states(), mdp.action_count
-    stacked = mdp.stacked
+    stacked, product = mdp.stacked, RowProduct(mdp.stacked)
+    unlayout = _inverse(product.rows)
     reward = np.ascontiguousarray(mdp.reward.T)
     states = np.arange(n)
     # each full backup writes into these buffers: Q, the new values and
@@ -93,7 +157,8 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
 
     def backup(v: np.ndarray) -> np.ndarray:
         """Action-major Q of one full backup from values v, shape (A, n)."""
-        np.multiply((stacked @ v).reshape(actions, n), gamma, out=q)
+        np.take(product(v), unlayout, out=q.reshape(-1), mode="clip")
+        np.multiply(q, gamma, out=q)
         return np.add(reward, q, out=q)
 
     def change(v_new: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -104,7 +169,7 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         return float(diff.max()), float(diff.min())
 
     threshold = math.inf if gamma == 0.0 else tol * (1.0 - gamma) / gamma
-    deltas, sweeps = [], 0
+    deltas, sweeps, greedy = [], 0, None
     while sweeps < max_iters:
         sweeps += 1
         np.max(backup(v), axis=0, out=v_new)
@@ -119,14 +184,20 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
             hi, lo = change(solution.values, v)
             solution.residual = max(hi, -lo)
             return solution
-        # partial evaluation of the greedy policy: its n rows of the stacked
-        # matrix, whose columns stay sorted
-        rows = q.argmax(axis=0) * n + states
-        p_pi, r_pi = stacked[rows], reward.ravel()[rows]
+        # partial evaluation of the greedy policy over its n rows of the
+        # stacked matrix, laid out again only when the policy changes, with
+        # the values held in that layout: u[i] is the value of state s_pi[i]
+        policy = q.argmax(axis=0)
+        if not np.array_equal(policy, greedy):
+            greedy = policy
+            p_pi = RowProduct(stacked, policy * n + states, True)
+            s_pi, r_pi = p_pi.rows % n, reward.ravel()[p_pi.rows]
+        u = v[s_pi]
         evals = min(EVAL_SWEEPS, max_iters - sweeps)
         for _ in range(evals):
-            np.multiply(p_pi @ v, gamma, out=v)
-            np.add(r_pi, v, out=v)
+            np.multiply(p_pi(u), gamma, out=u)
+            np.add(r_pi, u, out=u)
+        v[s_pi] = u
         sweeps += evals
     raise ConvergenceError(
         f"no convergence after {max_iters} sweeps, {len(deltas)} of them "

@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import adac
 from adac.dataset import Transition, make_batch
-from adac.derivation import PenaltyMode, build_mdp
+from adac.derivation import PenaltyMode, StackedRows, build_mdp
 from adac.neighbors import build_index
-from adac.planner import (EVAL_SWEEPS, ConvergenceError, greedy_action,
-                          lookup_q, solution_from_json, solution_to_json,
-                          value_iteration)
+from adac.planner import (EVAL_SWEEPS, ConvergenceError, RowProduct,
+                          greedy_action, lookup_q, solution_from_json,
+                          solution_to_json, value_iteration)
 from adac.policies import CyclicPolicy, collect
 from adac.traffic import EnvState, IntersectionEnvConfig
 
@@ -261,6 +265,87 @@ class TestValueIteration:
                         mode=PenaltyMode.adaptive())
         with pytest.raises(ValueError):
             value_iteration(mdp, tol=0.0)
+
+
+def sequential_products(stacked, rows, v):
+    """Each row's 0.0 + share * value + ... in column order, in Python
+    floats."""
+    products = []
+    for r in rows:
+        total = 0.0
+        for j in range(stacked.indptr[r], stacked.indptr[r + 1]):
+            total += float(stacked.data[j]) * float(v[stacked.indices[j]])
+        products.append(total)
+    return products
+
+
+@st.composite
+def stacked_with_values(draw):
+    """Stacked rows of 1-12 increasing columns over n states and A actions,
+    values of both signs and one policy's action per state."""
+    n, actions = draw(st.integers(1, 16)), draw(st.integers(1, 3))
+    columns = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                   max_size=min(12, n))))
+               for _ in range(actions * n)]
+    size = sum(map(len, columns))
+    shares = draw(st.lists(st.floats(0, 1), min_size=size, max_size=size))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    policy = draw(st.lists(st.integers(0, actions - 1), min_size=n,
+                           max_size=n))
+    stacked = StackedRows(np.cumsum([0] + list(map(len, columns))),
+                          np.array(sum(columns, []), dtype=int),
+                          np.array(shares))
+    return stacked, np.array(values), np.array(policy) * n + np.arange(n)
+
+
+class TestRowProduct:
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_with_values())
+    def test_every_row_is_the_sequential_sum(self, drawn):
+        """The solver's product of all rows, and of one greedy policy's rows
+        with the values in their layout, keep the bits of each row's sum in
+        column order; rows of 8 or more entries are where a pairwise or
+        blocked sum differs."""
+        stacked, v, policy_rows = drawn
+        product = RowProduct(stacked)
+        assert sorted(product.rows.tolist()) == list(range(
+            len(stacked.indptr) - 1))
+        got = product(v).tolist()
+        want = sequential_products(stacked, product.rows.tolist(), v)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        p_pi = RowProduct(stacked, policy_rows, in_layout=True)
+        assert sorted(p_pi.rows.tolist()) == sorted(policy_rows.tolist())
+        got = p_pi(v[p_pi.rows % len(v)]).tolist()
+        want = sequential_products(stacked, p_pi.rows.tolist(), v)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_the_pipeline_imports_no_scipy():
+    """Deriving, solving and acting on the worked example import numpy
+    alone."""
+    src = os.path.dirname(os.path.dirname(adac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import sys\n"
+        "import adac\n"
+        "mdp = adac.worked_example_mdp()\n"
+        "solution = adac.value_iteration(mdp)\n"
+        "index = adac.build_index(adac.worked_example_batch())\n"
+        "print([adac.greedy_action(mdp, solution, index, s)\n"
+        "       for s in mdp.core])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.partition('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    actions, modules = run.stdout.splitlines()
+    mdp = adac.worked_example_mdp()
+    solution = value_iteration(mdp)
+    index = build_index(adac.worked_example_batch())
+    assert json.loads(actions) == [greedy_action(mdp, solution, index, s)
+                                   for s in mdp.core]
+    assert modules == "[]"
 
 
 class TestLookup:

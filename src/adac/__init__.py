@@ -8,8 +8,7 @@ covering-number / sampling-error inputs of the suboptimality bound.
 """
 
 from .dataset import (Batch, BatchError, BatchStats, Transition, batch_stats,
-                      concat_batches, core_states, load_batch, make_batch,
-                      save_batch)
+                      concat_batches, load_batch, make_batch, save_batch)
 from .derivation import (DerivedMdp, PenaltyMode, build_mdp, mdp_from_json,
                          mdp_to_json)
 from .evaluation import (EvalReport, evaluate, reconstruction_batch,

@@ -362,11 +362,6 @@ def core_rows(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(first), landing
 
 
-def core_states(batch: Batch) -> list[State]:
-    """Deduplicated next-states in order of first appearance (exact equality)."""
-    return list(map(tuple, batch.s_next[core_rows(batch)[0]].tolist()))
-
-
 def batch_stats(batch: Batch) -> BatchStats:
     counts = np.bincount(batch.a, minlength=batch.action_count)
     return BatchStats(len(batch), dict(enumerate(counts.tolist())),

@@ -31,8 +31,10 @@ The transitions have one layout and one store, `DerivedMdp.stacked`: the
 rows of the (A * n, n) stacked matrix as three arrays (`StackedRows`, the
 compressed sparse row form), whose row a * n + s is pair (s, a)'s landing
 distribution, with increasing columns. `landing_rows` builds them, the MDP
-file holds them, the reader checks them and the solver solves them;
-`DerivedMdp.transition` views them as [state][action] -> {core index: p}.
+file holds them, `check_rows` checks them and the solver solves them.
+`DerivedMdp.transition` reads and writes them as [state][action] -> {core
+index: p}; it is the hook through which the bench edits one row, and a
+written row passes `check_rows` too.
 """
 
 import json
@@ -108,7 +110,7 @@ class StackedRows:
     data: np.ndarray         # (entries,) float shares
 
 
-@dataclass
+@dataclass(eq=False)
 class DerivedMdp:
     core: tuple[State, ...]
     action_count: int
@@ -136,9 +138,8 @@ class DerivedMdp:
 class TransitionView:
     """mdp.transition[s][a]: pair (s, a)'s row of the stacked matrix as a
     {core index: p} dict of Python ints and floats, built on each read.
-    mdp.transition[s][a] = row writes the row into the matrix. A view
-    compares equal to another view or to nested lists of dicts with the
-    same rows."""
+    mdp.transition[s][a] = row writes the row into the matrix, unless the
+    matrix would then fail `check_rows`."""
 
     def __init__(self, mdp: DerivedMdp, s: int | None = None):
         self._mdp, self._s = mdp, s
@@ -167,24 +168,15 @@ class TransitionView:
             raise ValueError(f"row {row!r} lands outside the {n} core states")
         indptr = stacked.indptr.copy()
         indptr[r + 1:] += len(cols) - (hi - lo)
-        self._mdp.stacked = StackedRows(
+        spliced = StackedRows(
             indptr,
             np.concatenate((stacked.indices[:lo], np.array(cols, dtype=int),
                             stacked.indices[hi:])),
             np.concatenate((stacked.data[:lo],
                             np.array([row[j] for j in cols], dtype=float),
                             stacked.data[hi:])))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (TransitionView, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other))
-
-    __hash__ = None
+        check_rows(spliced, n, self._mdp.action_count)
+        self._mdp.stacked = spliced
 
 
 def check_params(k: int, alpha: float, gamma: float) -> None:
@@ -309,16 +301,23 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
 
 
 def _read_rows(stacked: dict, n: int, actions: int) -> StackedRows:
-    """A document's stacked arrays; ValueError unless they are
-    n * actions distributions over the n core states, indices increasing."""
+    """A document's stacked arrays; ValueError unless they pass
+    `check_rows`."""
     if isinstance(stacked, list):
         raise ValueError("'transition' holds the nested rows of an older MDP "
                          "file: derive the MDP again from its batch")
-    indptr, indices, data = (stacked[key] for key in ("indptr", "indices",
-                                                      "data"))
-    ptr = number_array(indptr, "transition", 1, integers=True)
-    cols = number_array(indices, "transition", 1, integers=True)
-    shares = number_array(data, "transition", 1)
+    rows = StackedRows(
+        number_array(stacked["indptr"], "transition", 1, integers=True),
+        number_array(stacked["indices"], "transition", 1, integers=True),
+        number_array(stacked["data"], "transition", 1))
+    check_rows(rows, n, actions)
+    return rows
+
+
+def check_rows(stacked: StackedRows, n: int, actions: int) -> None:
+    """ValueError unless the stacked arrays are n * actions distributions
+    over the n core states, indices increasing."""
+    ptr, cols, shares = stacked.indptr, stacked.indices, stacked.data
     size = n * actions
     if not (len(ptr) == size + 1 and ptr[0] == 0 and np.all(np.diff(ptr) >= 0)
             and ptr[-1] == len(cols) == len(shares)):
@@ -326,19 +325,21 @@ def _read_rows(stacked: dict, n: int, actions: int) -> StackedRows:
                          f"rising from 0 to {len(cols)} indices and "
                          f"{len(shares)} shares")
     rows = np.repeat(np.arange(size), np.diff(ptr))
-    outside = np.bincount(rows, (cols < 0) | (cols >= n) | (shares < 0), size)
+    # a NaN share is not >= 0
+    outside = np.bincount(rows, (cols < 0) | (cols >= n) | ~(shares >= 0),
+                          size)
     # an empty row sums to 0
     bad = (outside > 0) | (abs(np.bincount(rows, shares, size) - 1) > 1e-12)
     if bad.any():
         r = int(np.argmax(bad))
-        lo, hi = indptr[r], indptr[r + 1]
+        lo, hi = ptr[r], ptr[r + 1]
+        entries = list(zip(cols[lo:hi].tolist(), shares[lo:hi].tolist()))
         raise ValueError(f"transition row ({r % n}, {r // n}) is not a "
                          f"distribution over the {n} core states: "
-                         f"{list(zip(indices[lo:hi], data[lo:hi]))[:8]}")
+                         f"{entries[:8]}")
     if not np.all(np.diff(rows * n + cols) > 0):
         raise ValueError("a transition row names a core state twice or out "
                          "of order")
-    return StackedRows(ptr, cols, shares)
 
 
 def _check_mdp(mdp: DerivedMdp) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import State, Transition, only, read_json
+from .dataset import State, only, read_json
 
 # numpy's largest Poisson rate: the int64 maximum less ten of its square roots
 POISSON_MAX = float(np.iinfo(np.int64).max
@@ -102,21 +102,13 @@ class EnvState:
 class RolloutResult:
     """One episode as columns: the horizon + 1 observations (the start's
     first; the policy saw all but the last), the actions as the policy
-    returned them and the rewards; `transitions` is a row view of them,
-    built on each use."""
+    returned them and the rewards."""
     cumulative_reward: float
     discounted_return: float
     observations: list[State] = field(repr=False)
     actions: list = field(repr=False)
     rewards: list[float] = field(repr=False)
     traj_id: int = 0
-
-    @property
-    def transitions(self) -> list[Transition]:
-        obs = self.observations
-        return [Transition(s, a, r, s_next, self.traj_id, j)
-                for j, (s, a, r, s_next) in enumerate(
-                    zip(obs, self.actions, self.rewards, obs[1:]))]
 
 
 def _rates(config: IntersectionEnvConfig, t0: int,

@@ -109,6 +109,14 @@ def brute_force_mdp(batch, k, alpha, mode, diam=None, dist=euclid):
     return core, reward, transition, empty
 
 
+def mdp_rows(mdp):
+    """The MDP's transition rows as nested lists, as brute_force_mdp gives
+    them: mdp_rows(mdp)[si][a] is the {core index: probability} dict of
+    pair (si, a)."""
+    return [[mdp.transition[si][a] for a in range(mdp.action_count)]
+            for si in range(mdp.num_states())]
+
+
 def brute_force_value_iteration(mdp, tol, max_iters=200_000):
     """Reference modified policy iteration in plain Python over the dict rows.
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from adac import dataset
 from adac.dataset import (COLUMNS, BatchError, Transition, batch_stats,
-                          concat_batches, core_states, load_batch, make_batch,
-                          save_batch)
+                          concat_batches, load_batch, make_batch, save_batch)
+from adac.neighbors import build_index
 
 from conftest import brute_force_save_batch, random_batch
 
@@ -296,14 +296,18 @@ class TestValidation:
 
 
 class TestCoreStates:
+    """The index's core states: the distinct next states in order of first
+    appearance."""
+
     def test_worked_example_order(self, table1):
-        assert core_states(table1) == [
-            (3.0, 3.0), (1.0, 5.0), (2.0, 3.0), (6.0, 1.0), (0.0, 5.0)]
+        assert build_index(table1).core == (
+            (3.0, 3.0), (1.0, 5.0), (2.0, 3.0), (6.0, 1.0), (0.0, 5.0))
 
     def test_all_identical_next_states(self):
         rows = [Transition((float(t), 0.0), 0, 1.0, (9.0, 9.0), 0, t)
                 for t in range(5)]
-        assert core_states(make_batch(rows)) == [(9.0, 9.0)]
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            assert build_index(make_batch(rows)).core == ((9.0, 9.0),)
 
     def test_matches_brute_force_dedup_on_reconstruction(self):
         from adac.evaluation import reconstruction_batch
@@ -312,12 +316,13 @@ class TestCoreStates:
         for tr in batch.transitions:   # first-appearance scan, list membership
             if tr.s_next not in expected:
                 expected.append(tr.s_next)
-        assert core_states(batch) == expected
-        assert len(set(core_states(batch))) == len(core_states(batch))
+        core = build_index(batch).core
+        assert list(core) == expected
+        assert len(set(core)) == len(core)
 
     def test_every_core_state_is_some_next_state(self, table1):
         nexts = {tr.s_next for tr in table1.transitions}
-        assert set(core_states(table1)) == nexts
+        assert set(build_index(table1).core) == nexts
 
 
 class TestBatchStats:
@@ -510,5 +515,4 @@ class TestColumns:
         pac_bound(batch, mdp, solution, 0.1)
         covering_number(index, 0.5)
         batch_stats(batch)
-        core_states(batch)
         assert "transitions" not in vars(batch)

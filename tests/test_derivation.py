@@ -18,7 +18,7 @@ from adac.planner import value_iteration
 
 from conftest import (DEEP_JSON, brute_force_knn, brute_force_mdp,
                       brute_force_value_iteration, euclid, json_values,
-                      manhattan, random_batch, scale_batch)
+                      manhattan, mdp_rows, random_batch, scale_batch)
 
 SQRT52 = math.sqrt(52)
 
@@ -178,7 +178,7 @@ class TestModeAlgebra:
             a = derive(batch, PenaltyMode.fixed(0.0), index=index)
             b = derive(batch, PenaltyMode.averagers(), index=index)
             assert np.array_equal(a.reward, b.reward)
-            assert a.transition == b.transition
+            assert mdp_rows(a) == mdp_rows(b)
 
     def test_fixed_monotone_in_c(self):
         rng = np.random.default_rng(34)
@@ -224,7 +224,7 @@ class TestScalingInvariance:
         mdp1 = derive(batch, PenaltyMode.adaptive(), k=4)
         mdp2 = derive(scale_batch(batch, 2.0), PenaltyMode.adaptive(), k=4)
         assert np.array_equal(mdp1.reward, mdp2.reward)
-        assert mdp1.transition == mdp2.transition
+        assert mdp_rows(mdp1) == mdp_rows(mdp2)
         assert mdp1.empty_pairs == mdp2.empty_pairs
 
     def test_arbitrary_scale_close(self):
@@ -234,7 +234,7 @@ class TestScalingInvariance:
         mdp2 = derive(scale_batch(batch, 3.7), PenaltyMode.fixed(1.5), k=4,
                       alpha=0.8)
         assert np.allclose(mdp1.reward, mdp2.reward, atol=1e-9)
-        assert mdp1.transition == mdp2.transition
+        assert mdp_rows(mdp1) == mdp_rows(mdp2)
 
 
 class TestOracleAgreement:
@@ -269,7 +269,7 @@ class TestOracleAgreement:
             dist=euclid if norm == "euclidean" else manhattan)
         assert list(mdp.core) == core
         assert mdp.reward == pytest.approx(np.array(reward), abs=1e-12)
-        assert mdp.transition == transition
+        assert mdp_rows(mdp) == transition
         assert mdp.empty_pairs == empty
 
     def test_rewards_against_brute_force(self, table1):
@@ -292,8 +292,10 @@ class TestTransitionView:
     def test_reads_are_dicts_of_python_numbers(self, table1):
         mdp = derive(table1, PenaltyMode.adaptive())
         assert len(mdp.transition) == mdp.num_states()
+        # iteration stops at the IndexError past the last state or action
+        assert len(list(mdp.transition)) == mdp.num_states()
         for per_state in mdp.transition:
-            assert len(per_state) == mdp.action_count
+            assert len(list(per_state)) == mdp.action_count
             for row in per_state:
                 assert type(row) is dict and row
                 assert all(type(j) is int and type(p) is float
@@ -340,8 +342,8 @@ class TestTransitionView:
         assert sol.q.tolist() != value_iteration(mdp, tol=1e-9).q.tolist()
         text = mdp_to_json(edited)
         back = mdp_from_json(text)
-        assert back.transition == edited.transition
-        assert back.transition != mdp.transition
+        assert mdp_rows(back) == mdp_rows(edited)
+        assert mdp_rows(back) != mdp_rows(mdp)
         assert mdp_to_json(back) == text
 
     def test_a_row_must_land_on_core_states(self, table1):
@@ -352,6 +354,34 @@ class TestTransitionView:
                 mdp.transition[0][0] = row
         with pytest.raises(TypeError):
             mdp.transition[0] = [{0: 1.0}, {0: 1.0}]
+
+    @pytest.mark.parametrize("row", [{0: 0.5}, {0: 2.0}, {0: math.nan},
+                                     {0: -0.5, 1: 1.5}, {}])
+    def test_a_written_row_must_be_a_distribution(self, row):
+        # a row that does not sum to 1 would void the solver's stopping
+        # rule, and so tol's bound on the value error
+        mdp = worked_example_mdp()
+        keys = ("indptr", "indices", "data")
+        before = [getattr(mdp.stacked, key).copy() for key in keys]
+        with pytest.raises(ValueError, match="not a distribution"):
+            mdp.transition[0][0] = row
+        for key, want in zip(keys, before):
+            got = getattr(mdp.stacked, key)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        mdp.transition[0][0] = {3: 1.0}
+        assert mdp.transition[0][0] == {3: 1.0}
+
+
+class TestDerivedMdp:
+    def test_equality_is_identity(self):
+        mdp, other = worked_example_mdp(), worked_example_mdp()
+        assert mdp == mdp
+        assert not mdp == other
+        assert mdp != other
+        copied = copy.deepcopy(mdp)
+        assert copied is not mdp and mdp_rows(copied) == mdp_rows(mdp)
+        assert np.array_equal(copied.reward, mdp.reward)
 
 
 _MDP_DOC = mdp_to_json(worked_example_mdp())
@@ -389,7 +419,7 @@ class TestSerialization:
         back = mdp_from_json(mdp_to_json(mdp))
         assert back.core == mdp.core
         assert np.array_equal(back.reward, mdp.reward)
-        assert back.transition == mdp.transition
+        assert mdp_rows(back) == mdp_rows(mdp)
         assert back.alpha == mdp.alpha and math.isinf(back.alpha)
         assert back.mode == mdp.mode
         assert back.diameter == mdp.diameter

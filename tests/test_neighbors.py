@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adac import neighbors
-from adac.dataset import Transition, core_states, make_batch
+from adac.dataset import Transition, make_batch
 from adac.derivation import PenaltyMode, build_mdp
 from adac.neighbors import NORMS, build_index, diameter
 
 from conftest import (brute_force_diameter, brute_force_knn, brute_force_mdp,
-                      euclid, manhattan, random_batch, scale_batch)
+                      euclid, manhattan, mdp_rows, random_batch, scale_batch)
 
 SQRT52 = math.sqrt(52)
 # fractions hit Manhattan distances on integer coordinates exactly
@@ -66,7 +66,7 @@ def check_against_brute_force(batch, states, norm, k, alpha):
         batch, k, alpha, mode, diam=index.diameter, dist=dist)
     assert list(mdp.core) == core
     assert mdp.reward == pytest.approx(np.array(reward), abs=1e-12)
-    assert mdp.transition == transition
+    assert mdp_rows(mdp) == transition
     assert mdp.empty_pairs == empty
 
 
@@ -178,7 +178,7 @@ class TestQuery:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             index = build_index(batch, norm)
-        for s in core_states(batch) + [tuple(map(float, x)) for x in extra]:
+        for s in list(index.core) + [tuple(map(float, x)) for x in extra]:
             actions, indices, norm_dist = index.query(s, k, alpha)
             assert np.all(np.diff(actions) >= 0)        # action-major
             for a in range(batch.action_count):
@@ -205,7 +205,6 @@ class TestQuery:
                              size=(10, batch.dim)).astype(float)
         if not integer_coords:
             extra = rng.uniform(0, coord_max, size=(10, batch.dim))
-        states = core_states(batch) + [tuple(map(float, x)) for x in extra]
         with pytest.MonkeyPatch.context() as mp:
             # small blocks, so one call spans several of them, and a small
             # probe, so that windows hold part of an action's points
@@ -214,6 +213,7 @@ class TestQuery:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 index = build_index(batch, norm)
+            states = list(index.core) + [tuple(map(float, x)) for x in extra]
             assert index.diameter == pytest.approx(
                 brute_force_diameter(batch, dist), rel=1e-12)
             pairs, indices, norm_dist = index.search(states, k, alpha)
@@ -251,7 +251,6 @@ class TestQuery:
                            drawn.reward_bound)
         dist = euclid if norm == "euclidean" else manhattan
         extra = rng.integers(0, coord_max + 2, size=(10, batch.dim))
-        states = core_states(batch) + [tuple(map(float, x)) for x in extra]
         with pytest.MonkeyPatch.context() as mp:
             # small blocks, so one call spans several of them, and a small
             # probe, so that windows hold part of an action's points
@@ -260,6 +259,7 @@ class TestQuery:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 index = build_index(batch, norm)
+            states = list(index.core) + [tuple(map(float, x)) for x in extra]
             table = index.search(states, k, alpha)
             for s in states:
                 for want, got in zip(index.query(s, k, alpha),
@@ -337,7 +337,8 @@ class TestQuery:
                                           (4, 0.8), (5, math.inf),
                                           (6, 0.75), (9, math.inf)])
     def test_repeated_points_match_brute_force(self, norm, k, alpha):
-        states = core_states(REPEATED) + [(0.5, 0.5), (2.0, 0.0), (0.0, 3.0)]
+        states = list(build_index(REPEATED, norm).core) + [
+            (0.5, 0.5), (2.0, 0.0), (0.0, 3.0)]
         check_against_brute_force(REPEATED, states, norm, k, alpha)
 
     @pytest.mark.parametrize("norm", NORMS)
@@ -355,7 +356,7 @@ class TestQuery:
             got = found(index, s, 0, 2)
             assert [i for i, _ in got] == [0, 2]
             assert got[0][1] == got[1][1]
-        states = core_states(batch) + [(-0.0, 0.0), (0.0, -0.0), (3.0, 0.0)]
+        states = list(index.core) + [(-0.0, 0.0), (0.0, -0.0), (3.0, 0.0)]
         for k in (1, 2, 3):
             check_against_brute_force(batch, states, norm, k, math.inf)
 
@@ -416,12 +417,8 @@ class TestWindow:
         # the last unused_actions actions have no sources
         batch = make_batch(rows, drawn.action_count + unused_actions,
                            drawn.reward_bound)
-        # core states, states far outside the cloud, and -0.0
-        states = (core_states(batch)[:30]
-                  + [tuple(map(float, x)) for x in
-                     rng.uniform(-50.0, 50.0 + coord_max, size=(4, dim))]
-                  + [(1e12,) * dim, (-1e12,) + (0.0,) * (dim - 1),
-                     (-0.0,) * dim])
+        far = [tuple(map(float, x)) for x in
+               rng.uniform(-50.0, 50.0 + coord_max, size=(4, dim))]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "PROBE", probe)
             mp.setattr(neighbors, "QUERIES", queries)
@@ -429,6 +426,10 @@ class TestWindow:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 index = build_index(batch, norm)
+            # core states, states far outside the cloud, and -0.0
+            states = (list(index.core[:30]) + far
+                      + [(1e12,) * dim, (-1e12,) + (0.0,) * (dim - 1),
+                         (-0.0,) * dim])
             pairs, indices, norm_dist = index.search(states, k, alpha)
         assert np.all(np.diff(pairs) >= 0)              # pair-major
         # state by state, the table is query's scan of every point
@@ -515,21 +516,25 @@ class TestDiameter:
             assert diameter(pts, norm) == want
 
     def test_worked_example_exact(self, table1):
-        assert diameter(core_states(table1)) == pytest.approx(math.sqrt(52),
-                                                              abs=1e-12)
+        assert diameter(build_index(table1).core) == pytest.approx(
+            math.sqrt(52), abs=1e-12)
 
     def test_achieved_by_expected_pair(self, table1):
         assert euclid((0.0, 5.0), (6.0, 1.0)) == pytest.approx(
-            diameter(core_states(table1)), abs=1e-12)
+            diameter(build_index(table1).core), abs=1e-12)
 
     def test_degenerate_cloud_sentinel(self):
         rows = [Transition((1.0, 1.0), 0, 1.0, (2.0, 2.0), 0, 0),
                 Transition((3.0, 3.0), 0, 1.0, (2.0, 2.0), 0, 1)]
+        with warnings.catch_warnings():
+            # the index's own diameter is the same degenerate one
+            warnings.simplefilter("ignore", RuntimeWarning)
+            core = build_index(make_batch(rows)).core
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            assert diameter(core_states(make_batch(rows))) == 1.0
+            assert diameter(core) == 1.0
 
     def test_manhattan_mode(self, table1):
-        d = diameter(core_states(table1), norm="manhattan")
+        d = diameter(build_index(table1).core, norm="manhattan")
         best = 0.0
         core = [(3.0, 3.0), (1.0, 5.0), (2.0, 3.0), (6.0, 1.0), (0.0, 5.0)]
         for i in range(len(core)):

@@ -146,12 +146,12 @@ class TestGreedyDerived:
 
         monkeypatch.setattr(policies, "greedy_action", counted)
         episode = rollout(config, start, GreedyDerivedPolicy(mdp, sol, index),
-                          240, rng=np.random.default_rng(6)).transitions
-        states = [tr.s for tr in episode]
+                          240, rng=np.random.default_rng(6))
+        states = episode.observations[:-1]          # the ones it acted on
         assert len(set(states)) < len(states)       # the episode revisits
         # a revisited state is looked up again: nothing is remembered
         assert calls == Counter(states)
-        assert [tr.a for tr in episode] == [
+        assert episode.actions == [
             greedy_action(mdp, sol, index, s) for s in states]
 
 

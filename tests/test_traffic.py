@@ -94,8 +94,7 @@ class TestRollout:
         config = two_flow_config()
         result = rollout(config, EnvState((1, 3)), CyclicPolicy(2), 100)
         assert result.cumulative_reward == 300.0
-        rewards = [tr.r for tr in result.transitions]
-        assert rewards[:6] == [2.0, 4.0, 2.0, 4.0, 2.0, 4.0]
+        assert result.rewards[:6] == [2.0, 4.0, 2.0, 4.0, 2.0, 4.0]
 
     def test_fixed_cycle_cumulative_400_and_recurrence(self):
         config = two_flow_config()
@@ -103,7 +102,7 @@ class TestRollout:
         result = rollout(config, EnvState((1, 3)), policy, 100)
         assert result.cumulative_reward == 400.0
         # hand-verified 4-step loop: (1,3)->(2,2)->(3,1)->(0,4)->(1,3)
-        states = [tr.s for tr in result.transitions]
+        states = result.observations
         assert states[:5] == [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (0.0, 4.0),
                               (1.0, 3.0)]
         for t in range(0, 96, 4):
@@ -119,8 +118,7 @@ class TestRollout:
         config = two_flow_config()
         result = rollout(config, EnvState((1, 3)), CyclicPolicy(2), 50,
                          gamma=0.9)
-        expected = sum((0.9 ** t) * tr.r
-                       for t, tr in enumerate(result.transitions))
+        expected = sum((0.9 ** t) * r for t, r in enumerate(result.rewards))
         assert result.discounted_return == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_conservation(self):
@@ -129,10 +127,9 @@ class TestRollout:
         start = EnvState((1, 3))
         result = rollout(config, start, CyclicPolicy(2), horizon)
         served = [0.0, 0.0]
-        for tr in result.transitions:
-            flow = tr.a
-            served[flow] += tr.r
-        final = result.transitions[-1].s_next
+        for flow, r in zip(result.actions, result.rewards):
+            served[flow] += r
+        final = result.observations[-1]
         for i, rate in enumerate((1.0, 3.0)):
             arrived = rate * horizon
             assert arrived == served[i] + final[i] - start.queues[i]
@@ -159,7 +156,7 @@ class TestRollout:
             take = min(queues[a], 3)
             queues[a] -= take
             served[a] += take
-        final = result.transitions[-1].s_next
+        final = result.observations[-1]
         assert tuple(float(q) for q in queues) == final
         for i in range(2):
             assert arrived[i] == served[i] + final[i] - start.queues[i]
@@ -172,7 +169,9 @@ class TestRollout:
                      rng=np.random.default_rng(5))
         r2 = rollout(config, EnvState((0, 0)), CyclicPolicy(2), 50,
                      rng=np.random.default_rng(5))
-        assert r1.transitions == r2.transitions
+        assert r1.observations == r2.observations
+        assert r1.actions == r2.actions
+        assert r1.rewards == r2.rewards
         assert r1.cumulative_reward == r2.cumulative_reward
 
     def test_poisson_mean_within_3_sigma(self):
@@ -214,8 +213,10 @@ class TestAgainstThePerStepLoop:
                          traj_id=3)
         rows, cumulative, discounted = brute_force_rollout(
             config, start, policy(), horizon, gamma, ref_rng, traj_id=3)
-        assert result.transitions == rows
         assert result.observations == [tr.s for tr in rows] + [rows[-1].s_next]
+        assert result.actions == [tr.a for tr in rows]
+        assert result.rewards == [tr.r for tr in rows]
+        assert result.traj_id == 3
         assert result.cumulative_reward.hex() == cumulative.hex()
         assert result.discounted_return.hex() == discounted.hex()
         # collect continues the stream across episodes

@@ -95,7 +95,7 @@ def _build_policy(args, config, seed):
         policy = GreedyDerivedPolicy(mdp, solution, index)
     else:
         raise BatchError(f"unknown policy {args.policy!r}")
-    if args.epsilon > 0:
+    if args.epsilon != 0:
         policy = EpsilonNoisyPolicy(policy, args.epsilon,
                                     config.action_count, seed)
     return policy

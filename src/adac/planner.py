@@ -10,11 +10,12 @@ policy's n rows of the stacked matrix.
 Both products are a `RowProduct`: each row is summed as 0.0 plus each
 share times the value of its landing, in column order, so Q keeps the bits
 of that sequential sum. numpy's reductions are not sequential sums at 8
-terms or more, so the product lays its rows out by decreasing entry count,
-once per solve and again whenever the greedy policy changes: entry j of
-every row is then one contiguous block, and a product is one gather, one
-multiply and the blocks added in order, each into the rows that have that
-entry.
+terms or more, so the product holds its rows as one table, entry j of
+every row in table row j, padded to the widest row with shares 0.0 (made
+once per solve and again whenever the greedy policy changes): a product
+is one gather, one multiply and the table's rows added in order. The
+padded terms leave each sum's bits as they are while the values are
+finite.
 
 The stopping test is on full backups only, and on the span of their
 change. Every row of the stacked matrix sums to 1, so for any v and
@@ -32,7 +33,8 @@ and the returned policy's own value within gamma * tol of the returned
 values: `tol` bounds the true sup-norm error from any starting values,
 not just the last change. The span is at most twice the sup-norm, so
 this stops no later than a test on the sup-norm of D against
-tol (1 - gamma) / gamma would.
+tol (1 - gamma) / gamma would. A Q table past float64's range is not
+returned: the solve raises ValueError.
 
 The lookup acts from any state: `lookup_q` gives every action's Q from
 one neighbor query over all actions, reduced as the derivation reduces
@@ -85,61 +87,47 @@ class RowProduct:
     """P v for some rows of a stacked matrix (by default all of them), each
     row summed as 0.0 + data[lo] * v[indices[lo]] + ... in column order.
 
-    `rows` holds those rows laid out by decreasing entry count (ties in the
-    given order), and a call returns their products in that layout, in a
-    buffer that the next call overwrites. With `in_layout`, the rows are
-    one per core state and v holds the values in their layout too: v[i] is
-    the value of the state of rows[i]. The rows' indices must lie within v,
-    as the MDP's constructors and reader check."""
+    The rows are held as a (W, rows) table of landing columns and shares,
+    W the widest row's entry count, and a shorter row is padded with share
+    0.0 on its own first column. A padded term is 0.0 * v, +-0.0 for a
+    finite v, and adding +-0.0 to a sum that started at 0.0 keeps its bits,
+    as round-to-nearest gives -0.0 only for -0.0 + -0.0. So for a finite v
+    a call returns each row's sequential sum, in the given row order, in a
+    buffer that the next call overwrites. Each row has at least one entry
+    and its indices lie within v, as the MDP's constructors and reader
+    check."""
 
-    def __init__(self, stacked: StackedRows, rows: np.ndarray | None = None,
-                 in_layout: bool = False):
+    def __init__(self, stacked: StackedRows, rows: np.ndarray | None = None):
         indptr = stacked.indptr
         if rows is None:
             rows = np.arange(len(indptr) - 1)
-        counts = indptr[rows + 1] - indptr[rows]
-        self.rows = rows[np.argsort(-counts, kind="stable")]
-        starts = indptr[self.rows]
-        # ends[j]: how many rows have an entry j, the first ends[j] of them
-        ends = len(rows) - np.cumsum(np.bincount(counts, minlength=1))[:-1]
-        positions = np.empty(int(ends.sum()), dtype=np.intp)
-        # a row without entries keeps its 0.0
-        self._out, self._buf = np.zeros(len(rows)), np.empty(len(positions))
-        # (sum so far, its rows, entry j of each): the sum starts at 0.0
-        self._blocks, lo = [], 0
-        for j, end in enumerate(ends.tolist()):
-            positions[lo:lo + end] = starts[:end] + j
-            head = self._out[:end]
-            self._blocks.append((head if j else 0.0, head,
-                                 self._buf[lo:lo + end]))
-            lo += end
-        indices = stacked.indices[positions]
-        if in_layout:
-            indices = _inverse(self.rows % len(rows))[indices]
-        self._indices = indices.astype(np.intp, copy=False)
-        self._data = stacked.data[positions]
+        starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
+        entry = np.arange(counts.max(initial=1))[:, None]
+        inside = entry < counts
+        positions = np.where(inside, starts + entry, starts)
+        self._indices = stacked.indices[positions].astype(np.intp, copy=False)
+        self._data = np.where(inside, stacked.data[positions], 0.0)
+        self._buf, self._out = np.empty(self._data.shape), np.zeros(len(rows))
+        # the table's rows, made once: term j of every row's sum
+        self._terms = list(self._buf)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        buf = self._buf
+        buf, out = self._buf, self._out
         # the indices are checked, so clipping never acts; it is the fast mode
         v.take(self._indices, None, buf, "clip")
         np.multiply(buf, self._data, buf)
-        for total, head, block in self._blocks:
-            np.add(total, block, head)
-        return self._out
-
-
-def _inverse(permutation: np.ndarray) -> np.ndarray:
-    """The permutation that undoes the given one."""
-    inverse = np.empty_like(permutation)
-    inverse[permutation] = np.arange(len(permutation))
-    return inverse
+        total = 0.0
+        for term in self._terms:
+            np.add(total, term, out)
+            total = out
+        return out
 
 
 def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
                     max_iters: int = 200_000) -> Solution:
     """Solve the MDP to within tol; ConvergenceError if max_iters sweeps,
-    full backups and evaluation sweeps together, do not get there."""
+    full backups and evaluation sweeps together, do not get there, and
+    ValueError if the values overflow float64."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iters < 1:
@@ -147,7 +135,6 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
     gamma = mdp.gamma
     n, actions = mdp.num_states(), mdp.action_count
     stacked, product = mdp.stacked, RowProduct(mdp.stacked)
-    unlayout = _inverse(product.rows)
     reward = np.ascontiguousarray(mdp.reward.T)
     states = np.arange(n)
     # each full backup writes into these buffers: Q, the new values and
@@ -157,8 +144,7 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
 
     def backup(v: np.ndarray) -> np.ndarray:
         """Action-major Q of one full backup from values v, shape (A, n)."""
-        np.take(product(v), unlayout, out=q.reshape(-1), mode="clip")
-        np.multiply(q, gamma, out=q)
+        np.multiply(product(v).reshape(actions, n), gamma, out=q)
         return np.add(reward, q, out=q)
 
     def change(v_new: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -176,28 +162,31 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
         hi, lo = change(v_new, v)
         deltas.append(max(hi, -lo))
         v, v_new = v_new, v
-        if (hi - lo) / 2 <= threshold:
-            # the midpoint of the bounds on v*, then one more backup from it
-            v += gamma / (1.0 - gamma) * (hi + lo) / 2
+        # hi + lo not finite: the values, or the shift below, overflow
+        if (hi - lo) / 2 <= threshold or not math.isfinite(hi + lo):
+            # the midpoint of the bounds on v*, halved before the factor so
+            # that g (hi + lo) cannot overflow, then one more backup from it
+            v += gamma / (1.0 - gamma) * ((hi + lo) / 2)
             solution = Solution(backup(v).T.copy(), sweeps, 0.0, tol,
                                 tuple(deltas))
+            if not np.isfinite(solution.q).all():
+                raise ValueError(f"the values overflow float64: the rewards "
+                                 f"are too large for gamma {gamma!r}")
             hi, lo = change(solution.values, v)
             solution.residual = max(hi, -lo)
             return solution
         # partial evaluation of the greedy policy over its n rows of the
-        # stacked matrix, laid out again only when the policy changes, with
-        # the values held in that layout: u[i] is the value of state s_pi[i]
+        # stacked matrix, whose table is made again only when the policy
+        # changes
         policy = q.argmax(axis=0)
         if not np.array_equal(policy, greedy):
             greedy = policy
-            p_pi = RowProduct(stacked, policy * n + states, True)
-            s_pi, r_pi = p_pi.rows % n, reward.ravel()[p_pi.rows]
-        u = v[s_pi]
+            rows = policy * n + states
+            p_pi, r_pi = RowProduct(stacked, rows), reward.ravel()[rows]
         evals = min(EVAL_SWEEPS, max_iters - sweeps)
         for _ in range(evals):
-            np.multiply(p_pi(u), gamma, out=u)
-            np.add(r_pi, u, out=u)
-        v[s_pi] = u
+            np.multiply(p_pi(v), gamma, out=v)
+            np.add(r_pi, v, out=v)
         sweeps += evals
     raise ConvergenceError(
         f"no convergence after {max_iters} sweeps, {len(deltas)} of them "

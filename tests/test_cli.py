@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import adac
@@ -181,6 +182,26 @@ class TestExitCodes:
         assert code == 2
         assert f"no convergence after {max_iters} sweeps" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("reward, code", [(1e306, 0), (1e307, 1)])
+    def test_solve_near_the_float64_limit(self, tmp_path, capsys, pipeline,
+                                          reward, code):
+        """Reward 1e306 at gamma 0.99 solves to values 1e308, in a file
+        that reads back; 1e307 overflows, so it exits 1 and writes
+        nothing."""
+        _, mdp, _ = pipeline
+        derived = adac.mdp_from_json(mdp.read_text())
+        derived.reward = np.full_like(derived.reward, reward)
+        big, out = tmp_path / "big.mdp.json", tmp_path / "s.json"
+        big.write_text(adac.mdp_to_json(derived))
+        got, _, err = run(capsys, "solve", "--mdp", str(big), "--out",
+                          str(out))
+        assert got == code and "Traceback" not in err
+        if code:
+            assert "overflow" in err and not out.exists()
+        else:
+            solution = adac.solution_from_json(out.read_text())
+            assert np.allclose(solution.values, 1e308, rtol=1e-12)
 
     @pytest.mark.parametrize("option, value, message", [
         ("--max-iters", "0", "max_iters"),
@@ -465,6 +486,25 @@ class TestExitCodes:
         assert f"arrival rates must be finite and non-negative, got {shown}" \
             in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("epsilon", ["-0.5", "nan", "1.5"])
+    @pytest.mark.parametrize("command", ["eval", "collect"])
+    def test_epsilon_outside_0_1_is_rejected(self, tmp_path, capsys,
+                                             command, epsilon):
+        out = tmp_path / "b.jsonl"
+        code, _, err = run(capsys, command, "--policy", "cyclic",
+                           f"--epsilon={epsilon}", "--episodes", "1",
+                           "--horizon", "5", "--out", str(out))
+        assert code == 1
+        assert "epsilon must lie in [0, 1]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_epsilon_0_keeps_the_plain_policy(self, capsys):
+        code, out, _ = run(capsys, "eval", "--policy", "cyclic",
+                           "--epsilon", "0", "--episodes", "1",
+                           "--horizon", "5")
+        assert code == 0
+        assert json.loads(out)["policy"] == "cyclic"
 
     @pytest.mark.parametrize("start", ["1", "1,2,3", "1,-2"])
     def test_start_must_fit_the_env(self, capsys, start):

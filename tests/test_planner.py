@@ -266,6 +266,30 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             value_iteration(mdp, tol=0.0)
 
+    def test_values_near_the_float64_limit_solve(self):
+        """Reward 1e306 at gamma 0.99 has the value 1e308, which float64
+        holds: the shift to the midpoint of the bounds halves before it
+        scales by gamma / (1 - gamma), so it does not overflow."""
+        mdp = dataclasses.replace(tiny_mdp(gamma=0.99),
+                                  reward=np.full((1, 1), 1e306))
+        sol = value_iteration(mdp)
+        assert sol.q[0, 0] == pytest.approx(1e308, rel=1e-12)
+        assert sol.residual <= 1e308 * 1e-12
+
+    @pytest.mark.parametrize("scale", [1e307, 1e308])
+    def test_values_past_the_float64_limit_raise(self, table1, scale):
+        """Values past float64's range raise, whether they overflow in the
+        first backup (constant rewards) or in a later sweep."""
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        for reward in (np.full_like(mdp.reward, scale),
+                       mdp.reward / mdp.reward.max() * scale):
+            mdp.reward = reward
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(ValueError, match="overflow float64"):
+                    value_iteration(mdp)
+
 
 def sequential_products(stacked, rows, v):
     """Each row's 0.0 + share * value + ... in column order, in Python
@@ -302,22 +326,32 @@ class TestRowProduct:
     @settings(max_examples=100, deadline=None)
     @given(stacked_with_values())
     def test_every_row_is_the_sequential_sum(self, drawn):
-        """The solver's product of all rows, and of one greedy policy's rows
-        with the values in their layout, keep the bits of each row's sum in
-        column order; rows of 8 or more entries are where a pairwise or
-        blocked sum differs."""
+        """The solver's product of all rows, and of one greedy policy's
+        rows, keep the bits of each row's sum in column order; rows of 8 or
+        more entries are where a pairwise or blocked sum differs."""
         stacked, v, policy_rows = drawn
-        product = RowProduct(stacked)
-        assert sorted(product.rows.tolist()) == list(range(
-            len(stacked.indptr) - 1))
-        got = product(v).tolist()
-        want = sequential_products(stacked, product.rows.tolist(), v)
+        got = RowProduct(stacked)(v).tolist()
+        want = sequential_products(stacked, range(len(stacked.indptr) - 1), v)
         assert [x.hex() for x in got] == [x.hex() for x in want]
-        p_pi = RowProduct(stacked, policy_rows, in_layout=True)
-        assert sorted(p_pi.rows.tolist()) == sorted(policy_rows.tolist())
-        got = p_pi(v[p_pi.rows % len(v)]).tolist()
-        want = sequential_products(stacked, p_pi.rows.tolist(), v)
+        got = RowProduct(stacked, policy_rows)(v).tolist()
+        want = sequential_products(stacked, policy_rows.tolist(), v)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_padding_keeps_signed_zeros(self):
+        """Rows of 1 and 9 entries in one product, over negative values, so
+        the short rows' eight padded terms are 0.0 * v = -0.0. Row 0's one
+        term is -0.0 too, and its sum stays the +0.0 it starts from; a sum
+        that started from its first term would be -0.0."""
+        v = -np.arange(1.0, 11.0)
+        stacked = StackedRows(np.array([0, 1, 10, 11]),
+                              np.array([0] + list(range(1, 10)) + [4]),
+                              np.array([0.0] + [1 / 9] * 9 + [0.5]))
+        want = sequential_products(stacked, range(3), v)
+        assert [x.hex() for x in want[::2]] == [(0.0).hex(), (-2.5).hex()]
+        got = RowProduct(stacked)(v).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        got = RowProduct(stacked, np.array([2, 1, 0]))(v).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want[::-1]]
 
 
 def test_the_pipeline_imports_no_scipy():

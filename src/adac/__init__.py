@@ -7,8 +7,8 @@ through a one-step neighbor lookup. A theory toolbox computes the
 covering-number / sampling-error inputs of the suboptimality bound.
 """
 
-from .dataset import (Batch, BatchError, BatchStats, Transition, batch_stats,
-                      concat_batches, load_batch, make_batch, save_batch)
+from .dataset import (Batch, BatchError, Transition, concat_batches,
+                      load_batch, make_batch, save_batch)
 from .derivation import (DerivedMdp, PenaltyMode, build_mdp, mdp_from_json,
                          mdp_to_json)
 from .evaluation import (EvalReport, evaluate, reconstruction_batch,
@@ -24,8 +24,7 @@ from .theory import (KWindow, PacReport, canonical_shaping, covering_number,
                      d_bar_max, k_window, pac_bound, sampling_error,
                      value_gap)
 from .traffic import (EnvState, IntersectionEnvConfig, RolloutResult,
-                      alternating_return, config_from_json, config_to_json,
-                      optimal_green_split, rates_at, rollout, step,
-                      two_flow_config)
+                      config_from_json, config_to_json, rates_at, rollout,
+                      step, two_flow_config)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Experience data types, batch validation, statistics, and JSONL serialization.
+"""Experience data types, batch validation and JSONL serialization.
 
 A batch holds its transitions as read-only arrays, one per field: states
 `s` and `s_next` (n, dim) of non-negative vehicle counts, actions `a`,
@@ -80,16 +80,6 @@ class Batch:
                          self.a.tolist(), self.r.tolist(),
                          map(tuple, self.s_next.tolist()),
                          self.traj.tolist(), self.t.tolist()))
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    count: int
-    per_action: dict[int, int]
-    reward_min: float
-    reward_max: float
-    reward_mean: float
-    dim: int
 
 
 def only(values, kinds) -> bool:
@@ -360,13 +350,6 @@ def core_rows(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     landing = np.empty(len(order), dtype=int)
     landing[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
     return np.sort(first), landing
-
-
-def batch_stats(batch: Batch) -> BatchStats:
-    counts = np.bincount(batch.a, minlength=batch.action_count)
-    return BatchStats(len(batch), dict(enumerate(counts.tolist())),
-                      float(batch.r.min()), float(batch.r.max()),
-                      float(batch.r.mean()), batch.dim)
 
 
 def concat_batches(batches) -> Batch:

@@ -66,7 +66,7 @@ def evaluate(config: IntersectionEnvConfig, policy, episodes: int,
         rng = np.random.default_rng(seeds[ep]) if stochastic else None
         t0 = ep * horizon if config.schedule is not None else 0
         result = rollout(config, EnvState(queues, t0), policy, horizon,
-                         gamma=gamma, rng=rng, traj_id=ep)
+                         gamma=gamma, rng=rng)
         returns.append(result.cumulative_reward)
         discounted.append(result.discounted_return)
     return EvalReport(

@@ -108,7 +108,6 @@ class RolloutResult:
     observations: list[State] = field(repr=False)
     actions: list = field(repr=False)
     rewards: list[float] = field(repr=False)
-    traj_id: int = 0
 
 
 def _rates(config: IntersectionEnvConfig, t0: int,
@@ -174,8 +173,7 @@ def step(config: IntersectionEnvConfig, state: EnvState, action: int,
 
 def rollout(config: IntersectionEnvConfig, start: EnvState, policy,
             horizon: int, gamma: float = 0.99,
-            rng: np.random.Generator | None = None,
-            traj_id: int = 0) -> RolloutResult:
+            rng: np.random.Generator | None = None) -> RolloutResult:
     """Run `policy` for `horizon` steps from `start`.
 
     The policy sees the queue observation and the within-episode step
@@ -199,34 +197,7 @@ def rollout(config: IntersectionEnvConfig, start: EnvState, policy,
         cumulative += reward
         discounted += (gamma ** j) * reward
     return RolloutResult(cumulative, discounted, observations, actions,
-                         rewards, traj_id)
-
-
-def optimal_green_split(rates, cycle_time: float) -> list[float]:
-    """Green durations proportional to arrival rates over one cycle."""
-    total = float(sum(rates))
-    if total <= 0:
-        raise ValueError("at least one positive arrival rate required")
-    if cycle_time <= 0:
-        raise ValueError("cycle time must be positive")
-    return [r * cycle_time / total for r in rates]
-
-
-def alternating_return(lambda1: float, lambda2: float, gamma: float) -> float:
-    """Closed-form discounted return of the idealized two-flow alternation.
-
-    Serving flow 1 on even steps and flow 2 on odd steps, with per-step
-    reward lambda_i^2 / (lambda_1 + lambda_2), sums to
-    (1/(1-g^2)) * l1^2/(l1+l2) + (g/(1-g^2)) * l2^2/(l1+l2).
-    """
-    total = lambda1 + lambda2
-    if total <= 0:
-        raise ValueError("lambda1 + lambda2 must be positive")
-    if not 0 <= gamma < 1:
-        raise ValueError("gamma must lie in [0, 1)")
-    first = lambda1 * lambda1 / total
-    second = lambda2 * lambda2 / total
-    return first / (1.0 - gamma * gamma) + gamma * second / (1.0 - gamma * gamma)
+                         rewards)
 
 
 def two_flow_config(lambda_ns: int = 1, lambda_ew: int = 3,

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adac import dataset
-from adac.dataset import (COLUMNS, BatchError, Transition, batch_stats,
-                          concat_batches, load_batch, make_batch, save_batch)
+from adac.dataset import (COLUMNS, BatchError, Transition, concat_batches,
+                          load_batch, make_batch, save_batch)
 from adac.neighbors import build_index
 
 from conftest import brute_force_save_batch, random_batch
@@ -325,52 +325,6 @@ class TestCoreStates:
         assert set(build_index(table1).core) == nexts
 
 
-class TestBatchStats:
-    def test_worked_example(self, table1):
-        stats = batch_stats(table1)
-        assert stats.count == 6
-        assert stats.per_action == {0: 3, 1: 3}
-        assert stats.reward_max == 4.0
-        assert stats.dim == 2
-
-    def test_single_row_zero_reward(self):
-        batch = make_batch([Transition((0.0,), 0, 0.0, (0.0,), 0, 0)])
-        assert batch_stats(batch).reward_mean == 0.0
-
-    def test_week_scale_aggregates_match_recount(self):
-        # seven daily episodes from the multi-flow intersection
-        from adac.policies import CyclicPolicy, collect
-        from adac.traffic import EnvState, IntersectionEnvConfig
-        config = IntersectionEnvConfig(
-            flows=(("a", 0.4), ("b", 0.6), ("c", 0.8)),
-            phases=((0,), (1,), (2,)), capacity=4, arrivals="poisson",
-            horizon=360)
-        batch = collect(config, CyclicPolicy(3), 7, 360, EnvState((0, 0, 0)),
-                        rng=np.random.default_rng(3))
-        assert len(batch) == 7 * 360
-        stats = batch_stats(batch)
-        count = 0
-        per_action = {0: 0, 1: 0, 2: 0}
-        total = 0.0
-        lo, hi = float("inf"), float("-inf")
-        for tr in batch.transitions:
-            count += 1
-            per_action[tr.a] += 1
-            total += tr.r
-            lo, hi = min(lo, tr.r), max(hi, tr.r)
-        assert stats.count == count
-        assert stats.per_action == per_action
-        assert stats.reward_min == lo and stats.reward_max == hi
-        assert stats.reward_mean == pytest.approx(total / count, abs=1e-12)
-
-    def test_count_equals_sum_of_action_counts(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            batch = random_batch(rng, n=int(rng.integers(1, 50)), actions=3)
-            stats = batch_stats(batch)
-            assert stats.count == sum(stats.per_action.values())
-
-
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
@@ -514,5 +468,4 @@ class TestColumns:
         assert policy.act((1.0, 3.0), 0) in (0, 1)
         pac_bound(batch, mdp, solution, 0.1)
         covering_number(index, 0.5)
-        batch_stats(batch)
         assert "transitions" not in vars(batch)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from adac.policies import CyclicPolicy, FixedCyclePolicy
 from adac.traffic import (POISSON_MAX, EnvState, IntersectionEnvConfig,
-                          alternating_return, config_from_json, config_to_json,
-                          optimal_green_split, rates_at, rollout, step,
-                          two_flow_config)
+                          config_from_json, config_to_json, rates_at, rollout,
+                          step, two_flow_config)
 
 from conftest import (DEEP_JSON, brute_force_rates_at, brute_force_rollout,
                       brute_force_step, json_values)
@@ -209,14 +208,12 @@ class TestAgainstThePerStepLoop:
                     else CyclicPolicy(config.action_count))
 
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        result = rollout(config, start, policy(), horizon, gamma, rng=rng,
-                         traj_id=3)
+        result = rollout(config, start, policy(), horizon, gamma, rng=rng)
         rows, cumulative, discounted = brute_force_rollout(
-            config, start, policy(), horizon, gamma, ref_rng, traj_id=3)
+            config, start, policy(), horizon, gamma, ref_rng)
         assert result.observations == [tr.s for tr in rows] + [rows[-1].s_next]
         assert result.actions == [tr.a for tr in rows]
         assert result.rewards == [tr.r for tr in rows]
-        assert result.traj_id == 3
         assert result.cumulative_reward.hex() == cumulative.hex()
         assert result.discounted_return.hex() == discounted.hex()
         # collect continues the stream across episodes
@@ -245,53 +242,6 @@ class TestMultiFlowPhases:
         nxt, reward = step(config, EnvState((5, 5, 1)), 0)
         assert reward == 3.0           # 2 from flow a, 1 from flow c
         assert nxt.queues == (3, 5, 0)
-
-
-class TestGreenSplit:
-    def test_two_flow(self):
-        assert optimal_green_split((1.0, 3.0), 4.0) == [1.0, 3.0]
-
-    def test_symmetric(self):
-        assert optimal_green_split((1.0, 1.0), 10.0) == [5.0, 5.0]
-
-    def test_three_flows(self):
-        assert optimal_green_split((2.0, 3.0, 5.0), 10.0) == [2.0, 3.0, 5.0]
-
-    def test_all_zero_rates(self):
-        with pytest.raises(ValueError):
-            optimal_green_split((0.0, 0.0), 10.0)
-
-
-class TestAlternatingReturn:
-    def test_gamma_zero(self):
-        assert alternating_return(1.0, 3.0, 0.0) == pytest.approx(0.25,
-                                                                  abs=1e-12)
-
-    def test_closed_form_value(self):
-        got = alternating_return(1.0, 3.0, 0.5)
-        assert got == pytest.approx((4 / 3) * 0.25 + (2 / 3) * 2.25,
-                                    abs=1e-12)
-
-    def test_against_partial_sums(self):
-        l1, l2, gamma = 1.0, 3.0, 0.5
-        total, term = 0.0, 0
-        while (gamma ** term) * max(l1, l2) > 1e-14:
-            lam = l1 if term % 2 == 0 else l2
-            total += (gamma ** term) * lam * lam / (l1 + l2)
-            term += 1
-        assert alternating_return(l1, l2, gamma) == pytest.approx(total,
-                                                                  abs=1e-10)
-
-    def test_symmetric_rates(self):
-        for gamma in (0.0, 0.3, 0.9):
-            got = alternating_return(2.0, 2.0, gamma)
-            assert got == pytest.approx(2.0 / (2 * (1 - gamma)), abs=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            alternating_return(0.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            alternating_return(1.0, 1.0, 1.0)
 
 
 _CONFIG_DOC = config_to_json(IntersectionEnvConfig(

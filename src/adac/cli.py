@@ -24,8 +24,8 @@ from .planner import (ConvergenceError, solution_from_json, solution_to_json,
 from .policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,
                        GreedyDerivedPolicy, ProportionalPolicy, RandomPolicy,
                        collect)
-from .traffic import (EnvState, IntersectionEnvConfig, config_from_json,
-                      two_flow_config)
+from .traffic import (EnvState, IntersectionEnvConfig, check_fit,
+                      config_from_json, two_flow_config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,6 +89,7 @@ def _build_policy(args, config, seed):
             raise BatchError("greedy policy needs --mdp, --solution, and "
                              "--source-batch")
         mdp = _load(args.mdp, mdp_from_json)
+        check_fit(config, len(mdp.core[0]), mdp.action_count, "MDP")
         solution = _load(args.solution, solution_from_json)
         source = load_batch(args.source_batch)
         index = build_index(source, mdp.norm)
@@ -202,6 +203,9 @@ def cmd_solve(args):
     print(f"solved in {solution.iterations} sweeps with "
           f"{len(solution.deltas)} policy improvements, "
           f"residual {solution.residual:.3e} -> {args.out}")
+    if solution.tol != args.tol:
+        print(f"tol widened from {args.tol:.3e} to {solution.tol:.3e}, the "
+              "float64 resolution of the values")
 
 
 def cmd_eval(args):

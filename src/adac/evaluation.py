@@ -2,11 +2,12 @@
 bundled worked example.
 
 The sweeps check their whole grid (every k, C, alpha, gamma, the episode
-seeds and the snapshot directory) before deriving anything, then search
-the core states' neighbors once, for every action, at the grid's largest
-k. Each row derives its MDP from the first k neighbors of every pair,
-which is the search at that k, so every row is bit for bit the row of its
-own `build_mdp`, solved with the module's `value_iteration`.
+seeds, the env's fit to the batch and the snapshot directory) before
+deriving anything, then search the core states' neighbors once, for every
+action, at the grid's largest k. Each row derives its MDP from the first k
+neighbors of every pair, which is the search at that k, so every row is
+bit for bit the row of its own `build_mdp`, solved with the module's
+`value_iteration`.
 
 The worked example is a six-transition two-flow dataset small enough to
 check every derived quantity by hand; reproduce_table2 recomputes its
@@ -32,7 +33,8 @@ from .neighbors import build_index, prefix
 from .planner import value_iteration
 from .policies import (CyclicPolicy, FixedCyclePolicy, GreedyDerivedPolicy,
                        collect)
-from .traffic import EnvState, IntersectionEnvConfig, rollout, two_flow_config
+from .traffic import (EnvState, IntersectionEnvConfig, check_fit, rollout,
+                      two_flow_config)
 
 
 @dataclass
@@ -124,6 +126,7 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
     modes.append(("A-DAC", PenaltyMode.adaptive()))
     check_params(k, alpha, gamma)
     _check_episodes(config, episodes, seeds)
+    check_fit(config, batch.dim, batch.action_count, "batch")
     if snapshot_dir is not None and not os.path.isdir(snapshot_dir):
         raise ValueError(f"snapshot directory {snapshot_dir!r} does not exist")
     runs = _sweep_rows(batch, norm, [(k, mode) for _, mode in modes],
@@ -151,6 +154,7 @@ def sweep_k(batch: Batch, k_values, alpha: float, gamma: float,
     for k in k_values:
         check_params(k, alpha, gamma)
     _check_episodes(config, episodes, seeds)
+    check_fit(config, batch.dim, batch.action_count, "batch")
     runs = _sweep_rows(batch, norm,
                        [(k, PenaltyMode.adaptive()) for k in k_values],
                        alpha, gamma, config, episodes, horizon, seeds, start)

@@ -33,8 +33,10 @@ and the returned policy's own value within gamma * tol of the returned
 values: `tol` bounds the true sup-norm error from any starting values,
 not just the last change. The span is at most twice the sup-norm, so
 this stops no later than a test on the sup-norm of D against
-tol (1 - gamma) / gamma would. A Q table past float64's range is not
-returned: the solve raises ValueError.
+tol (1 - gamma) / gamma would. The test cannot resolve a change below
+the float64 spacing of the largest value, so a tol below g times that
+spacing is widened to it in the returned `Solution.tol`. A Q table past
+float64's range is not returned: the solve raises ValueError.
 
 The lookup acts from any state: `lookup_q` gives every action's Q from
 one neighbor query over all actions, reduced as the derivation reduces
@@ -174,6 +176,9 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
                                  f"are too large for gamma {gamma!r}")
             hi, lo = change(solution.values, v)
             solution.residual = max(hi, -lo)
+            # the span test cannot see a change below the values' spacing
+            top = float(np.abs(solution.values).max(initial=0.0))
+            solution.tol = max(tol, gamma / (1.0 - gamma) * math.ulp(top))
             return solution
         # partial evaluation of the greedy policy over its n rows of the
         # stacked matrix, whose table is made again only when the policy

@@ -212,6 +212,17 @@ def two_flow_config(lambda_ns: int = 1, lambda_ew: int = 3,
     )
 
 
+def check_fit(config: IntersectionEnvConfig, dim: int, action_count: int,
+              what: str) -> None:
+    """ValueError unless the env has one flow per coordinate of the states
+    and one phase per action of `what`, the artifact they are from."""
+    if (len(config.flows), config.action_count) != (dim, action_count):
+        raise ValueError(f"env flow count {len(config.flows)} and phase "
+                         f"count {config.action_count} do not fit the "
+                         f"{what}'s state dimension {dim} and action count "
+                         f"{action_count}")
+
+
 def reward_bound(config: IntersectionEnvConfig) -> float:
     return float(config.capacity * max(len(p) for p in config.phases))
 

@@ -96,6 +96,9 @@ class TestPipeline:
                          r"improvements, residual", out)
         sweeps, improvements = map(int, match.groups())
         assert sweeps == json.loads(out_path.read_text())["iterations"]
+        # the two-flow values resolve a tol of 1e-9, which is kept
+        assert json.loads(out_path.read_text())["tol"] == 1e-9
+        assert "widened" not in out
         # every improvement but the last is followed by a whole evaluation
         assert sweeps == improvements + EVAL_SWEEPS * (improvements - 1)
         assert improvements > 1
@@ -187,21 +190,23 @@ class TestExitCodes:
     def test_solve_near_the_float64_limit(self, tmp_path, capsys, pipeline,
                                           reward, code):
         """Reward 1e306 at gamma 0.99 solves to values 1e308, in a file
-        that reads back; 1e307 overflows, so it exits 1 and writes
-        nothing."""
+        that reads back with the tol widened to what float64 resolves
+        there; 1e307 overflows, so it exits 1 and writes nothing."""
         _, mdp, _ = pipeline
         derived = adac.mdp_from_json(mdp.read_text())
         derived.reward = np.full_like(derived.reward, reward)
         big, out = tmp_path / "big.mdp.json", tmp_path / "s.json"
         big.write_text(adac.mdp_to_json(derived))
-        got, _, err = run(capsys, "solve", "--mdp", str(big), "--out",
-                          str(out))
+        got, stdout, err = run(capsys, "solve", "--mdp", str(big), "--out",
+                               str(out))
         assert got == code and "Traceback" not in err
         if code:
             assert "overflow" in err and not out.exists()
         else:
             solution = adac.solution_from_json(out.read_text())
             assert np.allclose(solution.values, 1e308, rtol=1e-12)
+            assert solution.tol == pytest.approx(1.976e294, rel=1e-3)
+            assert "tol widened from 1.000e-08 to 1.976e+294" in stdout
 
     @pytest.mark.parametrize("option, value, message", [
         ("--max-iters", "0", "max_iters"),
@@ -711,6 +716,37 @@ class TestEnvConfigFile:
             else:
                 assert all(float(row["mean_return"]) == horizon
                            for row in csv.DictReader(out.splitlines()))
+
+    @pytest.mark.parametrize("flows, phases, shown", [
+        (2, 3, "env flow count 2 and phase count 3"),
+        (3, 2, "env flow count 3 and phase count 2"),
+        (2, 1, "env flow count 2 and phase count 1"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "collect", "sweep-c",
+                                         "sweep-k"])
+    def test_an_env_that_does_not_fit_exits_1(self, tmp_path, capsys,
+                                              pipeline, flows, phases, shown,
+                                              command):
+        """The env needs one flow per state coordinate and one phase per
+        action of the 2-D, 2-action batch and MDP."""
+        batch, mdp, solution = pipeline
+        env, out = tmp_path / "env.json", tmp_path / "out"
+        env.write_text(config_to_json(IntersectionEnvConfig(
+            flows=tuple((f"f{i}", 1.0) for i in range(flows)),
+            phases=tuple((i % flows,) for i in range(phases)))))
+        greedy = ["--policy", "greedy", "--mdp", str(mdp),
+                  "--solution", str(solution), "--source-batch", str(batch)]
+        extra = {"eval": greedy, "collect": greedy,
+                 "sweep-c": ["--batch", str(batch), "--k", "3"],
+                 "sweep-k": ["--batch", str(batch), "--k-values", "2,3"]}
+        code, _, err = run(capsys, command, "--env", str(env),
+                           *extra[command], "--horizon", "5",
+                           "--out", str(out))
+        assert code == 1 and "Traceback" not in err
+        assert shown in err
+        what = "MDP" if command in ("eval", "collect") else "batch"
+        assert f"{what}'s state dimension 2 and action count 2" in err
+        assert not out.exists()
 
     def test_adac_seed_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAC_SEED", "42")

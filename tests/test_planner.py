@@ -276,6 +276,21 @@ class TestValueIteration:
         assert sol.q[0, 0] == pytest.approx(1e308, rel=1e-12)
         assert sol.residual <= 1e308 * 1e-12
 
+    def test_a_tol_below_the_values_resolution_is_widened(self):
+        """Values near 1e308 are only known to their float64 spacing, about
+        2e292, so a tol of 1e-9 comes back as gamma / (1 - gamma) times
+        that spacing, the least change the span test can resolve."""
+        mdp = dataclasses.replace(tiny_mdp(gamma=0.99),
+                                  reward=np.full((1, 1), 1e306))
+        sol = value_iteration(mdp, tol=1e-9)
+        assert sol.tol == 0.99 / (1 - 0.99) * math.ulp(sol.values[0])
+        assert sol.tol == pytest.approx(1.976e294, rel=1e-3)
+
+    def test_a_tol_the_values_resolve_is_kept(self):
+        sol = value_iteration(tiny_mdp(gamma=0.5), tol=1e-12)
+        assert sol.tol == 1e-12
+        assert abs(sol.values[0] - 2.0) <= sol.tol
+
     @pytest.mark.parametrize("scale", [1e307, 1e308])
     def test_values_past_the_float64_limit_raise(self, table1, scale):
         """Values past float64's range raise, whether they overflow in the

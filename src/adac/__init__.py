@@ -24,7 +24,7 @@ from .theory import (KWindow, PacReport, canonical_shaping, covering_number,
                      d_bar_max, k_window, pac_bound, sampling_error,
                      value_gap)
 from .traffic import (EnvState, IntersectionEnvConfig, RolloutResult,
-                      config_from_json, config_to_json, rates_at, rollout,
-                      step, two_flow_config)
+                      config_from_json, config_to_json, rollout, step,
+                      two_flow_config)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: collect, derive, solve, eval, sweep-c, sweep-k, bounds,
-cover, shaping-sweep, reproduce-table2, two-flow-demo. Exit code 0 on
-success, 1 on validation errors, 2 when the solver fails to converge.
-ADAC_SEED sets the default seed.
+cover, shaping-sweep, reproduce-table2, two-flow-demo; two-flow-demo takes
+no options. Exit code 0 on success, 1 on validation errors, 2 when the
+solver fails to converge. ADAC_SEED sets the default seed.
 """
 
 import argparse
@@ -75,11 +75,11 @@ def _add_metric_args(p):
     p.add_argument("--metric", dest="norm", choices=NORMS, default="euclidean")
 
 
-def _build_policy(args, config, seed):
+def _build_policy(args, config):
     if args.policy == "cyclic":
         policy = CyclicPolicy(config.action_count)
     elif args.policy == "random":
-        policy = RandomPolicy(config.action_count, seed)
+        policy = RandomPolicy(config.action_count, args.seed)
     elif args.policy == "proportional":
         policy = ProportionalPolicy(config.rates, args.period)
     elif args.policy == "fixed-cycle":
@@ -98,7 +98,7 @@ def _build_policy(args, config, seed):
         raise BatchError(f"unknown policy {args.policy!r}")
     if args.epsilon != 0:
         policy = EpsilonNoisyPolicy(policy, args.epsilon,
-                                    config.action_count, seed)
+                                    config.action_count, args.seed)
     return policy
 
 
@@ -117,13 +117,17 @@ def _add_policy_args(p):
                    help="batch the MDP was derived from (greedy policy)")
 
 
-def _add_eval_args(p):
+def _add_rollout_args(p):
     p.add_argument("--episodes", type=int, default=1)
     p.add_argument("--horizon", type=int,
                    help="steps per episode (default: the env's horizon)")
+    p.add_argument("--start", help="comma-separated start queues, e.g. 1,3")
+
+
+def _add_eval_args(p):
+    _add_rollout_args(p)
     p.add_argument("--gamma", type=float, default=0.99)
     p.add_argument("--seeds", help="comma-separated, one per episode")
-    p.add_argument("--start", help="comma-separated start queues, e.g. 1,3")
 
 
 def _horizon(args, config) -> int:
@@ -140,10 +144,10 @@ def _start_state(args, config) -> EnvState:
     return EnvState(queues)
 
 
-def _episode_seeds(args, episodes, seed):
+def _episode_seeds(args):
     if args.seeds:
         return _parse_numbers(args.seeds, "--seeds")
-    return list(range(seed, seed + episodes))
+    return list(range(args.seed, args.seed + args.episodes))
 
 
 def _write_csv(path, fieldnames, rows):
@@ -168,12 +172,11 @@ def _print_json(doc, path=None):
 
 def cmd_collect(args):
     config = _load_env(args.env)
-    seed = args.seed
-    policy = _build_policy(args, config, seed)
-    rng = np.random.default_rng(seed) if config.arrivals == "poisson" else None
+    policy = _build_policy(args, config)
     horizon = _horizon(args, config)
     batch = collect(config, policy, args.episodes, horizon,
-                    _start_state(args, config), rng=rng)
+                    _start_state(args, config),
+                    rng=np.random.default_rng(args.seed))
     save_batch(batch, args.out)
     print(f"wrote {len(batch)} transitions "
           f"({args.episodes} episodes x {horizon} steps) to {args.out}")
@@ -210,25 +213,21 @@ def cmd_solve(args):
 
 def cmd_eval(args):
     config = _load_env(args.env)
-    seed = args.seed
-    policy = _build_policy(args, config, seed)
-    seeds = (_episode_seeds(args, args.episodes, seed)
-             if config.arrivals == "poisson" else None)
+    policy = _build_policy(args, config)
     report = evaluation.evaluate(config, policy, args.episodes,
                                  _horizon(args, config), args.gamma,
-                                 seeds=seeds, start=_start_state(args, config))
+                                 seeds=_episode_seeds(args),
+                                 start=_start_state(args, config))
     _print_json(dataclasses.asdict(report), args.out)
 
 
 def cmd_sweep_c(args):
     config = _load_env(args.env)
     batch = load_batch(args.batch)
-    seeds = (_episode_seeds(args, args.episodes, args.seed)
-             if config.arrivals == "poisson" else None)
     rows = evaluation.sweep_c(
         batch, _parse_numbers(args.c_values, "--c-values", float), args.k,
         _number(args.alpha, "--alpha"), args.gamma, config, args.episodes,
-        _horizon(args, config), seeds=seeds,
+        _horizon(args, config), seeds=_episode_seeds(args),
         start=_start_state(args, config),
         norm=args.norm, snapshot_dir=args.snapshot_dir)
     _write_csv(args.out, ["c", "mean_return"], rows)
@@ -237,12 +236,10 @@ def cmd_sweep_c(args):
 def cmd_sweep_k(args):
     config = _load_env(args.env)
     batch = load_batch(args.batch)
-    seeds = (_episode_seeds(args, args.episodes, args.seed)
-             if config.arrivals == "poisson" else None)
     rows = evaluation.sweep_k(
         batch, _parse_numbers(args.k_values, "--k-values"),
         _number(args.alpha, "--alpha"), args.gamma, config, args.episodes,
-        _horizon(args, config), seeds=seeds,
+        _horizon(args, config), seeds=_episode_seeds(args),
         start=_start_state(args, config),
         norm=args.norm)
     _write_csv(args.out, ["k", "mean_return"], rows)
@@ -267,14 +264,13 @@ def cmd_cover(args):
 def cmd_shaping_sweep(args):
     rows = []
     for r_max in _parse_numbers(args.r_max_values, "--r-max-values", float):
-        modes = [("none", PenaltyMode.averagers())]
-        modes += [(f"fixed:{c:g}", PenaltyMode.fixed(c))
-                  for c in _parse_numbers(args.c_values, "--c-values", float)]
-        modes.append(("adaptive", PenaltyMode.adaptive()))
-        for label, mode in modes:
+        for mode in [PenaltyMode.averagers(),
+                     *map(PenaltyMode.fixed, _parse_numbers(
+                         args.c_values, "--c-values", float)),
+                     PenaltyMode.adaptive()]:
             value = theory.canonical_shaping(args.k, r_max, args.d_near,
                                              args.d_far, mode)
-            rows.append({"r_max": f"{r_max:g}", "mode": label,
+            rows.append({"r_max": f"{r_max:g}", "mode": mode.label(),
                          "shaped_reward": value})
     _write_csv(args.out, ["r_max", "mode", "shaped_reward"], rows)
 
@@ -301,9 +297,7 @@ def cmd_reproduce_table2(args):
 
 
 def cmd_two_flow_demo(args):
-    out = evaluation.two_flow_demo(collect_horizon=args.collect_horizon,
-                                   horizon=args.horizon)
-    _print_json(out)
+    _print_json(evaluation.two_flow_demo())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collect", help="roll out a behavior policy to JSONL")
     p.add_argument("--env", help="environment config JSON (default: two-flow)")
     _add_policy_args(p)
-    _add_eval_args(p)
+    _add_rollout_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_collect)
 
@@ -402,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("two-flow-demo",
                        help="cyclic vs derived policy on the two-flow env")
-    p.add_argument("--collect-horizon", type=int, default=10)
-    p.add_argument("--horizon", type=int, default=100)
     p.set_defaults(func=cmd_two_flow_demo)
 
     return parser

@@ -210,10 +210,8 @@ def worked_example_batch() -> Batch:
     return make_batch(transitions, action_count=2, reward_bound=4.0)
 
 
-def worked_example_mdp(mode: PenaltyMode | None = None,
-                       gamma: float = 0.99) -> DerivedMdp:
-    return build_mdp(worked_example_batch(), k=3, alpha=math.inf,
-                     gamma=gamma, mode=mode or PenaltyMode.adaptive())
+def worked_example_mdp() -> DerivedMdp:
+    return build_mdp(worked_example_batch(), k=3, alpha=math.inf)
 
 
 @dataclass
@@ -260,7 +258,7 @@ def reproduce_table2() -> list[Table2Cell]:
 # ---------------------------------------------------------------------------
 
 
-def reconstruction_batch(collect_horizon: int = 10) -> Batch:
+def reconstruction_batch() -> Batch:
     """Two cyclic trajectories from queue state (1, 3), one leading with NS
     and one with EW.
 
@@ -271,18 +269,17 @@ def reconstruction_batch(collect_horizon: int = 10) -> Batch:
     """
     config = two_flow_config()
     start = EnvState((1, 3))
-    lead_ns = collect(config, CyclicPolicy(2), 1, collect_horizon, start)
-    lead_ew = collect(config, FixedCyclePolicy([EW, NS]), 1,
-                      collect_horizon, start)
+    lead_ns = collect(config, CyclicPolicy(2), 1, 10, start)
+    lead_ew = collect(config, FixedCyclePolicy([EW, NS]), 1, 10, start)
     return concat_batches([lead_ns, lead_ew])
 
 
-def two_flow_demo(collect_horizon: int = 10, horizon: int = 100) -> dict:
+def two_flow_demo() -> dict:
     """Derive (k 3, gamma 0.99), solve, and roll out the two-flow experiment
-    end to end."""
+    end to end, each policy for the env's horizon."""
     config = two_flow_config()
     start = EnvState((1, 3))
-    batch = reconstruction_batch(collect_horizon)
+    batch = reconstruction_batch()
     index = build_index(batch)
     greedy = _greedy_policy(build_mdp(batch, 3, math.inf, 0.99,
                                       PenaltyMode.adaptive(), index=index),
@@ -293,7 +290,7 @@ def two_flow_demo(collect_horizon: int = 10, horizon: int = 100) -> dict:
         ("adac", greedy),
         ("fixed_ew_ew_ns_ew", FixedCyclePolicy([EW, EW, NS, EW])),
     ]:
-        result = rollout(config, start, policy, horizon, gamma=0.99)
+        result = rollout(config, start, policy, config.horizon, gamma=0.99)
         out[name] = result.cumulative_reward
     out["improvement"] = out["adac"] / out["cyclic"]
     out["batch_size"] = len(batch)

@@ -128,11 +128,6 @@ def _rates(config: IntersectionEnvConfig, t0: int,
     return rows + [tuple(config.schedule[-1][1])] * (steps - len(rows))
 
 
-def rates_at(config: IntersectionEnvConfig, t: int) -> tuple[float, ...]:
-    """Arrival rates in effect at environment step t."""
-    return _rates(config, t, 1)[0]
-
-
 def _arrivals(config: IntersectionEnvConfig, t0: int, steps: int,
               rng: np.random.Generator | None) -> list[list[int]]:
     """Every flow's arrivals at environment steps t0, ..., t0 + steps - 1,
@@ -200,16 +195,12 @@ def rollout(config: IntersectionEnvConfig, start: EnvState, policy,
                          rewards)
 
 
-def two_flow_config(lambda_ns: int = 1, lambda_ew: int = 3,
-                    capacity: int = 4) -> IntersectionEnvConfig:
-    """The two-flow deterministic intersection: action 0 serves NS, 1 serves EW."""
-    return IntersectionEnvConfig(
-        flows=(("NS", float(lambda_ns)), ("EW", float(lambda_ew))),
-        phases=((0,), (1,)),
-        capacity=capacity,
-        arrivals="deterministic",
-        horizon=100,
-    )
+def two_flow_config() -> IntersectionEnvConfig:
+    """The two-flow deterministic intersection: NS arrives at 1 and EW at 3
+    vehicles per step, capacity 4, horizon 100; action 0 serves NS, 1
+    serves EW."""
+    return IntersectionEnvConfig(flows=(("NS", 1.0), ("EW", 3.0)),
+                                 phases=((0,), (1,)), horizon=100)
 
 
 def check_fit(config: IntersectionEnvConfig, dim: int, action_count: int,

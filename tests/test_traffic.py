@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from adac.policies import CyclicPolicy, FixedCyclePolicy
 from adac.traffic import (POISSON_MAX, EnvState, IntersectionEnvConfig,
-                          config_from_json, config_to_json, rates_at, rollout,
-                          step, two_flow_config)
+                          config_from_json, config_to_json, rollout, step,
+                          two_flow_config)
 
-from conftest import (DEEP_JSON, brute_force_rates_at, brute_force_rollout,
-                      brute_force_step, json_values)
+from conftest import (DEEP_JSON, brute_force_rollout, brute_force_step,
+                      json_values)
 
 NS, EW = 0, 1
 
@@ -231,7 +231,6 @@ class TestAgainstThePerStepLoop:
         assert nxt == EnvState(tuple(want), t + 1)
         assert reward.hex() == want_reward.hex()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rates_at(config, t) == brute_force_rates_at(config, t)
 
 
 class TestMultiFlowPhases:
@@ -354,13 +353,14 @@ class TestConfig:
         assert type(config.capacity) is int and config.capacity >= 1
 
     def test_schedule_lookup(self):
+        # capacity above every rate serves each step's arrivals in full, so
+        # the rewards are the rates in effect
         config = IntersectionEnvConfig(
-            flows=(("n", 1.0),), phases=((0,),),
+            flows=(("n", 1.0),), phases=((0,),), capacity=9,
             schedule=((10, (2.0,)), (10, (5.0,))))
-        assert rates_at(config, 0) == (2.0,)
-        assert rates_at(config, 9) == (2.0,)
-        assert rates_at(config, 10) == (5.0,)
-        assert rates_at(config, 99) == (5.0,)   # holds past the end
+        rewards = rollout(config, EnvState((0,)), CyclicPolicy(1), 100).rewards
+        assert rewards[0] == rewards[9] == 2.0
+        assert rewards[10] == rewards[99] == 5.0   # holds past the end
 
     def test_validation(self):
         with pytest.raises(ValueError, match="integer rates"):

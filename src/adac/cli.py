@@ -83,7 +83,11 @@ def _build_policy(args, config):
     elif args.policy == "proportional":
         policy = ProportionalPolicy(config.rates, args.period)
     elif args.policy == "fixed-cycle":
-        policy = FixedCyclePolicy(_parse_numbers(args.cycle, "--cycle"))
+        cycle = _parse_numbers(args.cycle, "--cycle")
+        if not all(0 <= a < config.action_count for a in cycle):
+            raise ValueError(f"--cycle {args.cycle!r} names an action outside "
+                             f"the env's {config.action_count} phases")
+        policy = FixedCyclePolicy(cycle)
     elif args.policy == "greedy":
         if not (args.mdp and args.solution and args.source_batch):
             raise BatchError("greedy policy needs --mdp, --solution, and "

@@ -140,6 +140,14 @@ def _arrivals(config: IntersectionEnvConfig, t0: int, steps: int,
     return rng.poisson(rates).tolist()
 
 
+def _check_queues(config: IntersectionEnvConfig, queues) -> None:
+    """ValueError unless the queues are one non-negative count per flow."""
+    if len(queues) != len(config.flows) or min(queues) < 0:
+        raise ValueError(f"queues {tuple(queues)!r} do not fit the env's "
+                         f"{len(config.flows)} flows: one non-negative count "
+                         "per flow")
+
+
 def _arrive_serve(config: IntersectionEnvConfig, queues: list, arrived,
                   action: int) -> int:
     """One step on `queues`, in place: every flow gains its arrivals, then
@@ -160,6 +168,7 @@ def _arrive_serve(config: IntersectionEnvConfig, queues: list, arrived,
 def step(config: IntersectionEnvConfig, state: EnvState, action: int,
          rng: np.random.Generator | None = None) -> tuple[EnvState, float]:
     """Arrive-then-serve transition; returns (next state, vehicles served)."""
+    _check_queues(config, state.queues)
     queues = list(state.queues)
     served = _arrive_serve(config, queues,
                            _arrivals(config, state.t, 1, rng)[0], action)
@@ -177,6 +186,7 @@ def rollout(config: IntersectionEnvConfig, start: EnvState, policy,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    _check_queues(config, start.queues)
     queues = list(start.queues)
     obs = tuple(map(float, queues))
     observations, actions, rewards = [obs], [], []

@@ -110,6 +110,24 @@ class TestPipeline:
         assert code == 0
         assert json.loads(out)["mean_return"] == 300.0
 
+    @pytest.mark.parametrize("argv, name, mean_return", [
+        (["--policy", "fixed-cycle", "--cycle", "1,1,0,1"],
+         "fixed-cycle[1,1,0,1]", 400.0),
+        (["--policy", "proportional", "--period", "4"], "proportional", 398.0),
+    ])
+    def test_eval_cycle_and_period(self, capsys, argv, name, mean_return):
+        code, out, _ = run(capsys, "eval", *argv, "--episodes", "1",
+                           "--horizon", "100", "--start", "1,3")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["policy"], report["mean_return"]) == (name, mean_return)
+
+    def test_eval_rejects_period_0(self, capsys):
+        code, _, err = run(capsys, "eval", "--policy", "proportional",
+                           "--period", "0", "--start", "1,3")
+        assert code == 1
+        assert "period must be >= 1" in err and "Traceback" not in err
+
     def test_cover(self, tmp_path, capsys, pipeline):
         batch, _, _ = pipeline
         code, out, _ = run(capsys, "cover", "--batch", str(batch),
@@ -519,6 +537,39 @@ class TestExitCodes:
                            "--start", start)
         assert code == 1
         assert "--start" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cycle", ["0,5", "-1,0", "2"])
+    @pytest.mark.parametrize("command", ["eval", "collect"])
+    def test_cycle_must_fit_the_env(self, tmp_path, capsys, command, cycle):
+        # one step reaches only the first action; the check comes before it
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--policy", "fixed-cycle",
+                           f"--cycle={cycle}", "--horizon", "1",
+                           "--out", str(out))
+        assert code == 1
+        assert f"--cycle {cycle!r} names an action outside the env's 2 " \
+            "phases" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["collect", "--gamma", "0.1", "--out", "{tmp}/b.jsonl"],
+        ["collect", "--seeds", "5", "--out", "{tmp}/b.jsonl"],
+        ["two-flow-demo", "--horizon", "50"],
+        ["two-flow-demo", "--collect-horizon", "5"],
+    ])
+    def test_options_nothing_reads_are_usage_errors(self, tmp_path, capsys,
+                                                    argv):
+        code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "b.jsonl").exists()
+
+    def test_bad_seeds_are_named_on_a_deterministic_env(self, capsys):
+        code, _, err = run(capsys, "eval", "--episodes", "2",
+                           "--horizon", "5", "--seeds", "1,x")
+        assert code == 1
+        assert "--seeds: 'x' is neither an integer" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, shown", [
         (["eval", "--episodes", "1", "--horizon", "5", "--start", "1,x"],

@@ -329,6 +329,12 @@ class TestCollect:
         with pytest.raises(error, match=where + message):
             collect(two_flow_config(), Policy(), 2, 5, EnvState((1, 3)))
 
+    @pytest.mark.parametrize("start", [(0, 0, 7), (0,), (-5, 0)])
+    def test_start_must_fit_the_env(self, start):
+        # a 3-queue start used to give a batch of 3-D states
+        with pytest.raises(ValueError, match="do not fit the env's 2 flows"):
+            collect(two_flow_config(), CyclicPolicy(2), 2, 5, EnvState(start))
+
     def test_rewards_within_bound(self):
         config = two_flow_config()
         batch = collect(config, FixedCyclePolicy([1, 1, 0, 1]), 3, 30,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,12 @@ class TestStep:
         with pytest.raises(ValueError):
             step(config, EnvState((0,)), 0)
 
+    @pytest.mark.parametrize("queues", [(0, 0, 7), (0,), (-5, 0)])
+    def test_queues_must_fit_the_env(self, queues):
+        with pytest.raises(ValueError, match=re.escape(
+                f"queues {queues!r} do not fit the env's 2 flows")):
+            step(two_flow_config(), EnvState(queues), NS)
+
 
 class TestRollout:
     def test_cyclic_cumulative_300(self):
@@ -106,6 +113,14 @@ class TestRollout:
                               (1.0, 3.0)]
         for t in range(0, 96, 4):
             assert states[t] == (1.0, 3.0)
+
+    @pytest.mark.parametrize("start", [(0, 0, 7), (0,), (-5, 0)])
+    def test_start_must_fit_the_env(self, start):
+        # a start of another length used to run on, or die in the env; a
+        # negative queue used to count as vehicles served
+        with pytest.raises(ValueError, match=re.escape(
+                f"queues {start!r} do not fit the env's 2 flows")):
+            rollout(two_flow_config(), EnvState(start), CyclicPolicy(2), 100)
 
     def test_horizon_one(self):
         config = two_flow_config()

@@ -143,7 +143,7 @@ def _arrivals(config: IntersectionEnvConfig, t0: int, steps: int,
 def _check_queues(config: IntersectionEnvConfig, queues) -> None:
     """ValueError unless the queues are one non-negative count per flow."""
     if len(queues) != len(config.flows) or min(queues) < 0:
-        raise ValueError(f"queues {tuple(queues)!r} do not fit the env's "
+        raise ValueError(f"queues {queues!r} do not fit the env's "
                          f"{len(config.flows)} flows: one non-negative count "
                          "per flow")
 

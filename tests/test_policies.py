@@ -331,7 +331,6 @@ class TestCollect:
 
     @pytest.mark.parametrize("start", [(0, 0, 7), (0,), (-5, 0)])
     def test_start_must_fit_the_env(self, start):
-        # a 3-queue start used to give a batch of 3-D states
         with pytest.raises(ValueError, match="do not fit the env's 2 flows"):
             collect(two_flow_config(), CyclicPolicy(2), 2, 5, EnvState(start))
 

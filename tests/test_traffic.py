@@ -116,8 +116,6 @@ class TestRollout:
 
     @pytest.mark.parametrize("start", [(0, 0, 7), (0,), (-5, 0)])
     def test_start_must_fit_the_env(self, start):
-        # a start of another length used to run on, or die in the env; a
-        # negative queue used to count as vehicles served
         with pytest.raises(ValueError, match=re.escape(
                 f"queues {start!r} do not fit the env's 2 flows")):
             rollout(two_flow_config(), EnvState(start), CyclicPolicy(2), 100)

@@ -13,7 +13,8 @@ from adac.dataset import (COLUMNS, BatchError, load_batch, make_batch,
                           save_batch)
 from adac.derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
 from adac.neighbors import build_index
-from adac.planner import greedy_action, solution_to_json, value_iteration
+from adac.planner import (greedy_action, solution_from_json, solution_to_json,
+                          value_iteration)
 from adac.policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,
                            GreedyDerivedPolicy, ProportionalPolicy,
                            RandomPolicy, collect)
@@ -252,6 +253,39 @@ class TestCollect:
                         PenaltyMode.adaptive())
         text = solution_to_json(value_iteration(mdp, tol=1e-8))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("read_back", [False, True])
+    def test_criterion_8_arrays_are_pinned(self, read_back):
+        """The arrays of the criterion-8 MDP (k 5, alpha 0.8, gamma 0.99,
+        adaptive) and of its solution (tol 1e-8), as derived and as read
+        back from their files: dtype, shape and the sha256 of their bytes,
+        which hold whatever the files' format."""
+        mdp = build_mdp(self.criterion_8_batch(), 5, 0.8, 0.99,
+                        PenaltyMode.adaptive())
+        solution = value_iteration(mdp, tol=1e-8)
+        if read_back:
+            mdp = mdp_from_json(mdp_to_json(mdp))
+            solution = solution_from_json(solution_to_json(solution))
+        arrays = {"reward": mdp.reward, "indptr": mdp.stacked.indptr,
+                  "indices": mdp.stacked.indices, "data": mdp.stacked.data,
+                  "core": np.array(mdp.core, dtype=float), "q": solution.q}
+        pins = {
+            "reward": ("float64", (3154, 4), "0d79c466624030deeeb7594333cc5c7d"
+                       "78a674deb892ae299ae700b73904786e"),
+            "indptr": ("int64", (12617,), "85b2943b6224b6192b6cb835a1c657c3"
+                       "04a5b2741ddd1f593447adc88d67c733"),
+            "indices": ("int64", (60884,), "15babbc3e494438855663bb8cdbfcbe4"
+                        "e7fd4b0fbc89e085f89b09e9fa588517"),
+            "data": ("float64", (60884,), "b48fca156bf4423a01e6c24b8e698f77"
+                     "2011a038fc202abb06456d27f611335a"),
+            "core": ("float64", (3154, 4), "f017b20ae640663f2cc1ed1ac21c9906"
+                     "160adf4ec4997497af56283de08c11e1"),
+            "q": ("float64", (3154, 4), "7ae53d174e79925a119476a626eb6c1e"
+                  "5809ab9b035c13ca69c7ab754401a7bc"),
+        }
+        assert {name: (str(arr.dtype), arr.shape,
+                       hashlib.sha256(arr.tobytes()).hexdigest())
+                for name, arr in arrays.items()} == pins
 
     def test_criterion_8_greedy_decisions_are_pinned(self):
         """The greedy policy of that MDP and solution over criterion 8's

@@ -31,7 +31,8 @@ The transitions have one layout and one store, `DerivedMdp.stacked`: the
 rows of the (A * n, n) stacked matrix as three arrays (`StackedRows`, the
 compressed sparse row form), whose row a * n + s is pair (s, a)'s landing
 distribution, with increasing columns. `landing_rows` builds them, the MDP
-file holds them, `check_rows` checks them and the solver solves them.
+file holds them, `check_rows` checks them whenever a `DerivedMdp` is
+made (derived, read or `dataclasses.replace`d) and the solver solves them.
 `DerivedMdp.transition` reads and writes them as [state][action] -> {core
 index: p}; it is the hook through which the bench edits one row, and a
 written row passes `check_rows` too.
@@ -125,6 +126,28 @@ class DerivedMdp:
     diameter: float
     norm: str
     empty_pairs: list[tuple[int, int]]
+
+    def __post_init__(self):
+        """ValueError unless the solver can treat this as a discounted MDP."""
+        n, actions = self.num_states(), self.action_count
+        check_params(self.k, self.alpha, self.gamma)
+        if not (only([actions], int) and actions >= 1):
+            raise ValueError(f"action_count {actions!r} is not an integer "
+                             ">= 1")
+        if not (only([self.diameter], (int, float))
+                and 0 < self.diameter < math.inf):
+            raise ValueError(f"diameter {self.diameter!r} is not a finite "
+                             f"number > 0")
+        if self.norm not in NORMS:
+            raise ValueError(f"norm {self.norm!r} unknown")
+        if self.reward.shape != (n, actions):
+            raise ValueError(f"reward must have shape {(n, actions)}, got "
+                             f"shape {self.reward.shape}")
+        if not all(len(p) == 2 and 0 <= p[0] < n and 0 <= p[1] < actions
+                   for p in self.empty_pairs):
+            raise ValueError(f"empty_pairs {self.empty_pairs[:8]} are not all "
+                             f"(state, action) pairs of the MDP")
+        check_rows(self.stacked, n, actions)
 
     def num_states(self) -> int:
         return len(self.core)
@@ -276,16 +299,22 @@ def mdp_from_json(text: str) -> DerivedMdp:
 
 
 def _mdp_from_doc(doc: dict) -> DerivedMdp:
-    alpha, pairs = doc["alpha"], doc["empty_pairs"]
+    alpha, pairs, stacked = doc["alpha"], doc["empty_pairs"], doc["transition"]
     number_array(doc["core"], "core", 2)
     if pairs != []:     # [] has no second axis to check
         number_array(pairs, "empty_pairs", 2, integers=True)
-    mdp = DerivedMdp(
+    if isinstance(stacked, list):
+        raise ValueError("'transition' holds the nested rows of an older MDP "
+                         "file: derive the MDP again from its batch")
+    return DerivedMdp(
         # the document's own numbers: copies would double them at the peak
         core=tuple(map(tuple, doc["core"])),
         action_count=doc["action_count"],
         reward=number_array(doc["reward"], "reward", 2),
-        stacked=None,
+        stacked=StackedRows(
+            number_array(stacked["indptr"], "transition", 1, integers=True),
+            number_array(stacked["indices"], "transition", 1, integers=True),
+            number_array(stacked["data"], "transition", 1)),
         gamma=doc["gamma"],
         mode=PenaltyMode(doc["penalty"]["kind"], doc["penalty"]["c"]),
         k=doc["k"],
@@ -294,24 +323,6 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
         norm=doc["norm"],
         empty_pairs=list(map(tuple, pairs)),
     )
-    _check_mdp(mdp)
-    mdp.stacked = _read_rows(doc["transition"], mdp.num_states(),
-                             mdp.action_count)
-    return mdp
-
-
-def _read_rows(stacked: dict, n: int, actions: int) -> StackedRows:
-    """A document's stacked arrays; ValueError unless they pass
-    `check_rows`."""
-    if isinstance(stacked, list):
-        raise ValueError("'transition' holds the nested rows of an older MDP "
-                         "file: derive the MDP again from its batch")
-    rows = StackedRows(
-        number_array(stacked["indptr"], "transition", 1, integers=True),
-        number_array(stacked["indices"], "transition", 1, integers=True),
-        number_array(stacked["data"], "transition", 1))
-    check_rows(rows, n, actions)
-    return rows
 
 
 def check_rows(stacked: StackedRows, n: int, actions: int) -> None:
@@ -341,23 +352,3 @@ def check_rows(stacked: StackedRows, n: int, actions: int) -> None:
         raise ValueError("a transition row names a core state twice or out "
                          "of order")
 
-
-def _check_mdp(mdp: DerivedMdp) -> None:
-    """Reject anything the solver cannot treat as a discounted MDP."""
-    n, actions = mdp.num_states(), mdp.action_count
-    check_params(mdp.k, mdp.alpha, mdp.gamma)
-    if not (only([actions], int) and actions >= 1):
-        raise ValueError(f"action_count {actions!r} is not an integer >= 1")
-    if not (only([mdp.diameter], (int, float))
-            and 0 < mdp.diameter < math.inf):
-        raise ValueError(f"diameter {mdp.diameter!r} is not a finite "
-                         f"number > 0")
-    if mdp.norm not in NORMS:
-        raise ValueError(f"norm {mdp.norm!r} unknown")
-    if mdp.reward.shape != (n, actions):
-        raise ValueError(f"reward must have shape {(n, actions)}, got shape "
-                         f"{mdp.reward.shape}")
-    if not all(len(p) == 2 and 0 <= p[0] < n and 0 <= p[1] < actions
-               for p in mdp.empty_pairs):
-        raise ValueError(f"empty_pairs {mdp.empty_pairs[:8]} are not all "
-                         f"(state, action) pairs of the MDP")

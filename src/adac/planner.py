@@ -67,9 +67,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class Solution:
-    """A solve's Q table and how it stopped. The values and the policy are
-    q's row maxima and first argmaxes, set from q here and stored nowhere
-    else."""
+    """A solve's Q table and how it stopped, ValueError unless q is finite
+    and every figure in range. The values and the policy are q's row maxima
+    and first argmaxes, set from q here and stored nowhere else."""
     q: np.ndarray            # (|core|, |actions|)
     # every sweep, full backups and evaluation sweeps, but not the final
     # backup from the shifted values, which gives q
@@ -81,6 +81,19 @@ class Solution:
     policy: np.ndarray = field(init=False)   # (|core|,) int
 
     def __post_init__(self):
+        iterations, residual, tol = self.iterations, self.residual, self.tol
+        if not (self.q.ndim == 2 and np.isfinite(self.q).all()):
+            raise ValueError("'q' is not a finite 2-D array of numbers")
+        if not self.q.shape[1]:
+            raise ValueError("'q' has no action columns")
+        if not (only([iterations], int) and iterations >= 0):
+            raise ValueError(f"iterations {iterations!r} is not an integer "
+                             ">= 0")
+        if not (only([residual], (int, float)) and 0 <= residual < math.inf):
+            raise ValueError(f"residual {residual!r} is not a finite number "
+                             ">= 0")
+        if not (only([tol], (int, float)) and 0 < tol < math.inf):
+            raise ValueError(f"tol {tol!r} is not a finite positive number")
         self.values = self.q.max(axis=1)
         self.policy = self.q.argmax(axis=1)
 
@@ -96,8 +109,7 @@ class RowProduct:
     as round-to-nearest gives -0.0 only for -0.0 + -0.0. So for a finite v
     a call returns each row's sequential sum, in the given row order, in a
     buffer that the next call overwrites. Each row has at least one entry
-    and its indices lie within v, as the MDP's constructors and reader
-    check."""
+    and its indices lie within v, as `DerivedMdp` checks."""
 
     def __init__(self, stacked: StackedRows, rows: np.ndarray | None = None):
         indptr = stacked.indptr
@@ -169,17 +181,17 @@ def value_iteration(mdp: DerivedMdp, tol: float = 1e-9,
             # the midpoint of the bounds on v*, halved before the factor so
             # that g (hi + lo) cannot overflow, then one more backup from it
             v += gamma / (1.0 - gamma) * ((hi + lo) / 2)
-            solution = Solution(backup(v).T.copy(), sweeps, 0.0, tol,
-                                tuple(deltas))
-            if not np.isfinite(solution.q).all():
+            q = backup(v).T.copy()
+            if not np.isfinite(q).all():
                 raise ValueError(f"the values overflow float64: the rewards "
                                  f"are too large for gamma {gamma!r}")
-            hi, lo = change(solution.values, v)
-            solution.residual = max(hi, -lo)
+            values = q.max(axis=1)
+            hi, lo = change(values, v)
             # the span test cannot see a change below the values' spacing
-            top = float(np.abs(solution.values).max(initial=0.0))
-            solution.tol = max(tol, gamma / (1.0 - gamma) * math.ulp(top))
-            return solution
+            top = float(np.abs(values).max(initial=0.0))
+            return Solution(q, sweeps, max(hi, -lo),
+                            max(tol, gamma / (1.0 - gamma) * math.ulp(top)),
+                            tuple(deltas))
         # partial evaluation of the greedy policy over its n rows of the
         # stacked matrix, whose table is made again only when the policy
         # changes
@@ -250,18 +262,9 @@ def _solution_from_doc(doc: dict) -> Solution:
     if "values" in doc or "policy" in doc:
         raise ValueError("an older solution file, holding 'values' and "
                          "'policy': solve the MDP again")
-    q = number_array(doc["q"], "q", 2)
-    if not q.shape[1]:
-        raise ValueError("'q' has no action columns")
-    iterations, residual, tol = (doc.get(key) for key in
-                                 ("iterations", "residual", "tol"))
-    if not (only([iterations], int) and iterations >= 0):
-        raise ValueError(f"iterations {iterations!r} is not an integer >= 0")
-    if not (only([residual], (int, float)) and 0 <= residual < math.inf):
-        raise ValueError(f"residual {residual!r} is not a finite number >= 0")
-    if not (only([tol], (int, float)) and 0 < tol < math.inf):
-        raise ValueError(f"tol {tol!r} is not a finite positive number")
-    return Solution(q, iterations, residual, tol)
+    return Solution(number_array(doc["q"], "q", 2),
+                    *(doc.get(key) for key in ("iterations", "residual",
+                                               "tol")))
 
 
 def check_artifacts(index: NeighborIndex, mdp: DerivedMdp,

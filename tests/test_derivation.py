@@ -383,6 +383,31 @@ class TestDerivedMdp:
         assert copied is not mdp and mdp_rows(copied) == mdp_rows(mdp)
         assert np.array_equal(copied.reward, mdp.reward)
 
+    @pytest.mark.parametrize("edit, message", [
+        # a landing column outside the core states, which the solver's
+        # product would clip onto the last one
+        ("indices", "not a distribution over the 5 core states"),
+        # rows summing to 0.5 void the solver's stopping rule
+        ("data", "not a distribution over the 5 core states"),
+        ("reward", r"reward must have shape \(5, 2\), got shape \(5, 1\)"),
+        ("action_count", "action_count 0 is not an integer >= 1"),
+    ])
+    def test_a_replaced_mdp_must_be_an_mdp(self, edit, message):
+        # the reader's rules hold for an MDP built or replaced in memory
+        mdp = worked_example_mdp()
+        stacked = copy.deepcopy(mdp.stacked)
+        changes = {"stacked": stacked}
+        if edit == "indices":
+            stacked.indices[0] = mdp.num_states()
+        elif edit == "data":
+            stacked.data *= 0.5
+        elif edit == "reward":
+            changes = {"reward": mdp.reward[:, :1]}
+        else:
+            changes = {"action_count": 0}
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(mdp, **changes)
+
 
 _MDP_DOC = mdp_to_json(worked_example_mdp())
 
@@ -426,11 +451,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize("alpha", [math.nan, -math.inf])
     def test_only_positive_infinity_is_written_as_inf(self, table1, alpha):
-        mdp = dataclasses.replace(derive(table1, PenaltyMode.adaptive()),
-                                  alpha=alpha)
-        assert json.loads(mdp_to_json(mdp))["alpha"] != "inf"
+        # no MDP holds any other infinite alpha, and no file reads as one
+        mdp = derive(table1, PenaltyMode.adaptive())
         with pytest.raises(ValueError, match="alpha"):
-            mdp_from_json(mdp_to_json(mdp))
+            dataclasses.replace(mdp, alpha=alpha)
+        doc = json.loads(mdp_to_json(mdp))
+        doc["alpha"] = alpha
+        with pytest.raises(ValueError, match="alpha"):
+            mdp_from_json(json.dumps(doc))
 
     def test_finite_alpha_round_trip(self, table1):
         mdp = derive(table1, PenaltyMode.fixed(2.0), alpha=0.5)

@@ -606,6 +606,24 @@ class TestSolutionSerialization:
         with pytest.raises(ValueError, match=message):
             solution_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda q: {"q": np.where(q == q[0, 0], math.nan, q)},
+         "'q' is not a finite 2-D array of numbers"),
+        (lambda q: {"q": q[:, 0]}, "'q' is not a finite 2-D array"),
+        (lambda q: {"q": q[:, :0]}, "'q' has no action columns"),
+        (lambda q: {"tol": 0.0}, "tol 0.0 is not a finite positive number"),
+        (lambda q: {"iterations": -1}, "iterations -1 is not an integer"),
+        (lambda q: {"residual": math.inf}, "residual inf is not a finite"),
+    ])
+    def test_construction_rejects_what_no_solve_returns(self, table1, edit,
+                                                        message):
+        # the reader's rules hold for a solution built or replaced in memory
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
+                        mode=PenaltyMode.adaptive())
+        sol = value_iteration(mdp, tol=1e-9)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sol, **edit(sol.q))
+
     def test_values_and_policy_are_derived_from_q(self):
         doc = {"q": [[1, 1], [2.5, 3], [-1, -2]], "iterations": 0,
                "residual": 0, "tol": 1}

@@ -25,7 +25,7 @@ from .policies import (CyclicPolicy, EpsilonNoisyPolicy, FixedCyclePolicy,
                        GreedyDerivedPolicy, ProportionalPolicy, RandomPolicy,
                        collect)
 from .traffic import (EnvState, IntersectionEnvConfig, check_fit,
-                      config_from_json, two_flow_config)
+                      check_queues, config_from_json, two_flow_config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +88,7 @@ def _build_policy(args, config):
             raise ValueError(f"--cycle {args.cycle!r} names an action outside "
                              f"the env's {config.action_count} phases")
         policy = FixedCyclePolicy(cycle)
-    elif args.policy == "greedy":
+    else:   # greedy, the last of the parser's choices
         if not (args.mdp and args.solution and args.source_batch):
             raise BatchError("greedy policy needs --mdp, --solution, and "
                              "--source-batch")
@@ -98,8 +98,6 @@ def _build_policy(args, config):
         source = load_batch(args.source_batch)
         index = build_index(source, mdp.norm)
         policy = GreedyDerivedPolicy(mdp, solution, index)
-    else:
-        raise BatchError(f"unknown policy {args.policy!r}")
     if args.epsilon != 0:
         policy = EpsilonNoisyPolicy(policy, args.epsilon,
                                     config.action_count, args.seed)
@@ -142,9 +140,10 @@ def _start_state(args, config) -> EnvState:
     if not args.start:
         return EnvState((0,) * len(config.flows))
     queues = tuple(_parse_numbers(args.start, "--start"))
-    if len(queues) != len(config.flows) or min(queues) < 0:
-        raise ValueError(f"--start {args.start!r} is not {len(config.flows)} "
-                         "non-negative queue lengths, one per flow")
+    try:
+        check_queues(config, queues)
+    except ValueError as exc:
+        raise ValueError(f"--start {args.start!r}: {exc}") from None
     return EnvState(queues)
 
 
@@ -266,16 +265,15 @@ def cmd_cover(args):
 
 
 def cmd_shaping_sweep(args):
-    rows = []
-    for r_max in _parse_numbers(args.r_max_values, "--r-max-values", float):
-        for mode in [PenaltyMode.averagers(),
-                     *map(PenaltyMode.fixed, _parse_numbers(
-                         args.c_values, "--c-values", float)),
-                     PenaltyMode.adaptive()]:
-            value = theory.canonical_shaping(args.k, r_max, args.d_near,
-                                             args.d_far, mode)
-            rows.append({"r_max": f"{r_max:g}", "mode": mode.label(),
-                         "shaped_reward": value})
+    r_max_values = _parse_numbers(args.r_max_values, "--r-max-values", float)
+    modes = [PenaltyMode.averagers(), *map(PenaltyMode.fixed, _parse_numbers(
+        args.c_values, "--c-values", float)), PenaltyMode.adaptive()]
+    if not r_max_values:
+        raise ValueError("--r-max-values: empty r_max grid")
+    rows = [{"r_max": f"{r_max:g}", "mode": mode.label(),
+             "shaped_reward": theory.canonical_shaping(
+                 args.k, r_max, args.d_near, args.d_far, mode)}
+            for r_max in r_max_values for mode in modes]
     _write_csv(args.out, ["r_max", "mode", "shaped_reward"], rows)
 
 

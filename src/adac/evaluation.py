@@ -2,12 +2,12 @@
 bundled worked example.
 
 The sweeps check their whole grid (every k, C, alpha, gamma, the episode
-seeds, the env's fit to the batch and the snapshot directory) before
-deriving anything, then search the core states' neighbors once, for every
-action, at the grid's largest k. Each row derives its MDP from the first k
-neighbors of every pair, which is the search at that k, so every row is
-bit for bit the row of its own `build_mdp`, solved with the module's
-`value_iteration`.
+seeds, the start queues, the env's fit to the batch and the snapshot
+directory) before deriving anything, then search the core states'
+neighbors once, for every action, at the grid's largest k. Each row
+derives its MDP from the first k neighbors of every pair, which is the
+search at that k, so every row is bit for bit the row of its own
+`build_mdp`, solved with the module's `value_iteration`.
 
 The worked example is a six-transition two-flow dataset small enough to
 check every derived quantity by hand; reproduce_table2 recomputes its
@@ -33,8 +33,8 @@ from .neighbors import build_index, prefix
 from .planner import value_iteration
 from .policies import (CyclicPolicy, FixedCyclePolicy, GreedyDerivedPolicy,
                        collect)
-from .traffic import (EnvState, IntersectionEnvConfig, check_fit, rollout,
-                      two_flow_config)
+from .traffic import (EnvState, IntersectionEnvConfig, check_fit,
+                      check_queues, rollout, two_flow_config)
 
 
 @dataclass
@@ -82,7 +82,9 @@ def evaluate(config: IntersectionEnvConfig, policy, episodes: int,
 
 
 def _check_episodes(config: IntersectionEnvConfig, episodes: int,
-                    seeds) -> None:
+                    seeds, start: EnvState | None = None) -> None:
+    if start is not None:
+        check_queues(config, start.queues)
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if config.arrivals == "poisson" and (seeds is None
@@ -125,7 +127,7 @@ def sweep_c(batch: Batch, c_values, k: int, alpha: float, gamma: float,
         raise ValueError("empty C grid")
     modes.append(("A-DAC", PenaltyMode.adaptive()))
     check_params(k, alpha, gamma)
-    _check_episodes(config, episodes, seeds)
+    _check_episodes(config, episodes, seeds, start)
     check_fit(config, batch.dim, batch.action_count, "batch")
     if snapshot_dir is not None and not os.path.isdir(snapshot_dir):
         raise ValueError(f"snapshot directory {snapshot_dir!r} does not exist")
@@ -153,7 +155,7 @@ def sweep_k(batch: Batch, k_values, alpha: float, gamma: float,
         raise ValueError("empty k grid")
     for k in k_values:
         check_params(k, alpha, gamma)
-    _check_episodes(config, episodes, seeds)
+    _check_episodes(config, episodes, seeds, start)
     check_fit(config, batch.dim, batch.action_count, "batch")
     runs = _sweep_rows(batch, norm,
                        [(k, PenaltyMode.adaptive()) for k in k_values],

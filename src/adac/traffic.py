@@ -140,7 +140,7 @@ def _arrivals(config: IntersectionEnvConfig, t0: int, steps: int,
     return rng.poisson(rates).tolist()
 
 
-def _check_queues(config: IntersectionEnvConfig, queues) -> None:
+def check_queues(config: IntersectionEnvConfig, queues) -> None:
     """ValueError unless the queues are one non-negative count per flow."""
     if len(queues) != len(config.flows) or min(queues) < 0:
         raise ValueError(f"queues {queues!r} do not fit the env's "
@@ -168,7 +168,7 @@ def _arrive_serve(config: IntersectionEnvConfig, queues: list, arrived,
 def step(config: IntersectionEnvConfig, state: EnvState, action: int,
          rng: np.random.Generator | None = None) -> tuple[EnvState, float]:
     """Arrive-then-serve transition; returns (next state, vehicles served)."""
-    _check_queues(config, state.queues)
+    check_queues(config, state.queues)
     queues = list(state.queues)
     served = _arrive_serve(config, queues,
                            _arrivals(config, state.t, 1, rng)[0], action)
@@ -186,7 +186,7 @@ def rollout(config: IntersectionEnvConfig, start: EnvState, policy,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    _check_queues(config, start.queues)
+    check_queues(config, start.queues)
     queues = list(start.queues)
     obs = tuple(map(float, queues))
     observations, actions, rewards = [obs], [], []

@@ -662,6 +662,17 @@ class TestExitCodes:
         assert code == 1
         assert "must be finite" in err and "nan" not in out
 
+    @pytest.mark.parametrize("c_values, shown", [
+        ("", "--r-max-values: empty r_max grid"),
+        ("x", "--c-values: 'x' is not a number"),
+    ])
+    def test_shaping_sweep_checks_both_grids(self, capsys, c_values, shown):
+        # an empty r_max grid used to print only the CSV header
+        code, out, err = run(capsys, "shaping-sweep", "--r-max-values", "",
+                             "--c-values", c_values)
+        assert code == 1 and out == ""
+        assert shown in err and "Traceback" not in err
+
     def test_help_exits_0(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
@@ -705,6 +716,13 @@ class TestCsvOutputs:
         adaptive_10 = [float(r["shaped_reward"]) for r in rows
                        if r["mode"] == "adaptive" and r["r_max"] == "10"][0]
         assert adaptive_10 == pytest.approx((4 + 10) / 5 - 0.5 * 10, abs=1e-12)
+
+    def test_shaping_sweep_without_c_values(self, capsys):
+        code, out, _ = run(capsys, "shaping-sweep", "--r-max-values", "1,2",
+                           "--c-values", "")
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.split()[1:]] == [
+            ["1", "none"], ["1", "adaptive"], ["2", "none"], ["2", "adaptive"]]
 
     def test_reproduce_table2_csv(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"

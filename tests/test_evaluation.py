@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,14 @@ class TestSweepValidation:
     def test_missing_snapshot_dir(self, untouched, tmp_path):
         with pytest.raises(ValueError, match="snapshot"):
             self.sweep_c([1.0], snapshot_dir=str(tmp_path / "missing"))
+
+    @pytest.mark.parametrize("start", [(0, 0, 0), (1,), (1, -3)])
+    def test_bad_start(self, untouched, start):
+        message = re.escape(f"queues {start!r} do not fit the env's 2 flows")
+        with pytest.raises(ValueError, match=message):
+            self.sweep_k([2, 3], start=EnvState(start))
+        with pytest.raises(ValueError, match=message):
+            self.sweep_c([1.0], start=EnvState(start))
 
     def test_missing_seeds(self, untouched):
         with pytest.raises(ValueError, match="seed"):

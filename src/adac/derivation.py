@@ -351,4 +351,3 @@ def check_rows(stacked: StackedRows, n: int, actions: int) -> None:
     if not np.all(np.diff(rows * n + cols) > 0):
         raise ValueError("a transition row names a core state twice or out "
                          "of order")
-

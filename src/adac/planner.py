@@ -82,7 +82,9 @@ class Solution:
 
     def __post_init__(self):
         iterations, residual, tol = self.iterations, self.residual, self.tol
-        if not (self.q.ndim == 2 and np.isfinite(self.q).all()):
+        # a float q, as the reader and the solver make it
+        if not (self.q.dtype.kind == "f" and self.q.ndim == 2
+                and np.isfinite(self.q).all()):
             raise ValueError("'q' is not a finite 2-D array of numbers")
         if not self.q.shape[1]:
             raise ValueError("'q' has no action columns")

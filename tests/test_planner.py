@@ -610,6 +610,7 @@ class TestSolutionSerialization:
         (lambda q: {"q": np.where(q == q[0, 0], math.nan, q)},
          "'q' is not a finite 2-D array of numbers"),
         (lambda q: {"q": q[:, 0]}, "'q' is not a finite 2-D array"),
+        (lambda q: {"q": q > 0}, "'q' is not a finite 2-D array"),
         (lambda q: {"q": q[:, :0]}, "'q' has no action columns"),
         (lambda q: {"tol": 0.0}, "tol 0.0 is not a finite positive number"),
         (lambda q: {"iterations": -1}, "iterations -1 is not an integer"),

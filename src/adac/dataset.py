@@ -16,7 +16,7 @@ env config, and `number_array` the one reader of their arrays.
 import json
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
 from operator import attrgetter, itemgetter
@@ -59,8 +59,7 @@ class Batch:
     reward_bound: float
 
     def __post_init__(self):
-        for name in COLUMNS:
-            getattr(self, name).flags.writeable = False
+        freeze(self)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -80,6 +79,15 @@ class Batch:
                          self.a.tolist(), self.r.tolist(),
                          map(tuple, self.s_next.tolist()),
                          self.traj.tolist(), self.t.tolist()))
+
+
+def freeze(artifact) -> None:
+    """Make every array field of a dataclass read-only: a write into one
+    then raises ValueError."""
+    for f in fields(artifact):
+        value = getattr(artifact, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
 
 def only(values, kinds) -> bool:

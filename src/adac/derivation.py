@@ -33,9 +33,13 @@ compressed sparse row form), whose row a * n + s is pair (s, a)'s landing
 distribution, with increasing columns. `landing_rows` builds them, the MDP
 file holds them, `check_rows` checks them whenever a `DerivedMdp` is
 made (derived, read or `dataclasses.replace`d) and the solver solves them.
-`DerivedMdp.transition` reads and writes them as [state][action] -> {core
-index: p}; it is the hook through which the bench edits one row, and a
-written row passes `check_rows` too.
+
+An MDP is a value: no field can be assigned and every array is read-only,
+so an edited MDP is a new one, made with `dataclasses.replace` and
+checked again. `DerivedMdp.transition` reads the rows as [state][action]
+-> {core index: p}. A write through it, `mdp.transition[s][a] = row`, is
+the one in-place edit; it stays while the bench edits a row of its deep
+copy of an MDP that way, and a written row passes `check_rows` too.
 """
 
 import json
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Batch, State, number_array, only, read_json
+from .dataset import Batch, State, freeze, number_array, only, read_json
 from .neighbors import NORMS, NeighborIndex, build_index, row_means
 
 
@@ -101,7 +105,7 @@ class PenaltyMode:
         return "none" if self.kind == "averagers" else "adaptive"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StackedRows:
     """The stacked transition matrix in compressed sparse row form: row r
     holds the shares data[indptr[r]:indptr[r + 1]] of landing on the core
@@ -110,8 +114,11 @@ class StackedRows:
     indices: np.ndarray      # (entries,) int core rows
     data: np.ndarray         # (entries,) float shares
 
+    def __post_init__(self):
+        freeze(self)
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class DerivedMdp:
     core: tuple[State, ...]
     action_count: int
@@ -125,10 +132,18 @@ class DerivedMdp:
     alpha: float
     diameter: float
     norm: str
-    empty_pairs: list[tuple[int, int]]
+    empty_pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        """ValueError unless the solver can treat this as a discounted MDP."""
+        """ValueError unless the solver can treat this as a discounted MDP.
+        The core states and the empty pairs are kept as tuples of tuples,
+        also when they come as the lists of a file."""
+        number_array(self.core, "core", 2)
+        if self.empty_pairs not in ([], ()):    # none has no second axis
+            number_array(self.empty_pairs, "empty_pairs", 2, integers=True)
+        for name in ("core", "empty_pairs"):
+            object.__setattr__(self, name,
+                               tuple(map(tuple, getattr(self, name))))
         n, actions = self.num_states(), self.action_count
         check_params(self.k, self.alpha, self.gamma)
         if not (only([actions], int) and actions >= 1):
@@ -145,9 +160,10 @@ class DerivedMdp:
                              f"shape {self.reward.shape}")
         if not all(len(p) == 2 and 0 <= p[0] < n and 0 <= p[1] < actions
                    for p in self.empty_pairs):
-            raise ValueError(f"empty_pairs {self.empty_pairs[:8]} are not all "
-                             f"(state, action) pairs of the MDP")
+            raise ValueError(f"empty_pairs {list(self.empty_pairs[:8])} are "
+                             f"not all (state, action) pairs of the MDP")
         check_rows(self.stacked, n, actions)
+        freeze(self)
 
     def num_states(self) -> int:
         return len(self.core)
@@ -199,7 +215,7 @@ class TransitionView:
                             np.array([row[j] for j in cols], dtype=float),
                             stacked.data[hi:])))
         check_rows(spliced, n, self._mdp.action_count)
-        self._mdp.stacked = spliced
+        object.__setattr__(self._mdp, "stacked", spliced)
 
 
 def check_params(k: int, alpha: float, gamma: float) -> None:
@@ -299,16 +315,13 @@ def mdp_from_json(text: str) -> DerivedMdp:
 
 
 def _mdp_from_doc(doc: dict) -> DerivedMdp:
-    alpha, pairs, stacked = doc["alpha"], doc["empty_pairs"], doc["transition"]
-    number_array(doc["core"], "core", 2)
-    if pairs != []:     # [] has no second axis to check
-        number_array(pairs, "empty_pairs", 2, integers=True)
+    alpha, stacked = doc["alpha"], doc["transition"]
     if isinstance(stacked, list):
         raise ValueError("'transition' holds the nested rows of an older MDP "
                          "file: derive the MDP again from its batch")
     return DerivedMdp(
         # the document's own numbers: copies would double them at the peak
-        core=tuple(map(tuple, doc["core"])),
+        core=doc["core"],
         action_count=doc["action_count"],
         reward=number_array(doc["reward"], "reward", 2),
         stacked=StackedRows(
@@ -321,7 +334,7 @@ def _mdp_from_doc(doc: dict) -> DerivedMdp:
         alpha=math.inf if alpha == "inf" else alpha,
         diameter=doc["diameter"],
         norm=doc["norm"],
-        empty_pairs=list(map(tuple, pairs)),
+        empty_pairs=doc["empty_pairs"],
     )
 
 

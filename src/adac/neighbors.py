@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Batch, State, core_rows
+from .dataset import Batch, State, core_rows, freeze
 
 NORMS = ("euclidean", "manhattan")
 
@@ -118,9 +118,10 @@ def diameter(points, norm: str = "euclidean") -> float:
     return best
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NeighborIndex:
-    """Immutable index; safe for concurrent queries."""
+    """Immutable index: no field can be assigned and every array is
+    read-only. Safe for concurrent queries."""
     norm: str
     diameter: float
     action_count: int
@@ -138,13 +139,16 @@ class NeighborIndex:
     _order: np.ndarray = field(repr=False)
     _points: np.ndarray = field(repr=False)
     _point_actions: np.ndarray = field(repr=False)
-    _offsets: list[int] = field(repr=False)
+    _offsets: tuple[int, ...] = field(repr=False)
     # transition indices grouped by point, in file order within a point:
     # point p's are _sources[_starts[p]:_starts[p + 1]]; _point_of[i] is the
     # point of transition i
     _sources: np.ndarray = field(repr=False)
     _starts: np.ndarray = field(repr=False)
     _point_of: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        freeze(self)
 
     def points(self, action: int) -> np.ndarray:
         """The action's distinct source points, by first appearance."""
@@ -367,8 +371,8 @@ def build_index(batch: Batch, norm: str = "euclidean") -> NeighborIndex:
     point_of = np.empty(len(sources), dtype=int)
     point_of[sources] = np.cumsum(new) - 1
     point_actions = actions[new]
-    offsets = np.searchsorted(point_actions,
-                              np.arange(batch.action_count + 1)).tolist()
+    offsets = tuple(np.searchsorted(
+        point_actions, np.arange(batch.action_count + 1)).tolist())
     return NeighborIndex(norm, diameter(core, norm), batch.action_count, batch,
                          tuple(map(tuple, core.tolist())), landing, order,
                          np.asfortranarray(coords[new]), point_actions,

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import State, number_array, only, read_json
+from .dataset import State, freeze, number_array, only, read_json
 from .derivation import DerivedMdp, StackedRows
 from .neighbors import NeighborIndex, row_means
 
@@ -65,11 +65,12 @@ class ConvergenceError(RuntimeError):
     """The solver did not meet its tolerance within max_iters sweeps."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Solution:
     """A solve's Q table and how it stopped, ValueError unless q is finite
     and every figure in range. The values and the policy are q's row maxima
-    and first argmaxes, set from q here and stored nowhere else."""
+    and first argmaxes, set from q once here and stored nowhere else. No
+    field can be assigned and every array is read-only."""
     q: np.ndarray            # (|core|, |actions|)
     # every sweep, full backups and evaluation sweeps, but not the final
     # backup from the shifted values, which gives q
@@ -96,8 +97,9 @@ class Solution:
                              ">= 0")
         if not (only([tol], (int, float)) and 0 < tol < math.inf):
             raise ValueError(f"tol {tol!r} is not a finite positive number")
-        self.values = self.q.max(axis=1)
-        self.policy = self.q.argmax(axis=1)
+        object.__setattr__(self, "values", self.q.max(axis=1))
+        object.__setattr__(self, "policy", self.q.argmax(axis=1))
+        freeze(self)
 
 
 class RowProduct:

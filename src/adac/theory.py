@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Batch
-from .derivation import DerivedMdp, PenaltyMode
+from .derivation import DerivedMdp, PenaltyMode, mdp_from_table
 from .neighbors import NeighborIndex, build_index, distances, row_means
 from .planner import Solution, check_artifacts, check_index
 
@@ -102,9 +102,24 @@ def value_gap(epsilon_s: float, d_bar: float, r_max: float,
 
 def d_bar_max(mdp: DerivedMdp, index: NeighborIndex) -> float:
     """Worst-case mean normalized neighbor distance over derivation queries,
-    with the index the MDP was derived with (ValueError otherwise)."""
+    with the index the MDP was derived with: ValueError unless the index's
+    core states, reduced as the MDP was, give its rewards, transition
+    arrays and empty pairs bit for bit."""
     check_index(index, mdp)
-    pairs, _, norm_dist = index.search(index.core, mdp.k, mdp.alpha)
+    table = index.search(index.core, mdp.k, mdp.alpha)
+    derived = mdp_from_table(index, table, mdp.k, mdp.alpha, mdp.gamma,
+                             mdp.mode)
+
+    def arrays(m: DerivedMdp) -> tuple[np.ndarray, ...]:
+        return m.reward, m.stacked.indptr, m.stacked.indices, m.stacked.data
+
+    if not (derived.empty_pairs == mdp.empty_pairs and all(
+            (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            for a, b in zip(arrays(derived), arrays(mdp)))):
+        raise ValueError("the source batch's neighbors give other rewards or "
+                         "transitions than the MDP's: not the batch it was "
+                         "derived from")
+    pairs, _, norm_dist = table
     # an empty pair's mean reads 0, which never raises the maximum
     return float(np.max(row_means(pairs, norm_dist, mdp.num_states()
                                   * index.action_count), initial=0.0))

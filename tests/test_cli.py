@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -212,7 +213,8 @@ class TestExitCodes:
         there; 1e307 overflows, so it exits 1 and writes nothing."""
         _, mdp, _ = pipeline
         derived = adac.mdp_from_json(mdp.read_text())
-        derived.reward = np.full_like(derived.reward, reward)
+        derived = dataclasses.replace(
+            derived, reward=np.full_like(derived.reward, reward))
         big, out = tmp_path / "big.mdp.json", tmp_path / "s.json"
         big.write_text(adac.mdp_to_json(derived))
         got, stdout, err = run(capsys, "solve", "--mdp", str(big), "--out",
@@ -416,6 +418,30 @@ class TestExitCodes:
         code, _, err = bounds(capsys, mdp, solution, other_pipeline[0])
         assert code == 1
         assert "derived from" in err and "Traceback" not in err
+
+    def test_bounds_rejects_a_batch_whose_sources_moved(self, tmp_path,
+                                                        capsys):
+        """The worked example with transition 0's source moved 3 along the
+        first axis: the same core states, other rewards."""
+        batch = adac.worked_example_batch()
+        s = batch.s.copy()
+        s[0, 0] += 3
+        right, moved = tmp_path / "batch.jsonl", tmp_path / "moved.jsonl"
+        adac.save_batch(batch, right)
+        adac.save_batch(dataclasses.replace(batch, s=s), moved)
+        mdp, solution = tmp_path / "mdp.json", tmp_path / "solution.json"
+        assert run(capsys, "derive", "--batch", str(right), "--k", "3",
+                   "--alpha", "inf", "--gamma", "0.9",
+                   "--out", str(mdp))[0] == 0
+        assert run(capsys, "solve", "--mdp", str(mdp),
+                   "--out", str(solution))[0] == 0
+        code, out, _ = bounds(capsys, mdp, solution, right)
+        assert code == 0
+        assert json.loads(out)["gap"] == pytest.approx(397.53, abs=5e-3)
+        code, _, err = bounds(capsys, mdp, solution, moved)
+        assert code == 1
+        assert "not the batch it was derived from" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("meta, record", [
         ("[4]", {}),

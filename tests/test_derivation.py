@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from adac.dataset import Transition, make_batch
 from adac import neighbors
 from adac.derivation import PenaltyMode, build_mdp, mdp_from_json, mdp_to_json
-from adac.evaluation import worked_example_mdp
+from adac.evaluation import worked_example_batch, worked_example_mdp
 from adac.neighbors import NORMS, build_index
-from adac.planner import value_iteration
+from adac.planner import solution_from_json, solution_to_json, value_iteration
 
 from conftest import (DEEP_JSON, brute_force_knn, brute_force_mdp,
                       brute_force_value_iteration, euclid, json_values,
@@ -101,7 +101,7 @@ class TestBuildMdp:
         mdp = derive(table1, PenaltyMode.adaptive())
         assert mdp.num_states() == 5
         assert mdp.action_count == 2
-        assert mdp.empty_pairs == []
+        assert mdp.empty_pairs == ()
         assert mdp.diameter == pytest.approx(SQRT52, abs=1e-12)
 
     def test_adaptive_rewards_match_reference(self, table1):
@@ -270,7 +270,7 @@ class TestOracleAgreement:
         assert list(mdp.core) == core
         assert mdp.reward == pytest.approx(np.array(reward), abs=1e-12)
         assert mdp_rows(mdp) == transition
-        assert mdp.empty_pairs == empty
+        assert mdp.empty_pairs == tuple(empty)
 
     def test_rewards_against_brute_force(self, table1):
         """Recompute every cell with an independent scan, no index code."""
@@ -400,13 +400,125 @@ class TestDerivedMdp:
         if edit == "indices":
             stacked.indices[0] = mdp.num_states()
         elif edit == "data":
-            stacked.data *= 0.5
+            changes = {"stacked": dataclasses.replace(
+                stacked, data=stacked.data * 0.5)}
         elif edit == "reward":
             changes = {"reward": mdp.reward[:, :1]}
         else:
             changes = {"action_count": 0}
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(mdp, **changes)
+
+
+def _artifact(name):
+    """One of the worked example's artifacts, built or read back."""
+    batch = worked_example_batch()
+    index = build_index(batch)
+    mdp = build_mdp(batch, k=3, alpha=math.inf, index=index)
+    solution = value_iteration(mdp)
+    return {"batch": batch, "index": index, "mdp": mdp,
+            "stacked": mdp.stacked, "solution": solution,
+            "read mdp": mdp_from_json(mdp_to_json(mdp)),
+            "read solution": solution_from_json(solution_to_json(solution)),
+            }[name]
+
+
+ARTIFACTS = ["batch", "index", "mdp", "stacked", "solution", "read mdp",
+             "read solution"]
+
+
+class TestArtifactsAreValues:
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_no_array_can_be_written(self, name):
+        artifact = _artifact(name)
+        arrays = [getattr(artifact, f.name)
+                  for f in dataclasses.fields(artifact)
+                  if isinstance(getattr(artifact, f.name), np.ndarray)]
+        assert arrays
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = arr
+
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_no_field_can_be_assigned(self, name):
+        artifact = _artifact(name)
+        for f in dataclasses.fields(artifact):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(artifact, f.name, getattr(artifact, f.name))
+
+    def test_an_mdp_cannot_be_edited_into_a_non_mdp(self):
+        # unchecked, the first would solve rows summing to 0.5, and the
+        # second would fail only as an overflow of the values
+        mdp = worked_example_mdp()
+        with pytest.raises(ValueError, match="read-only"):
+            mdp.stacked.data *= 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mdp.gamma = 1.5
+        assert (value_iteration(mdp).q.tobytes()
+                == value_iteration(worked_example_mdp()).q.tobytes())
+
+    @pytest.mark.parametrize("changes, message", [
+        # a state of three coordinates among states of two
+        (lambda m: {"core": m.core[:-1] + ((1.0, 2.0, 3.0),)},
+         "'core' is not a finite 2-D array of numbers"),
+        (lambda m: {"core": m.core[:-1] + ((True, 2.0),)},
+         "a boolean in 'core'"),
+        (lambda m: {"core": (("1", "2"),) + m.core[1:]},
+         "'core' is not a finite 2-D array of numbers"),
+        (lambda m: {"empty_pairs": ((0.0, 1.0),)},
+         "'empty_pairs' is not a finite 2-D array of integers"),
+        (lambda m: {"empty_pairs": ((0, False),)},
+         "a boolean in 'empty_pairs'"),
+    ], ids=["ragged core", "boolean in core", "string core", "float pairs",
+            "boolean in pairs"])
+    def test_a_replaced_mdp_keeps_the_readers_rules(self, changes, message):
+        mdp = worked_example_mdp()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(mdp, **changes(mdp))
+
+    def test_lists_are_kept_as_tuples(self):
+        # a list would stay mutable inside a frozen MDP
+        mdp = worked_example_mdp()
+        listed = dataclasses.replace(mdp, core=[list(s) for s in mdp.core],
+                                     empty_pairs=[[0, 1]])
+        assert listed.core == mdp.core
+        assert listed.empty_pairs == ((0, 1),)
+
+    @pytest.mark.parametrize("field", ["core", "empty_pairs"])
+    def test_a_file_with_flat_states_or_pairs_names_the_field(self, field):
+        doc = json.loads(mdp_to_json(worked_example_mdp()))
+        doc[field] = [1, 2]
+        with pytest.raises(ValueError, match=f"'{field}' is not a finite 2-D"):
+            mdp_from_json(json.dumps(doc))
+
+    def test_a_row_written_into_a_deep_copy(self):
+        """The one in-place edit, as the bench's perturbation check makes
+        it: a deep copy of a solved MDP, one row moved onto the core state
+        whose value is farthest from that of its successors, solved
+        again."""
+        mdp = worked_example_mdp()
+        solution = value_iteration(mdp)
+        si, a = 2, 1
+        row = mdp.transition[si][a]
+        mean_v = sum(p * solution.values[j] for j, p in row.items())
+        target = int(np.argmax(np.abs(solution.values - mean_v)))
+        assert row != {target: 1.0}
+        edited = copy.deepcopy(mdp)
+        edited.transition[si][a] = {target: 1.0}
+        assert edited.transition[si][a] == {target: 1.0}
+        assert mdp.transition[si][a] == row
+        resolved = value_iteration(edited)
+        assert resolved.q[si, a] == pytest.approx(
+            mdp.reward[si, a] + mdp.gamma * resolved.values[target],
+            abs=1e-8)
+        assert resolved.q[si, a] != pytest.approx(solution.q[si, a])
+        # the written matrix is a checked, read-only one, and a bad row
+        # leaves it as it was
+        with pytest.raises(ValueError, match="read-only"):
+            edited.stacked.data[0] = 1.0
+        with pytest.raises(ValueError, match="not a distribution"):
+            edited.transition[si][a] = {target: 0.5}
+        assert edited.transition[si][a] == {target: 1.0}
 
 
 _MDP_DOC = mdp_to_json(worked_example_mdp())

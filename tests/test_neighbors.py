@@ -67,7 +67,7 @@ def check_against_brute_force(batch, states, norm, k, alpha):
     assert list(mdp.core) == core
     assert mdp.reward == pytest.approx(np.array(reward), abs=1e-12)
     assert mdp_rows(mdp) == transition
-    assert mdp.empty_pairs == empty
+    assert mdp.empty_pairs == tuple(empty)
 
 
 def full_scan_diameter(points, norm):

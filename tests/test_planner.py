@@ -299,11 +299,11 @@ class TestValueIteration:
                         mode=PenaltyMode.adaptive())
         for reward in (np.full_like(mdp.reward, scale),
                        mdp.reward / mdp.reward.max() * scale):
-            mdp.reward = reward
+            scaled = dataclasses.replace(mdp, reward=reward)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with pytest.raises(ValueError, match="overflow float64"):
-                    value_iteration(mdp)
+                    value_iteration(scaled)
 
 
 def sequential_products(stacked, rows, v):

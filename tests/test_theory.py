@@ -253,6 +253,35 @@ class TestPacBound:
         with pytest.raises(ValueError, match="solution"):
             pac_bound(table1, mdp, short, 0.1)
 
+    def test_rejects_a_batch_whose_sources_moved(self, table1):
+        """Transition 0's source moved 3 along the first axis keeps the core
+        states (the next states) but changes the rewards: the gap would
+        read 393.96 where the MDP's own batch gives 397.53."""
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.9)
+        sol = value_iteration(mdp, tol=1e-9)
+        assert pac_bound(table1, mdp, sol, 0.1).gap == pytest.approx(
+            397.53, abs=5e-3)
+        s = table1.s.copy()
+        s[0, 0] += 3
+        moved = dataclasses.replace(table1, s=s)
+        index = build_index(moved)
+        assert index.core == mdp.core
+        with pytest.raises(ValueError, match="other rewards or transitions "
+                           "than the MDP's: not the batch it was derived"):
+            pac_bound(moved, mdp, sol, 0.1)
+        with pytest.raises(ValueError, match="not the batch it was derived"):
+            d_bar_max(mdp, index)
+
+    def test_rejects_an_mdp_of_another_penalty_or_k(self, table1):
+        # the index is the MDP's own, but the MDP is relabelled: reduced at
+        # its stated mode or k, the table gives other rewards or rows
+        mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.9)
+        index = build_index(table1)
+        for other in (dataclasses.replace(mdp, mode=PenaltyMode.averagers()),
+                      dataclasses.replace(mdp, k=2)):
+            with pytest.raises(ValueError, match="not the batch it was"):
+                d_bar_max(other, index)
+
     def test_rejects_an_mdp_of_another_norm_or_diameter(self, table1):
         mdp = build_mdp(table1, k=3, alpha=math.inf, gamma=0.99,
                         mode=PenaltyMode.adaptive())

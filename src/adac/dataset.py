@@ -10,10 +10,13 @@ reward_bound, read CHUNK lines at a time into columns) pass one validator.
 
 The reading rule of the JSON artifacts lives here too: `only` is the one
 test of a JSON number, `read_json` the one decoder of an MDP, solution or
-env config, and `number_array` the one reader of their arrays.
+env config, and `number_array` the one reader of their arrays. So does the
+spelling rule of the batch and MDP writers: `json_words` spells the numbers
+of an array as json.dumps does, each distinct value once.
 """
 
 import json
+import math
 import sys
 from array import array
 from dataclasses import dataclass, fields
@@ -130,6 +133,34 @@ def number_array(value, name: str, ndim: int,
     if not only(leaves, (int, float)):
         raise ValueError(f"a boolean in {name!r}")
     return arr.astype(int if integers else float, copy=False)
+
+
+def json_words(arr: np.ndarray) -> tuple[list[str], str]:
+    """The JSON word of each element of a finite int64 or float64 array, in
+    C order, and the array's nested text, which is json.dumps(arr.tolist())
+    exactly.
+
+    Each distinct value is spelled once, by repr as json.dumps spells a
+    finite number, and the words are gathered through the np.unique inverse
+    of the raveled array (numpy versions differ in the shape of the inverse
+    of an n-D input). Floats are keyed by their bits, so -0.0 keeps its
+    spelling next to 0.0."""
+    flat = np.ravel(arr)
+    floats = flat.dtype.kind == "f"
+    distinct, inverse = np.unique(flat.view(np.int64) if floats else flat,
+                                  return_inverse=True)
+    if floats:
+        distinct = distinct.view(np.float64)
+    words = np.array(list(map(repr, distinct.tolist())),
+                     dtype=object)[inverse].tolist()
+    # the inner axes' lists, innermost first, then the outermost one's
+    items = words
+    for axis in range(arr.ndim - 1, 0, -1):
+        size = arr.shape[axis]
+        rows = (zip(*[iter(items)] * size) if size
+                else [()] * math.prod(arr.shape[:axis]))
+        items = map("[%s]".__mod__, map(", ".join, rows))
+    return words, "[%s]" % ", ".join(items) if arr.ndim else words[0]
 
 
 def _element_columns(rows, dim: int | None = None) -> list[np.ndarray]:
@@ -256,12 +287,12 @@ def _records(fh, meta: dict):
     naming the first line that is not a record."""
     fields = itemgetter(*_KEYS)
     for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
         try:
             # each line decoded alone, so that bad UTF-8 names its line
             rec = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
+            if not line.strip():
+                continue
             raise BatchError(f"line {lineno}: malformed JSON "
                              f"({getattr(exc, 'msg', exc)})") from None
         if not isinstance(rec, dict):
@@ -271,10 +302,13 @@ def _records(fh, meta: dict):
                 raise BatchError("line 1: meta record is not an object")
             meta.update(rec["meta"])
             continue
-        missing = [k for k in _KEYS if k not in rec]
-        if missing:
-            raise BatchError(f"line {lineno}: missing fields {missing}")
-        yield lineno, fields(rec)
+        try:
+            values = fields(rec)
+        except KeyError:
+            missing = [k for k in _KEYS if k not in rec]
+            raise BatchError(f"line {lineno}: missing fields "
+                             f"{missing}") from None
+        yield lineno, values
 
 
 def load_batch(path) -> Batch:
@@ -326,9 +360,9 @@ def save_batch(batch: Batch, path) -> None:
     holds a declared action_count or reward_bound the records do not imply.
 
     A record is json.dumps of {"s", "a", "r", "sp", "traj", "t"}, written
-    with one %-format: json.dumps writes a finite float as float.__repr__
-    (%r) and an int as int.__repr__ (%d), and the validator admits no other
-    values."""
+    with one %-format whose every field is a word of `json_words`, taken
+    column by column: a state coordinate, an action, a reward, a trajectory
+    id or a step index, spelled as json.dumps spells it."""
     max_a, max_r = int(batch.a.max()), float(batch.r.max())
     meta = ""
     if batch.action_count != max_a + 1 or batch.reward_bound != max(max_r, 0.0):
@@ -337,11 +371,12 @@ def save_batch(batch: Batch, path) -> None:
             "reward_bound": batch.reward_bound,
             "dim": batch.dim,
         }}) + "\n"
-    state = "[" + ", ".join(["%r"] * batch.dim) + "]"
-    record = ('{"s": ' + state + ', "a": %d, "r": %r, "sp": ' + state
-              + ', "traj": %d, "t": %d}\n')
-    rows = zip(*batch.s.T.tolist(), batch.a.tolist(), batch.r.tolist(),
-               *batch.s_next.T.tolist(), batch.traj.tolist(), batch.t.tolist())
+    state = "[" + ", ".join(["%s"] * batch.dim) + "]"
+    record = ('{"s": ' + state + ', "a": %s, "r": %s, "sp": ' + state
+              + ', "traj": %s, "t": %s}\n')
+    columns = (*batch.s.T, batch.a, batch.r, *batch.s_next.T, batch.traj,
+               batch.t)
+    rows = zip(*(json_words(column)[0] for column in columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(meta + "".join(map(record.__mod__, rows)))
 

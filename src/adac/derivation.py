@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Batch, State, freeze, number_array, only, read_json
+from .dataset import (Batch, State, freeze, json_words, number_array, only,
+                      read_json)
 from .neighbors import NORMS, NeighborIndex, build_index, row_means
 
 
@@ -155,9 +156,13 @@ class DerivedMdp:
                              f"number > 0")
         if self.norm not in NORMS:
             raise ValueError(f"norm {self.norm!r} unknown")
-        if self.reward.shape != (n, actions):
+        reward = self.reward
+        if not (isinstance(reward, np.ndarray) and reward.dtype.kind == "f"
+                and reward.ndim == 2 and np.all(np.isfinite(reward))):
+            raise ValueError("'reward' is not a finite 2-D array of numbers")
+        if reward.shape != (n, actions):
             raise ValueError(f"reward must have shape {(n, actions)}, got "
-                             f"shape {self.reward.shape}")
+                             f"shape {reward.shape}")
         if not all(len(p) == 2 and 0 <= p[0] < n and 0 <= p[1] < actions
                    for p in self.empty_pairs):
             raise ValueError(f"empty_pairs {list(self.empty_pairs[:8])} are "
@@ -290,23 +295,31 @@ def landing_rows(index: NeighborIndex,
 
 
 def mdp_to_json(mdp: DerivedMdp) -> str:
+    """The MDP file: json.dumps of the MDP's document, byte for byte. The
+    arrays (core, reward and the three transition arrays) are spelled by
+    `json_words`, each distinct number once, the other values by
+    json.dumps."""
     stacked = mdp.stacked
-    doc = {
-        "core": [list(s) for s in mdp.core],
-        "action_count": mdp.action_count,
-        "reward": mdp.reward.tolist(),
-        "transition": {"indptr": stacked.indptr.tolist(),
-                       "indices": stacked.indices.tolist(),
-                       "data": stacked.data.tolist()},
-        "gamma": mdp.gamma,
-        "penalty": {"kind": mdp.mode.kind, "c": mdp.mode.c},
-        "k": mdp.k,
-        "alpha": "inf" if mdp.alpha == math.inf else mdp.alpha,
-        "diameter": mdp.diameter,
-        "norm": mdp.norm,
-        "empty_pairs": [list(p) for p in mdp.empty_pairs],
-    }
-    return json.dumps(doc)
+    return _json_object(
+        core=json_words(np.asarray(mdp.core))[1],
+        action_count=json.dumps(mdp.action_count),
+        reward=json_words(mdp.reward)[1],
+        transition=_json_object(indptr=json_words(stacked.indptr)[1],
+                                indices=json_words(stacked.indices)[1],
+                                data=json_words(stacked.data)[1]),
+        gamma=json.dumps(mdp.gamma),
+        penalty=json.dumps({"kind": mdp.mode.kind, "c": mdp.mode.c}),
+        k=json.dumps(mdp.k),
+        alpha=json.dumps("inf" if mdp.alpha == math.inf else mdp.alpha),
+        diameter=json.dumps(mdp.diameter),
+        norm=json.dumps(mdp.norm),
+        empty_pairs=json.dumps([list(p) for p in mdp.empty_pairs]))
+
+
+def _json_object(**members: str) -> str:
+    """json.dumps's text of an object whose members are given as text."""
+    return "{" + ", ".join(f'"{key}": {text}'
+                           for key, text in members.items()) + "}"
 
 
 def mdp_from_json(text: str) -> DerivedMdp:
@@ -342,6 +355,9 @@ def check_rows(stacked: StackedRows, n: int, actions: int) -> None:
     """ValueError unless the stacked arrays are n * actions distributions
     over the n core states, indices increasing."""
     ptr, cols, shares = stacked.indptr, stacked.indices, stacked.data
+    if not all(isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
+               and arr.ndim == 1 for arr in (ptr, cols)):
+        raise ValueError("'transition' is not a finite 1-D array of integers")
     size = n * actions
     if not (len(ptr) == size + 1 and ptr[0] == 0 and np.all(np.diff(ptr) >= 0)
             and ptr[-1] == len(cols) == len(shares)):

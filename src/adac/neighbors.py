@@ -166,10 +166,12 @@ class NeighborIndex:
         <= alpha, nearest first, ties to the lower transition index.
 
         Each pair is measured against its window of the action's points
-        only (see `_windows`). Pairs sorted by window go QUERIES or more at
-        a time against the union of their windows. About every BLOCK
-        candidate points are expanded to their transitions and selected,
-        and one stable sort then restores pair order."""
+        only (see `_windows`). A window lies inside its action's points, so
+        pairs sorted by window are grouped by action: they go QUERIES or
+        more at a time, never two actions together, against the union of
+        their windows. About every BLOCK candidate points are expanded to
+        their transitions and selected, and one stable sort then restores
+        pair order."""
         if k < 1:
             raise ValueError("k must be >= 1")
         pts, actions = self._points, self.action_count
@@ -179,21 +181,22 @@ class NeighborIndex:
         order = np.lexsort((last, first))
         tables, parts, size = [], [], 0
         step = max(QUERIES, BLOCK // len(pts))
-        for i in range(0, len(order), step):
-            block = order[i:i + step]
+        # a block starts at every step-th pair and at each action's first
+        cuts = np.union1d(np.arange(0, len(order), step), np.flatnonzero(
+            np.diff(pair_ids[order] % actions)) + 1).tolist()
+        for i, j in zip(cuts, cuts[1:] + [len(order)]):
+            block = order[i:j]
             ids = pair_ids[block]
-            rows, acts = np.divmod(ids, actions)
             left, right = first[block].min(), last[block].max()
-            d = distances(queries[rows], pts[left:right], self.norm)
-            # every point of the pair's action at or below its k-th smallest
-            # distance; a block may span two actions
-            own = acts[:, None] == self._point_actions[left:right]
+            d = distances(queries[ids // actions], pts[left:right], self.norm)
+            # every point of the action at or below the pair's k-th smallest
+            # distance
             rank = min(k, right - left) - 1
-            kth = np.partition(np.where(own, d, np.inf), rank, axis=1)[:, rank]
-            at, col = np.nonzero(own & (d <= kth[:, None]))
+            kth = np.partition(d, rank, axis=1)[:, rank]
+            at, col = np.nonzero(d <= kth[:, None])
             parts.append((ids[at], col + left, d[at, col]))
             size += len(at)
-            if size >= BLOCK or i + step >= len(order):
+            if size >= BLOCK or j == len(order):
                 tables.append(self._expand(parts, k, alpha))
                 parts, size = [], 0
         if len(tables) == 1:
@@ -269,12 +272,14 @@ class NeighborIndex:
 
     def _expand(self, parts, k, alpha):
         """The neighbor table of candidate points, given as (pair ids,
-        points, distances) parts: their transitions, selected."""
+        points, distances) parts: their transitions, selected. A point's
+        transitions are in file order, and ties go to the lower index, so
+        its first k are the only ones a pair can keep."""
         pairs, near, dist = (np.concatenate(c) for c in zip(*parts))
         # candidate c's transitions are the counts[c] entries of _sources
         # from first[c] on
         first = self._starts[near]
-        counts = self._starts[near + 1] - first
+        counts = np.minimum(self._starts[near + 1] - first, k)
         shift = np.repeat(first + counts - np.cumsum(counts), counts)
         return self._select(np.repeat(pairs, counts),
                             self._sources[shift + np.arange(len(shift))],

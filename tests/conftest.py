@@ -253,14 +253,34 @@ def brute_force_rollout(config, start, policy, horizon, gamma=0.99, rng=None,
 def brute_force_save_batch(batch, path):
     """Reference batch writer: the meta line when the declared values are
     not the ones the records imply, then one json.dumps per record."""
-    max_a, max_r = int(batch.a.max()), float(batch.r.max())
     with open(path, "w", encoding="utf-8") as fh:
-        if batch.action_count != max_a + 1 or batch.reward_bound != max(max_r, 0.0):
-            fh.write(json.dumps({"meta": {
-                "action_count": batch.action_count,
-                "reward_bound": batch.reward_bound,
-                "dim": batch.dim,
-            }}) + "\n")
+        fh.write(meta_line(batch))
         keys = ("s", "a", "r", "sp", "traj", "t")
         for values in zip(*(getattr(batch, name).tolist() for name in COLUMNS)):
             fh.write(json.dumps(dict(zip(keys, values))) + "\n")
+
+
+def percent_save_batch(batch, path):
+    """Reference batch writer: the meta line, then one %-format per record,
+    %r for a float and %d for an int, which is how json.dumps spells
+    them."""
+    state = "[" + ", ".join(["%r"] * batch.dim) + "]"
+    record = ('{"s": ' + state + ', "a": %d, "r": %r, "sp": ' + state
+              + ', "traj": %d, "t": %d}\n')
+    rows = zip(*batch.s.T.tolist(), batch.a.tolist(), batch.r.tolist(),
+               *batch.s_next.T.tolist(), batch.traj.tolist(), batch.t.tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(meta_line(batch) + "".join(map(record.__mod__, rows)))
+
+
+def meta_line(batch):
+    """The meta line of a batch file, when the declared values are not the
+    ones the records imply, and otherwise nothing."""
+    max_a, max_r = int(batch.a.max()), float(batch.r.max())
+    if batch.action_count == max_a + 1 and batch.reward_bound == max(max_r, 0.0):
+        return ""
+    return json.dumps({"meta": {
+        "action_count": batch.action_count,
+        "reward_bound": batch.reward_bound,
+        "dim": batch.dim,
+    }}) + "\n"

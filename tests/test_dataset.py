@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from adac import dataset
 from adac.dataset import (COLUMNS, BatchError, Transition, concat_batches,
-                          load_batch, make_batch, save_batch)
+                          json_words, load_batch, make_batch, save_batch)
 from adac.neighbors import build_index
 
-from conftest import brute_force_save_batch, random_batch
+from conftest import (brute_force_save_batch, percent_save_batch,
+                      random_batch)
 
 # JSON values a malformed batch file may hold where a number belongs
 NUMBERS = st.one_of(
@@ -367,6 +369,29 @@ class TestRoundTrip:
             assert np.array_equal(getattr(loaded, name).view(np.int64),
                                   getattr(batch, name).view(np.int64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=valid_batches())
+    def test_writer_is_one_percent_format_per_record(self, tmp_path_factory,
+                                                     drawn):
+        batch, _ = drawn
+        written = tmp_path_factory.getbasetemp() / "written.jsonl"
+        reference = tmp_path_factory.getbasetemp() / "reference.jsonl"
+        save_batch(batch, written)
+        percent_save_batch(batch, reference)
+        assert written.read_bytes() == reference.read_bytes()
+
+    def test_zero_and_negative_zero_in_one_column(self, tmp_path):
+        batch = make_batch([
+            Transition((0.0, -0.0), 0, -0.0, (-0.0, 1.0), 0, 0),
+            Transition((-0.0, 0.0), 0, 0.0, (0.0, -0.0), 0, 1)])
+        path = tmp_path / "b.jsonl"
+        save_batch(batch, path)
+        assert path.read_text().splitlines() == [
+            '{"s": [0.0, -0.0], "a": 0, "r": -0.0, "sp": [-0.0, 1.0], '
+            '"traj": 0, "t": 0}',
+            '{"s": [-0.0, 0.0], "a": 0, "r": 0.0, "sp": [0.0, -0.0], '
+            '"traj": 0, "t": 1}']
+
     def test_record_bytes(self, tmp_path, table1):
         path = tmp_path / "t1.jsonl"
         save_batch(table1, path)
@@ -416,6 +441,46 @@ class TestRoundTrip:
             path = tmp_path / f"r{i}.jsonl"
             save_batch(batch, path)
             assert load_chunked(path) == batch
+
+
+# 1-D and 2-D shapes, empty and one-column ones among them
+SHAPES = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+
+
+class TestJsonWords:
+    """json_words spells each element as json.dumps does, and nests the
+    words as json.dumps nests the array's list."""
+
+    @staticmethod
+    def check(arr):
+        words, text = json_words(arr)
+        assert text == json.dumps(arr.tolist())
+        assert words == [json.dumps(x) for x in arr.ravel().tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=arrays(np.float64, SHAPES, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1e300]),
+        st.floats(allow_nan=False, allow_infinity=False))))
+    @example(arr=np.zeros(0))
+    @example(arr=np.zeros((0, 3)))
+    @example(arr=np.zeros((3, 0)))
+    @example(arr=np.array([[0.0], [-0.0], [0.0]]))
+    def test_floats(self, arr):
+        self.check(arr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=arrays(np.int64, SHAPES, elements=st.one_of(
+        st.integers(-2, 2), st.integers(-2**63, 2**63 - 1))))
+    @example(arr=np.zeros(0, dtype=int))
+    @example(arr=np.array([[7], [7], [-1]]))
+    def test_integers(self, arr):
+        self.check(arr)
+
+    def test_columns_of_a_state_table(self):
+        # a column view of a 2-D array is strided; its words are its own
+        states = np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 2.0]])
+        assert json_words(states.T[0]) == (["0.0", "-0.0", "0.0"],
+                                           "[0.0, -0.0, 0.0]")
 
 
 class TestConcat:

@@ -491,6 +491,28 @@ class TestArtifactsAreValues:
         with pytest.raises(ValueError, match=f"'{field}' is not a finite 2-D"):
             mdp_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("reward", [
+        np.full((5, 2), np.nan), np.full((5, 2), np.inf),
+        np.zeros((5, 2), dtype=int), [[0.0] * 2] * 5])
+    def test_a_reward_that_is_not_finite_floats_is_rejected(self, reward):
+        # a NaN reward would fail the solve only as an overflow
+        with pytest.raises(ValueError, match="'reward' is not a finite 2-D "
+                                             "array of numbers"):
+            dataclasses.replace(worked_example_mdp(), reward=reward)
+
+    @pytest.mark.parametrize("field", ["indices", "indptr"])
+    def test_transition_indices_that_are_not_integers_are_rejected(self,
+                                                                   field):
+        # a float column of 1.5 lies in [0, n) and keeps its row's order,
+        # and the solver's product would truncate it to 1
+        mdp = worked_example_mdp()
+        floats = getattr(mdp.stacked, field).astype(float)
+        floats[0 if field == "indices" else 1] += 0.5
+        stacked = dataclasses.replace(mdp.stacked, **{field: floats})
+        with pytest.raises(ValueError, match="'transition' is not a finite "
+                                             "1-D array of integers"):
+            dataclasses.replace(mdp, stacked=stacked)
+
     def test_a_row_written_into_a_deep_copy(self):
         """The one in-place edit, as the bench's perturbation check makes
         it: a deep copy of a solved MDP, one row moved onto the core state

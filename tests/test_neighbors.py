@@ -449,6 +449,43 @@ class TestWindow:
                 assert norm_dist[at].tolist() == pytest.approx(
                     [nd for _, _, nd in want], rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(NORMS),
+           k=st.integers(1, 8), alpha=ALPHAS, queries=st.integers(2, 5),
+           actions=st.integers(2, 4))
+    def test_blocks_end_at_each_action(self, seed, norm, k, alpha, queries,
+                                       actions):
+        """With BLOCK 1 a block is QUERIES pairs, and the pair count is no
+        multiple of it, so blocks cut every QUERIES pairs alone would hold
+        the last pairs of one action and the first of the next. Sources on
+        0..1 share a few points, most of them holding more than k
+        transitions, so nearly every distance ties."""
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, n=int(rng.integers(20, 80)),
+                             dim=int(rng.integers(1, 3)), actions=actions,
+                             coord_max=1)
+        dist = euclid if norm == "euclidean" else manhattan
+        extra = rng.integers(0, 3, size=(int(rng.integers(1, 8)), batch.dim))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "QUERIES", queries)
+            mp.setattr(neighbors, "BLOCK", 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                index = build_index(batch, norm)
+            states = list(index.core) + [tuple(map(float, x)) for x in extra]
+            if len(states) % queries == 0:
+                states.append((0.5,) * batch.dim)
+            pairs, indices, norm_dist = index.search(states, k, alpha)
+        want = [(row * actions + a, i, nd) for row, s in enumerate(states)
+                for a in range(actions)
+                for i, _, nd in brute_force_knn(batch, s, a, k, alpha,
+                                                diam=index.diameter,
+                                                dist=dist)]
+        assert list(zip(pairs.tolist(), indices.tolist())) == [
+            w[:2] for w in want]
+        assert norm_dist.tolist() == pytest.approx([w[2] for w in want],
+                                                   rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("norm", NORMS)
     @pytest.mark.parametrize("dim", [1, 2])
     def test_far_states_on_float_coordinates(self, norm, dim):
